@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .errors import (
     IllConditionedEtaError,
     InfeasibleInitializationError,
-    IntegrationDomainError,
     InvalidDimensionError,
     NoFeasiblePointError,
     NonConvergenceError,
@@ -20,10 +19,7 @@ from .errors import (
 )
 from .expect import (
     ExpectationEngine,
-    QuadratureRule,
-    gauss_expect2,
     get_engine,
-    get_rule,
     mc_expect2,
 )
 from .model import (

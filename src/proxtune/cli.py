@@ -27,7 +27,6 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .expect import get_engine
 from .model import InitSpec
 from .predict import predict_trajectory
 from .simulate import ExperimentConfig, LambdaSchedule, run_trials
@@ -61,8 +60,6 @@ class RunConfig:
     init_norm: float = 1.0
     out: str = "run"
     format: str = "csv"
-    nodes: int = 64
-    v4_denominator: str = "symmetric"
     parallelism: int = 0
     target_err: float = 1e-8
     policy: str = "min-iterations-to-target"
@@ -115,9 +112,6 @@ class RunConfig:
         a0, b0 = self.init_spec().state_targets()
         return StateVec(a0, b0, a0, b0)
 
-    def engine(self):
-        return get_engine(points_per_panel=max(8, self.nodes // 4))
-
     def experiment(self):
         return ExperimentConfig(d=self.d, m=self.m, sigma=self.sigma,
                                 schedule=self.lambda_schedule(),
@@ -149,9 +143,9 @@ def _parse_tuple(parse):
 
 _PARSERS = {
     "mode": str, "schedule": str, "convention": str, "out": str,
-    "format": str, "v4_denominator": str, "policy": str,
+    "format": str, "policy": str,
     "d": int, "m": int, "t0": int, "iters": int, "trials": int,
-    "seed": int, "nodes": int, "parallelism": int,
+    "seed": int, "parallelism": int,
     "sigma": float, "lambda0": float, "slope": float, "init_norm": float,
     "target_err": float, "prefloor_margin": float,
     "alpha0": _parse_opt(float), "init_dist": _parse_opt(float),
@@ -169,8 +163,6 @@ def _validate_config(config):
         raise ValidationError("iters must be nonnegative")
     if config.trials < 1:
         raise ValidationError("trials must be >= 1")
-    if config.nodes < 8:
-        raise ValidationError("nodes must be >= 8")
     if config.prefloor_margin < 1.0:
         raise ValidationError("prefloor_margin must be >= 1")
     return config
@@ -290,9 +282,7 @@ def cmd_simulate(config):
 def cmd_predict(config):
     """Deterministic trajectory; no randomness consumed."""
     traj = predict_trajectory(config.initial_state(), config.iters, config.d,
-                              config.m, config.sigma, config.lambda_schedule(),
-                              engine=config.engine(),
-                              v4_denominator=config.v4_denominator)
+                              config.m, config.sigma, config.lambda_schedule())
     rows = [[t, s.alpha, s.beta, s.talpha, s.tbeta, traj.err_seq[t],
              bool(traj.theory_region[t])]
             for t, s in enumerate(traj.states)]
@@ -354,8 +344,7 @@ def cmd_tune(config):
         horizon=config.iters,
         lambda_values=config.lambda_grid if config.lambda_grid else None,
     )
-    results, failures = sweep(grid, engine=config.engine(),
-                              v4_denominator=config.v4_denominator)
+    results, failures = sweep(grid)
     for point, exc in sorted(failures.items()):
         print(f"warning: grid point (m={point[0]}, lambda={point[1]:g}) "
               f"failed: {exc}", file=sys.stderr)
@@ -404,9 +393,6 @@ def _build_parser():
     common.add_argument("--init-norm", type=float, dest="init_norm")
     common.add_argument("--out", help="output base path")
     common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--nodes", type=int, help="quadrature resolution knob")
-    common.add_argument("--v4-denominator", choices=["symmetric", "as-printed"],
-                        dest="v4_denominator")
     common.add_argument("--policy", choices=["min-samples-to-target",
                                              "min-iterations-to-target",
                                              "min-floor-subject-to-iteration-budget"])

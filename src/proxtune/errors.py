@@ -25,14 +25,6 @@ class SingularSystemError(ProxtuneError):
     """A linear solve failed or left an unacceptable residual."""
 
 
-class IntegrationDomainError(ProxtuneError):
-    """Integrand evaluated to a non-finite value at a quadrature node."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
 class NonConvergenceError(ProxtuneError):
     """Iterative solver exhausted its iteration budget."""
 

@@ -2,23 +2,16 @@
 
 The deterministic predictor needs expectations of functions of two
 independent centered Gaussians G1 ~ N(0, L^2), G2 ~ N(0, Lt^2), always
-rational in the squares. Two deterministic routes live here:
+rational in the squares. ``ExpectationEngine`` evaluates them. Its
+integrand family has denominators D = r1 r2 + r1 G1^2 + r2 G2^2 (or D^2),
+and writing 1/D^s = int_0^inf t^(s-1)/(s-1)! exp(-D t) dt factors each
+member into closed-form Gaussian moments times a one-dimensional integral.
+Composite Gauss-Legendre panels on a geometric grid evaluate that integral
+to machine precision uniformly in (r1, r2). Fixed Gauss-Hermite grids lose
+accuracy once r1, r2 are small because the integrand develops features on
+the scale sqrt(r), far below the Gaussian scale.
 
-* ``gauss_expect2``: tensor-product Gauss-Hermite quadrature for arbitrary
-  integrands. Nodes come from the standard eigenvalue construction (through
-  numpy's probabilists'-Hermite gauss rule) and are folded onto the half
-  line by default; only squares enter the integrand, so folding is exact.
-
-* ``ExpectationEngine``: the evaluator the predictor actually uses. Its
-  integrand family has denominators D = r1 r2 + r1 G1^2 + r2 G2^2 (or D^2),
-  and writing 1/D^s = int_0^inf t^(s-1)/(s-1)! exp(-D t) dt factors each
-  member into closed-form Gaussian moments times a one-dimensional integral.
-  Composite Gauss-Legendre panels on a geometric grid evaluate that integral
-  to machine precision uniformly in (r1, r2). Fixed Gauss-Hermite grids lose
-  accuracy once r1, r2 are small because the integrand develops features on
-  the scale sqrt(r), far below the Gaussian scale.
-
-``mc_expect2`` is the plain Monte-Carlo oracle both routes are validated
+``mc_expect2`` is the plain Monte-Carlo oracle the engine is validated
 against.
 """
 
@@ -28,81 +21,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
-from .errors import IntegrationDomainError, ValidationError
-
-
-class QuadratureRule:
-    """Tensor-product Gauss-Hermite rule for the standard-Gaussian weight.
-
-    Weights are normalized to sum to one, so the rule directly represents
-    E f(G1^2, G2^2) for standard normals scaled by (L, Lt).
-    """
-
-    def __init__(self, nodes_per_dim=64, folded=True):
-        if nodes_per_dim < 1:
-            raise ValidationError("nodes_per_dim must be a positive integer")
-        x, w = hermegauss(nodes_per_dim)
-        w = w / math.sqrt(2.0 * math.pi)
-        if folded:
-            x, w = _fold(x, w)
-        self.nodes_per_dim = int(nodes_per_dim)
-        self.folded = bool(folded)
-        self.nodes = x
-        self.weights = w
-        sq = x * x
-        s1, s2 = np.meshgrid(sq, sq, indexing="ij")
-        self._sq1 = s1.ravel()
-        self._sq2 = s2.ravel()
-        self._w2 = np.outer(w, w).ravel()
-
-    def grids(self, L, Lt):
-        """Flattened squared-sample grids for G1 ~ N(0, L^2), G2 ~ N(0, Lt^2)."""
-        return (L * L) * self._sq1, (Lt * Lt) * self._sq2, self._w2
-
-
-def _fold(x, w):
-    # nodes are symmetric about 0; f sees only x^2, so (+x, -x) merge
-    n = x.size
-    half = n // 2
-    if n % 2 == 0:
-        return x[half:], 2.0 * w[half:]
-    return x[half:], np.concatenate(([w[half]], 2.0 * w[half + 1:]))
-
-
-@lru_cache(maxsize=None)
-def get_rule(nodes_per_dim=64, folded=True):
-    return QuadratureRule(nodes_per_dim, folded)
-
-
-def gauss_expect2(f, L, Lt, rule=None):
-    """E f(G1^2, G2^2) by tensor-product Gauss-Hermite quadrature.
-
-    f must accept two arrays of squared samples and return the integrand
-    values elementwise (scalar-only callables are looped over as a
-    fallback).
-    """
-    if L <= 0 or Lt <= 0:
-        raise ValidationError("L and Lt must be positive")
-    rule = rule if rule is not None else get_rule()
-    g1, g2, w = rule.grids(L, Lt)
-    try:
-        vals = np.asarray(f(g1, g2), dtype=float)
-        if vals.shape != g1.shape:
-            raise ValueError
-    except (TypeError, ValueError):
-        vals = np.array([float(f(a, b)) for a, b in zip(g1, g2)])
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrationDomainError(
-            f"non-finite integrand value {vals[i]} at node "
-            f"(G1^2={g1[i]:.6g}, G2^2={g2[i]:.6g})",
-            node=(float(g1[i]), float(g2[i])),
-        )
-    return float(w @ vals)
+from .errors import ValidationError
 
 
 def mc_expect2(f, L, Lt, n_samples, seed=0, chunk_size=1_000_000):
@@ -257,5 +178,6 @@ class ExpectationEngine:
 
 
 @lru_cache(maxsize=None)
-def get_engine(points_per_panel=16):
-    return ExpectationEngine(points_per_panel=points_per_panel)
+def get_engine():
+    """The shared engine every prediction evaluates its expectations with."""
+    return ExpectationEngine()

@@ -34,8 +34,6 @@ from .expect import get_engine
 from .simulate import LambdaSchedule, as_schedule
 from .state import StateVec, err_of
 
-V4_DENOMINATORS = ("symmetric", "as-printed")
-
 
 @dataclass(frozen=True)
 class FixedPointR:
@@ -73,7 +71,7 @@ def in_theory_region(L, Lt, lam, ratio):
     return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, engine=None):
+def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
@@ -92,7 +90,7 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, engine=None):
         raise ValidationError("ratio m/d must lie in (0, 1]")
     if not all(map(math.isfinite, (L, Lt, lam, ratio))):
         raise NumericalInputError("non-finite fixed-point parameters")
-    engine = engine if engine is not None else get_engine()
+    engine = get_engine()
 
     # iterates stay inside [lam*ratio, ratio*(lam + max(L^2, Lt^2))]
     r_lo = lam * ratio
@@ -137,9 +135,9 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, engine=None):
     )
 
 
-def compute_V(r, L, Lt, engine=None):
+def compute_V(r, L, Lt):
     """The first-order expectations (V, V1, V2) at a solved fixed point."""
-    engine = engine if engine is not None else get_engine()
+    engine = get_engine()
     ctx = engine.context_at(L, Lt, r.r1, r.r2)
     return engine.first_order(ctx, r.r1, r.r2)
 
@@ -171,20 +169,13 @@ def compute_H(s, V, V1, V2, lam):
     return h, ht
 
 
-def compute_V34(s, sigma, lam, r, V, V1, V2, engine=None,
-                v4_denominator="symmetric", kernels=None):
-    """The source terms (V3, V4) feeding the orthogonal-variance system.
+def compute_V34(s, sigma, lam, V, V1, V2, kernels):
+    """The source terms (V3, V4) feeding the orthogonal-variance system,
+    from the second-order kernels at the solved fixed point.
 
-    v4_denominator selects the third-term denominator of V4: "symmetric"
-    uses L^4 Lt^2 (the form implied by swapping the two sides in V3);
-    "as-printed" uses Lt^2 L^3.
+    The own term of V4 has denominator L^4 Lt^2, the form implied by
+    swapping the two sides in V3.
     """
-    if v4_denominator not in V4_DENOMINATORS:
-        raise ValidationError(f"unknown v4_denominator {v4_denominator!r}")
-    if kernels is None:
-        engine = engine if engine is not None else get_engine()
-        ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
-        kernels = engine.second_order(ctx, r.r1, r.r2)
     Lsq = s.alpha ** 2 + s.beta ** 2
     Ltsq = s.talpha ** 2 + s.tbeta ** 2
     cross = s.alpha * s.talpha
@@ -198,24 +189,16 @@ def compute_V34(s, sigma, lam, r, V, V1, V2, engine=None,
     V3 = (noise_w * kernels.s2_u2 + mis_w * kernels.s2_u1u2sq
           + own3_w * kernels.s2_u2sq + mix3_w * kernels.s2_u1u2)
 
-    if v4_denominator == "symmetric":
-        own4_den = Lsq ** 2 * Ltsq
-    else:
-        own4_den = Ltsq * s.L ** 3
-    own4_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * own4_den)
+    own4_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * (Lsq ** 2 * Ltsq))
     mix4_w = lamsq * (s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * Lsq * Ltsq ** 2)
     V4 = (noise_w * kernels.s1_u1 + mis_w * kernels.s1_u1squ2
           + own4_w * kernels.s1_u1sq + mix4_w * kernels.s1_u1u2)
     return V3, V4
 
 
-def solve_eta(d, m, r, L, Lt, V3, V4, engine=None, kernels=None):
+def solve_eta(d, m, V3, V4, kernels):
     """Nonnegative solution (eta^2, teta^2) of the orthogonal-variance
     fixed point, via its equivalent 2x2 linear system."""
-    if kernels is None:
-        engine = engine if engine is not None else get_engine()
-        ctx = engine.context_at(L, Lt, r.r1, r.r2)
-        kernels = engine.second_order(ctx, r.r1, r.r2)
     kappa = (d - 2) * m / d ** 2
     a1 = 1.0 - kappa * kernels.s2_u2sq
     a2 = -kappa * kernels.s2_u1u2
@@ -238,33 +221,28 @@ def solve_eta(d, m, r, L, Lt, V3, V4, engine=None, kernels=None):
     return max(eta_sq, 0.0), max(teta_sq, 0.0)
 
 
-def det_quantities(s, d, m, sigma, lam, engine=None,
-                   v4_denominator="symmetric", tol=1e-12, max_iter=1000):
+def det_quantities(s, d, m, sigma, lam, tol=1e-12, max_iter=1000):
     """Solve and collect every deterministic quantity one map step uses."""
     if d < 2 or not 1 <= m <= d:
         raise ValidationError("need d >= 2 and 1 <= m <= d")
-    engine = engine if engine is not None else get_engine()
-    r = solve_r(s.L, s.Lt, lam, m / d, tol=tol, max_iter=max_iter, engine=engine)
+    engine = get_engine()
+    r = solve_r(s.L, s.Lt, lam, m / d, tol=tol, max_iter=max_iter)
     ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
     V, V1, V2 = engine.first_order(ctx, r.r1, r.r2)
     kernels = engine.second_order(ctx, r.r1, r.r2)
-    V3, V4 = compute_V34(s, sigma, lam, r, V, V1, V2,
-                         v4_denominator=v4_denominator, kernels=kernels)
-    eta_sq, teta_sq = solve_eta(d, m, r, s.L, s.Lt, V3, V4, kernels=kernels)
+    V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
+    eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
     return DetQuantities(r=r, V=V, V1=V1, V2=V2, V3=V3, V4=V4,
                          eta_sq=eta_sq, teta_sq=teta_sq)
 
 
-def det_map(s, d, m, sigma, lam, engine=None, v4_denominator="symmetric",
-            tol=1e-12, max_iter=1000):
+def det_map(s, d, m, sigma, lam, tol=1e-12, max_iter=1000):
     """One application of the deterministic state map."""
     if not all(map(math.isfinite, s.as_tuple())):
         raise NumericalInputError("non-finite state")
     if s.L <= 0 or s.Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")
-    engine = engine if engine is not None else get_engine()
-    q = det_quantities(s, d, m, sigma, lam, engine=engine,
-                       v4_denominator=v4_denominator, tol=tol, max_iter=max_iter)
+    q = det_quantities(s, d, m, sigma, lam, tol=tol, max_iter=max_iter)
     alpha_det, talpha_det = compute_parallel(s, q.V, q.V1, q.V2, lam)
     h, ht = compute_H(s, q.V, q.V1, q.V2, lam)
     return StateVec(
@@ -301,14 +279,12 @@ class DetTrajectory:
         return bool(self.theory_region.all())
 
 
-def predict_trajectory(s0, T, d, m, sigma, schedule, engine=None,
-                       v4_denominator="symmetric"):
+def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0, recording the
     predicted error sequence. No randomness is consumed."""
     if T < 0:
         raise ValidationError("T must be nonnegative")
     schedule = as_schedule(schedule)
-    engine = engine if engine is not None else get_engine()
     ratio = m / d
     states = [s0]
     errs = [err_of(s0)]
@@ -316,8 +292,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule, engine=None,
     for t in range(T):
         lam = schedule.value(t)
         try:
-            s = det_map(s, d, m, sigma, lam, engine=engine,
-                        v4_denominator=v4_denominator)
+            s = det_map(s, d, m, sigma, lam)
         except ProxtuneError as exc:
             raise PredictionError(t, str(exc)) from exc
         states.append(s)

@@ -6,10 +6,9 @@ diag(w) Z] the stacked m x 2d linearization matrix, the update is
 
     theta_+ = (A^T A + lam m I)^(-1) (A^T (y + w * wt) + lam m theta).
 
-For m < d the inverse is applied through the Woodbury identity, costing one
-m x m solve per step; the dense 2d x 2d route exists as well and the two
-agree to solver precision. lam m I keeps both systems strictly positive
-definite, so Cholesky factorizations are used throughout and the
+The inverse is applied through the Woodbury identity, costing one m x m
+solve per step for every batch size m <= d. lam m I keeps that system
+strictly positive definite, so a Cholesky factorization is used and the
 normal-equation residual is verified on every step.
 """
 
@@ -85,24 +84,20 @@ def as_schedule(lam):
     return LambdaSchedule.constant(float(lam))
 
 
-def prox_linear_step(mu, nu, batch, lam, method="auto"):
-    """One closed-form prox-linear update of (mu, nu) on the given batch.
-
-    method: "woodbury" (m x m solve), "dense" (2d x 2d normal equations) or
-    "auto" (woodbury when m < d). The normal-equation residual is checked
-    against RESIDUAL_TOL relative to the right-hand side.
+def prox_linear_step(mu, nu, batch, lam):
+    """One closed-form prox-linear update of (mu, nu) on the given batch,
+    through an m x m Woodbury solve. The normal-equation residual is
+    checked against RESIDUAL_TOL relative to the right-hand side.
     """
     if lam <= 0:
         raise ValidationError("lambda must be positive")
-    if method not in ("auto", "woodbury", "dense"):
-        raise ValidationError(f"unknown method {method!r}")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
         raise NumericalInputError("non-finite iterate")
     if not (np.all(np.isfinite(batch.X)) and np.all(np.isfinite(batch.Z))
             and np.all(np.isfinite(batch.y))):
         raise NumericalInputError("non-finite batch data")
 
-    m, d = batch.X.shape
+    m = batch.y.size
     scale = lam * m
     w = batch.X @ mu
     wt = batch.Z @ nu
@@ -110,27 +105,16 @@ def prox_linear_step(mu, nu, batch, lam, method="auto"):
     c_mu = batch.X.T @ (wt * b) + scale * mu
     c_nu = batch.Z.T @ (w * b) + scale * nu
 
-    if method == "woodbury" or (method == "auto" and m < d):
-        Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
-        K = np.outer(wt, wt) * (batch.X @ batch.X.T) \
-            + np.outer(w, w) * (batch.Z @ batch.Z.T)
-        K[np.diag_indices_from(K)] += scale
-        try:
-            s = cho_solve(cho_factor(K), Ac)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"Woodbury system solve failed: {exc}") from exc
-        mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
-        nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
-    else:
-        A = np.hstack([wt[:, None] * batch.X, w[:, None] * batch.Z])
-        M = A.T @ A
-        M[np.diag_indices_from(M)] += scale
-        rhs = np.concatenate([c_mu, c_nu])
-        try:
-            theta = cho_solve(cho_factor(M), rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"dense system solve failed: {exc}") from exc
-        mu_plus, nu_plus = theta[:d], theta[d:]
+    Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
+    K = np.outer(wt, wt) * (batch.X @ batch.X.T) \
+        + np.outer(w, w) * (batch.Z @ batch.Z.T)
+    K[np.diag_indices_from(K)] += scale
+    try:
+        s = cho_solve(cho_factor(K), Ac)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"Woodbury system solve failed: {exc}") from exc
+    mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
+    nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
 
     _check_residual(batch, w, wt, b, mu, nu, mu_plus, nu_plus, c_mu, c_nu, scale)
     return mu_plus, nu_plus
@@ -174,7 +158,7 @@ class EmpiricalTrajectory:
     frob: np.ndarray
 
 
-def run_empirical(mu0, nu0, gt, params, T, seed, method="auto"):
+def run_empirical(mu0, nu0, gt, params, T, seed):
     """Run T prox-linear steps from (mu0, nu0), drawing a fresh batch per
     step with lambda from the schedule. Returns T + 1 records."""
     if T < 0:
@@ -192,7 +176,7 @@ def run_empirical(mu0, nu0, gt, params, T, seed, method="auto"):
         lam = params.schedule.value(t)
         try:
             batch = sample_batch(gt, params, batch_seeds[t])
-            mu, nu = prox_linear_step(mu, nu, batch, lam, method=method)
+            mu, nu = prox_linear_step(mu, nu, batch, lam)
         except ProxtuneError as exc:
             raise SimulationError(t, str(exc)) from exc
         s = state_of(mu, nu, gt)

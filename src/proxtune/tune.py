@@ -57,7 +57,7 @@ class TuneGrid:
         return [(m, float(lam)) for m in self.m_values for lam in self.lambda_values]
 
 
-def sweep(grid, engine=None, v4_denominator="symmetric"):
+def sweep(grid):
     """One predicted trajectory per grid point; failures are collected per
     point instead of aborting the sweep. Returns (results, failures)."""
     results = {}
@@ -66,8 +66,7 @@ def sweep(grid, engine=None, v4_denominator="symmetric"):
         try:
             results[(m, lam)] = predict_trajectory(
                 grid.s0, grid.horizon, grid.d, m, grid.sigma,
-                LambdaSchedule.constant(lam), engine=engine,
-                v4_denominator=v4_denominator,
+                LambdaSchedule.constant(lam),
             )
         except ProxtuneError as exc:
             failures[(m, lam)] = exc

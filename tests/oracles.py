@@ -1,0 +1,59 @@
+"""Independent reference implementations the tests compare the package with.
+
+The package uses neither: the dense solve is the reference the Woodbury
+prox-linear step must match, and the folded Gauss-Hermite rule is a second
+quadrature for the expectation engine where both converge (moderate r).
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
+
+from proxtune import ValidationError
+
+
+def dense_oracle(mu, nu, batch, lam):
+    """Independent dense solve of the 2d x 2d normal equations."""
+    m, d = batch.X.shape
+    w = batch.X @ mu
+    wt = batch.Z @ nu
+    A = np.hstack([np.diag(wt) @ batch.X, np.diag(w) @ batch.Z])
+    M = A.T @ A + lam * m * np.eye(2 * d)
+    rhs = A.T @ (batch.y + w * wt) + lam * m * np.concatenate([mu, nu])
+    theta = np.linalg.solve(M, rhs)
+    return theta[:d], theta[d:]
+
+
+class QuadratureRule:
+    """Tensor-product Gauss-Hermite rule for the standard-Gaussian weight.
+
+    Weights are normalized to sum to one. The nodes are symmetric about 0
+    and the integrands see only squares, so folding (+x, -x) onto the half
+    line is exact.
+    """
+
+    def __init__(self, nodes_per_dim=64, folded=True):
+        if nodes_per_dim < 1:
+            raise ValidationError("nodes_per_dim must be a positive integer")
+        x, w = hermegauss(nodes_per_dim)
+        w = w / math.sqrt(2.0 * math.pi)
+        if folded:
+            half = x.size // 2
+            x, w = x[half:], 2.0 * w[half:]
+            if nodes_per_dim % 2:
+                w[0] /= 2.0  # the node at 0 has no mirror image
+        self.nodes = x
+        self.weights = w
+
+
+def gauss_expect2(f, L, Lt, rule=None):
+    """E f(G1^2, G2^2) for G1 ~ N(0, L^2), G2 ~ N(0, Lt^2) on the tensor
+    grid of ``rule``; f maps two arrays of squared samples elementwise."""
+    if L <= 0 or Lt <= 0:
+        raise ValidationError("L and Lt must be positive")
+    rule = rule if rule is not None else QuadratureRule()
+    sq = rule.nodes * rule.nodes
+    g1, g2 = np.meshgrid((L * L) * sq, (Lt * Lt) * sq, indexing="ij")
+    w2 = np.outer(rule.weights, rule.weights)
+    return float(w2.ravel() @ np.asarray(f(g1.ravel(), g2.ravel()), dtype=float))

@@ -143,17 +143,18 @@ class TestPredictCommand:
         assert len(rows) == 1001
         assert elapsed < 1.0
 
-    def test_node_doubling_stability(self, tmp_path):
-        lam = str((1 + 1e-10) * 200 / 16)
-        base = ["predict", "--d", "200", "--m", "16", "--sigma", "1e-5",
-                "--lambda", lam, "--iters", "50"]
-        assert main([*base, "--nodes", "64", "--out", str(tmp_path / "n64")]) == EXIT_OK
-        assert main([*base, "--nodes", "128", "--out", str(tmp_path / "n128")]) == EXIT_OK
-        _, cols, rows64 = read_table(str(tmp_path / "n64.predict.csv"))
-        _, _, rows128 = read_table(str(tmp_path / "n128.predict.csv"))
-        e64 = np.array(col(cols, rows64, "err_seq"))
-        e128 = np.array(col(cols, rows128, "err_seq"))
-        assert np.max(np.abs(e64 - e128) / np.maximum(np.abs(e128), 1e-300)) <= 1e-10
+    @pytest.mark.parametrize("key, value", [("nodes", "64"),
+                                            ("v4_denominator", "symmetric")])
+    def test_removed_keys_rejected(self, tmp_path, capsys, key, value):
+        path = tmp_path / "old.cfg"
+        path.write_text(RunConfig(iters=2).to_text() + f"{key} = {value}\n")
+        code = main(["predict", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", flag, value, "--out", str(tmp_path / "run")])
+        assert exc.value.code == EXIT_VALIDATION
 
     def test_config_file_with_override(self, tmp_path):
         cfg = RunConfig(mode="predict", d=100, m=8, iters=5, sigma=0.0)

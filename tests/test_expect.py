@@ -1,16 +1,15 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from proxtune import (
     ExpectationEngine,
-    IntegrationDomainError,
-    QuadratureRule,
     ValidationError,
-    gauss_expect2,
     get_engine,
-    get_rule,
     mc_expect2,
 )
+from oracles import QuadratureRule, gauss_expect2
 
 
 def double_factorial(k):
@@ -50,6 +49,8 @@ def engine_values(engine, r1, r2, L, Lt):
     return {"V": V, "V1": V1, "V2": V2, **k._asdict()}
 
 
+# the Gauss-Hermite oracle in tests/oracles.py, checked before it is used
+# as a reference for the engine
 class TestQuadratureRule:
     @pytest.mark.parametrize("folded", [True, False])
     def test_weights_sum_to_one(self, folded):
@@ -86,22 +87,11 @@ class TestGaussExpect2:
     def test_fourth_moment(self):
         assert gauss_expect2(lambda g1, g2: g2 ** 2, 1.0, 1.0) == pytest.approx(3.0, rel=1e-12)
 
-    def test_scalar_fallback(self):
-        rule = get_rule(8)
-        got = gauss_expect2(lambda g1, g2: float(g1) * float(g2), 1.0, 1.0, rule)
-        assert got == pytest.approx(1.0, rel=1e-12)
-
     def test_rational_example_vs_mc(self):
         f = v_integrand(16.0, 16.0)
         quad = gauss_expect2(f, 1.0, 1.0)
         mc, se = mc_expect2(f, 1.0, 1.0, 10 ** 7, seed=20)
         assert abs(quad - mc) <= 3.0 * se
-
-    def test_nonfinite_integrand_raises(self):
-        f = lambda g1, g2: np.where(g1 > 1.0, np.inf, 1.0)
-        with pytest.raises(IntegrationDomainError) as err:
-            gauss_expect2(f, 1.0, 1.0)
-        assert err.value.node is not None
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValidationError):
@@ -132,7 +122,7 @@ class TestExpectationEngine:
         # GH converges once r1, r2 are order one or larger; 256 nodes is
         # plenty there (larger counts overflow the node recurrence)
         engine = get_engine()
-        rule = get_rule(256)
+        rule = QuadratureRule(256)
         for (r1, r2, L, Lt) in [(16.0, 16.0, 1.0, 1.0), (8.0, 24.0, 1.3, 0.7),
                                 (2.0, 3.0, 0.9, 1.1)]:
             vals = engine_values(engine, r1, r2, L, Lt)
@@ -158,13 +148,13 @@ class TestExpectationEngine:
         r1 = r2 = 0.171
         vals = engine_values(engine, r1, r2, 1.0, 1.0)
         for name, f in rational_family(r1, r2).items():
-            mc, se = mc_expect2(f, 1.0, 1.0, 2 * 10 ** 6, seed=hash(name) % 2 ** 31)
+            mc, se = mc_expect2(f, 1.0, 1.0, 2 * 10 ** 6, seed=zlib.crc32(name.encode()))
             assert abs(vals[name] - mc) <= 4.0 * se, name
 
     def test_node_doubling_invariance_at_experiment_ranges(self):
-        # doubling the resolution knob moves predictor expectations < 1e-10
-        base = get_engine(points_per_panel=16)
-        double = get_engine(points_per_panel=32)
+        # doubling the points per panel moves predictor expectations < 1e-10
+        base = get_engine()
+        double = ExpectationEngine(points_per_panel=32)
         experiment_points = [
             (16.0, 16.0, 1.0, 1.0),     # lam=100, m=32, d=200
             (0.16, 0.16, 1.0, 1.0),     # lam=1, m=32, d=200
@@ -197,16 +187,6 @@ class TestExpectationEngine:
                 if prev_row is not None:
                     assert all(a >= b - 1e-14 for a, b in zip(row, prev_row))
                 prev_row = row
-
-    def test_monotone_in_r_gauss_route(self):
-        rule = get_rule()
-        grid = [0.5, 2.0, 8.0, 32.0]
-        prev = None
-        for r in grid:
-            V = gauss_expect2(v_integrand(r, r), 1.0, 1.0, rule)
-            if prev is not None:
-                assert V >= prev
-            prev = V
 
     def test_nonnegative_and_bounded(self):
         # integrands are nonnegative; V <= L^2 Lt^2, V1 <= Lt^2, V2 <= L^2

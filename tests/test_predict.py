@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 def local_state():
     b = np.sqrt(1.0 - 0.99 ** 2)
     return StateVec(0.99, b, 0.99, b)
+
+
+def kernels_at(r, L, Lt):
+    engine = get_engine()
+    return engine.second_order(engine.context_at(L, Lt, r.r1, r.r2), r.r1, r.r2)
 
 
 class TestSolveR:
@@ -194,7 +201,7 @@ class TestComputeV34:
     def test_structural_zeros_at_truth_noiseless(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
-        V3, V4 = compute_V34(TRUTH, 0.0, 100.0, r, V, V1, V2)
+        V3, V4 = compute_V34(TRUTH, 0.0, 100.0, V, V1, V2, kernels_at(r, 1.0, 1.0))
         assert V3 == 0.0
         assert V4 == 0.0
 
@@ -203,10 +210,8 @@ class TestComputeV34:
         sigma, lam = 0.3, 100.0
         r = solve_r(1.0, 1.0, lam, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
-        V3, V4 = compute_V34(TRUTH, sigma, lam, r, V, V1, V2)
-        engine = get_engine()
-        ctx = engine.context_at(1.0, 1.0, r.r1, r.r2)
-        k = engine.second_order(ctx, r.r1, r.r2)
+        k = kernels_at(r, 1.0, 1.0)
+        V3, V4 = compute_V34(TRUTH, sigma, lam, V, V1, V2, k)
         assert V3 == pytest.approx(sigma ** 2 * k.s2_u2, rel=1e-12)
         assert V4 == pytest.approx(sigma ** 2 * k.s1_u1, rel=1e-12)
 
@@ -215,7 +220,7 @@ class TestComputeV34:
         s = local_state()
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, sigma, lam, r, V, V1, V2)
+        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels_at(r, s.L, s.Lt))
 
         # assemble V3, V4 from Monte-Carlo kernel estimates
         Lsq, Ltsq = s.L ** 2, s.Lt ** 2
@@ -241,7 +246,7 @@ class TestComputeV34:
         est, se = {}, {}
         for name, f in kernels.items():
             est[name], se[name] = mc_expect2(f, s.L, s.Lt, 10 ** 6,
-                                             seed=hash(name) % 2 ** 31)
+                                             seed=zlib.crc32(name.encode()))
         V3_mc = (noise_w * est["s2_u2"] + mis_w * est["s2_u1u2sq"]
                  + own3_w * est["s2_u2sq"] + mix3_w * est["s2_u1u2"])
         V4_mc = (noise_w * est["s1_u1"] + mis_w * est["s1_u1squ2"]
@@ -253,39 +258,38 @@ class TestComputeV34:
         assert abs(V3 - V3_mc) <= tol3
         assert abs(V4 - V4_mc) <= tol4
 
-    def test_v4_denominator_flag(self):
-        # the two denominator conventions differ by a factor L on the
-        # V4 own-term; at L = 1 they coincide
+    def test_v4_own_term_denominator(self):
+        # the V4 own term divides by L^4 Lt^2 (V3's form with the sides
+        # swapped), not the printed Lt^2 L^3; the two differ unless L = 1
         s = StateVec(1.1, 0.2, 0.8, 0.25)
-        lam = 50.0
+        sigma, lam = 0.1, 50.0
         r = solve_r(s.L, s.Lt, lam, 0.16)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        _, v4_sym = compute_V34(s, 0.1, lam, r, V, V1, V2, v4_denominator="symmetric")
-        _, v4_printed = compute_V34(s, 0.1, lam, r, V, V1, V2, v4_denominator="as-printed")
-        assert v4_sym != v4_printed
-        engine = get_engine()
-        ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
-        k = engine.second_order(ctx, r.r1, r.r2)
-        own_sym = (lam * s.alpha * s.tbeta) ** 2 \
-            / ((lam + V2) ** 2 * s.L ** 4 * s.Lt ** 2) * k.s1_u1sq
-        own_printed = (lam * s.alpha * s.tbeta) ** 2 \
-            / ((lam + V2) ** 2 * s.Lt ** 2 * s.L ** 3) * k.s1_u1sq
-        assert v4_printed - v4_sym == pytest.approx(own_printed - own_sym, rel=1e-10)
-
-        with pytest.raises(ValidationError):
-            compute_V34(s, 0.1, lam, r, V, V1, V2, v4_denominator="bogus")
+        k = kernels_at(r, s.L, s.Lt)
+        _, V4 = compute_V34(s, sigma, lam, V, V1, V2, k)
+        L, Lt = s.L, s.Lt
+        noise_w = sigma ** 2 + (s.beta * s.tbeta) ** 2 / (L ** 2 * Lt ** 2)
+        mis_w = lam ** 2 * (s.alpha * s.talpha / (L ** 2 * Lt ** 2) - 1.0) ** 2 \
+            / (lam + V * (1 / L ** 2 + 1 / Lt ** 2)) ** 2
+        own_w = (lam * s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * L ** 4 * Lt ** 2)
+        mix_w = (lam * s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * L ** 2 * Lt ** 4)
+        expected = (noise_w * k.s1_u1 + mis_w * k.s1_u1squ2
+                    + own_w * k.s1_u1sq + mix_w * k.s1_u1u2)
+        assert V4 == pytest.approx(expected, rel=1e-12)
+        printed_w = (lam * s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * Lt ** 2 * L ** 3)
+        assert abs((printed_w - own_w) * k.s1_u1sq) > 1e-6 * V4
 
 
 class TestSolveEta:
     def test_zero_sources_give_zero(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
-        eta_sq, teta_sq = solve_eta(200, 32, r, 1.0, 1.0, 0.0, 0.0)
+        eta_sq, teta_sq = solve_eta(200, 32, 0.0, 0.0, kernels_at(r, 1.0, 1.0))
         assert eta_sq == 0.0
         assert teta_sq == 0.0
 
     def test_symmetric_case(self):
         r = solve_r(1.0, 1.0, 80.0, 0.1)
-        eta_sq, teta_sq = solve_eta(200, 20, r, 1.0, 1.0, 0.004, 0.004)
+        eta_sq, teta_sq = solve_eta(200, 20, 0.004, 0.004, kernels_at(r, 1.0, 1.0))
         assert eta_sq == pytest.approx(teta_sq, rel=1e-12)
         assert eta_sq > 0.0
 
@@ -295,11 +299,9 @@ class TestSolveEta:
         lam = 100.0
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, 0.1, lam, r, V, V1, V2)
-        eta_sq, teta_sq = solve_eta(d, m, r, s.L, s.Lt, V3, V4)
-        engine = get_engine()
-        ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
-        k = engine.second_order(ctx, r.r1, r.r2)
+        k = kernels_at(r, s.L, s.Lt)
+        V3, V4 = compute_V34(s, 0.1, lam, V, V1, V2, k)
+        eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
         kappa = (d - 2) * m / d ** 2
         rhs1 = kappa * (eta_sq * k.s2_u2sq + teta_sq * k.s2_u1u2 + V3)
         rhs2 = kappa * (teta_sq * k.s1_u1sq + eta_sq * k.s1_u1u2 + V4)

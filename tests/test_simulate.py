@@ -18,22 +18,11 @@ from proxtune import (
     sample_batch,
     subproblem_objective,
 )
+from oracles import dense_oracle
 
 
 def params(d, m, sigma=0.0, lam=100.0):
     return ProblemParams(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(lam))
-
-
-def dense_oracle(mu, nu, batch, lam):
-    """Independent dense solve of the 2d x 2d normal equations."""
-    m, d = batch.X.shape
-    w = batch.X @ mu
-    wt = batch.Z @ nu
-    A = np.hstack([np.diag(wt) @ batch.X, np.diag(w) @ batch.Z])
-    M = A.T @ A + lam * m * np.eye(2 * d)
-    rhs = A.T @ (batch.y + w * wt) + lam * m * np.concatenate([mu, nu])
-    theta = np.linalg.solve(M, rhs)
-    return theta[:d], theta[d:]
 
 
 class TestLambdaSchedule:
@@ -83,10 +72,9 @@ class TestProxLinearStep:
         mu = rng.standard_normal(3)
         nu = rng.standard_normal(3)
         mu_o, nu_o = dense_oracle(mu, nu, batch, 5.0)
-        for method in ("woodbury", "dense"):
-            mu_p, nu_p = prox_linear_step(mu, nu, batch, 5.0, method=method)
-            assert np.max(np.abs(mu_p - mu_o)) <= 1e-8
-            assert np.max(np.abs(nu_p - nu_o)) <= 1e-8
+        mu_p, nu_p = prox_linear_step(mu, nu, batch, 5.0)
+        assert np.max(np.abs(mu_p - mu_o)) <= 1e-8
+        assert np.max(np.abs(nu_p - nu_o)) <= 1e-8
 
     def test_stationary_at_truth_noiseless(self):
         gt = generate_ground_truth(40, seed=6)
@@ -97,16 +85,21 @@ class TestProxLinearStep:
 
     def test_woodbury_agrees_with_dense(self):
         rng = np.random.default_rng(8)
-        for trial in range(20):
+
+        def draw():
             d = int(rng.integers(3, 51))
-            m = int(rng.integers(1, d + 1))
-            lam = float(10 ** rng.uniform(-1, 2))
+            return d, int(rng.integers(1, d + 1)), float(10 ** rng.uniform(-1, 2))
+
+        # 20 random shapes, then the square m = d = 64, lam = 50 of the
+        # compare-square benchmark workload
+        for trial in range(21):
+            d, m, lam = draw() if trial < 20 else (64, 64, 50.0)
             gt = generate_ground_truth(d, seed=(9, trial))
             batch = sample_batch(gt, params(d, m, sigma=0.5, lam=lam), seed=(10, trial))
             mu = rng.standard_normal(d)
             nu = rng.standard_normal(d)
-            a = prox_linear_step(mu, nu, batch, lam, method="woodbury")
-            b = prox_linear_step(mu, nu, batch, lam, method="dense")
+            a = prox_linear_step(mu, nu, batch, lam)
+            b = dense_oracle(mu, nu, batch, lam)
             assert np.max(np.abs(a[0] - b[0])) <= 1e-8
             assert np.max(np.abs(a[1] - b[1])) <= 1e-8
 
@@ -151,8 +144,8 @@ class TestProxLinearStep:
         degenerate = Batch(X=X, Z=batch.Z, eps=np.zeros(3), y=y)
         rng = np.random.default_rng(20)
         mu, nu = rng.standard_normal(10), rng.standard_normal(10)
-        a = prox_linear_step(mu, nu, degenerate, 2.0, method="woodbury")
-        b = prox_linear_step(mu, nu, degenerate, 2.0, method="dense")
+        a = prox_linear_step(mu, nu, degenerate, 2.0)
+        b = dense_oracle(mu, nu, degenerate, 2.0)
         assert np.max(np.abs(a[0] - b[0])) <= 1e-8
 
 
