@@ -1,10 +1,13 @@
 """Command-line surface: simulate | predict | compare | tune.
 
-Every run is driven by a flat key = value config (file plus flag overrides)
-and emits CSV or JSON tables carrying a metadata block (config hash, seed,
-tool version), so any artifact can be reproduced from its own header.
-Numbers are serialized with 17 significant digits for lossless double
-round-trips.
+Every run is driven by one ``RunConfig``. Each of its fields is a key of the
+flat key = value config file and a flag (``--`` plus the field name with
+``_`` as ``-``; ``lambda0`` is ``--lambda``); the field's annotation gives
+the value parser, and its metadata the help text and any allowed choices.
+Flags override the config file. Every run emits CSV or JSON tables carrying
+a metadata block (config hash, seed, tool version), so any artifact can be
+reproduced from its own header. Numbers are serialized with 17 significant
+digits for lossless double round-trips.
 """
 
 import argparse
@@ -12,61 +15,64 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
 from . import __version__
-from .errors import (
-    IllConditionedEtaError,
-    NoFeasiblePointError,
-    NonConvergenceError,
-    NumericalInputError,
-    PredictionError,
-    SimulationError,
-    SingularSystemError,
-    ValidationError,
-)
+from .errors import NoFeasiblePointError, NonConvergenceError, ProxtuneError, ValidationError
 from .model import InitSpec
 from .predict import predict_trajectory
-from .simulate import ExperimentConfig, LambdaSchedule, run_trials
+from .simulate import CONVENTIONS, SCHEDULES, ExperimentConfig, LambdaSchedule, run_trials
 from .state import StateVec
-from .tune import TuneGrid, build_report, recommend, sweep
+from .tune import POLICIES, TuneGrid, build_report, recommend, sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_NO_FEASIBLE = 4
 
-MODES = ("simulate", "predict", "compare", "tune")
+
+def _setting(default, help=None, choices=None, flag=None):
+    metadata = {"help": help, "choices": choices}
+    if flag is not None:
+        metadata["flag"] = flag
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run; the one declaration of each flag and key."""
+
     mode: str = "predict"
     d: int = 200
     m: int = 32
     sigma: float = 0.0
-    lambda0: float = 100.0
-    schedule: str = "constant"
+    lambda0: float = _setting(100.0, "inverse step-size lambda0", flag="--lambda")
+    schedule: str = _setting("constant", choices=SCHEDULES)
     t0: int = 0
     slope: float = 1.0
-    convention: str = "offset"
-    iters: int = 1000
+    convention: str = _setting("offset", "delayed-linear growth convention",
+                               choices=CONVENTIONS)
+    iters: int = _setting(1000, "iteration horizon T")
     trials: int = 30
     seed: int = 0
-    alpha0: float | None = 0.99
-    init_dist: float | None = None
+    alpha0: float | None = _setting(0.99, "target initial overlap")
+    init_dist: float | None = _setting(
+        None, "target squared initial distance (distance mode)")
     init_norm: float = 1.0
-    out: str = "run"
-    format: str = "csv"
-    parallelism: int = 0
+    out: str = _setting("run", "output base path")
+    format: str = _setting("csv", choices=("csv", "json"))
+    parallelism: int = _setting(0, "trial worker count (default 0 = all cores)")
     target_err: float = 1e-8
-    policy: str = "min-iterations-to-target"
-    budget: int | None = None
-    m_grid: tuple = ()
-    lambda_grid: tuple = ()
-    prefloor_margin: float = 1.5
+    policy: str = _setting("min-iterations-to-target", choices=POLICIES)
+    budget: int | None = _setting(None, "iteration budget for the floor policy")
+    m_grid: tuple[int, ...] = _setting((), "comma-separated batch sizes for tune")
+    lambda_grid: tuple[float, ...] = _setting(
+        (), "comma-separated lambdas for tune (omit for the coupled rule)")
+    prefloor_margin: float = _setting(
+        1.5, "floor multiple bounding the pre-floor phase in compare")
 
     def to_text(self):
         lines = []
@@ -76,6 +82,7 @@ class RunConfig:
 
     @classmethod
     def from_text(cls, text):
+        parsers = {f.name: _parser(f.type) for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -85,9 +92,12 @@ class RunConfig:
                 raise ValidationError(f"config line {lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _PARSERS:
+            if key not in parsers:
                 raise ValidationError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _PARSERS[key](val)
+            try:
+                values[key] = parsers[key](val)
+            except ValueError as exc:
+                raise ValidationError(f"config line {lineno}: {key}: {exc}") from exc
         return cls(**values)
 
     def config_hash(self):
@@ -133,32 +143,26 @@ def _format_value(v):
     return str(v)
 
 
-def _parse_opt(parse):
-    return lambda s: None if s.lower() == "none" else parse(s)
-
-
-def _parse_tuple(parse):
-    return lambda s: tuple(parse(x) for x in s.split(",") if x.strip()) if s else ()
-
-
-_PARSERS = {
-    "mode": str, "schedule": str, "convention": str, "out": str,
-    "format": str, "policy": str,
-    "d": int, "m": int, "t0": int, "iters": int, "trials": int,
-    "seed": int, "parallelism": int,
-    "sigma": float, "lambda0": float, "slope": float, "init_norm": float,
-    "target_err": float, "prefloor_margin": float,
-    "alpha0": _parse_opt(float), "init_dist": _parse_opt(float),
-    "budget": _parse_opt(int),
-    "m_grid": _parse_tuple(int), "lambda_grid": _parse_tuple(float),
-}
+def _parser(annotation):
+    """Text parser for a field annotated X, X | None (``none`` is None) or
+    tuple[X, ...] (comma-separated); the inverse of _format_value."""
+    args = get_args(annotation)
+    if get_origin(annotation) is tuple:
+        parse = lambda s: tuple(args[0](x) for x in s.split(",") if x.strip())
+        parse.__name__ = f"{args[0].__name__} list"  # argparse's error message
+    elif type(None) in args:
+        parse = lambda s: None if s.lower() == "none" else args[0](s)
+        parse.__name__ = f"{args[0].__name__} or none"
+    else:
+        parse = annotation
+    return parse
 
 
 def _validate_config(config):
-    if config.mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}; got {config.mode!r}")
-    if config.format not in ("csv", "json"):
-        raise ValidationError(f"format must be csv or json; got {config.format!r}")
+    for f in fields(config):
+        value, choices = getattr(config, f.name), f.metadata.get("choices")
+        if choices and value not in choices:
+            raise ValidationError(f"{f.name} must be one of {choices}; got {value!r}")
     if config.iters < 0:
         raise ValidationError("iters must be nonnegative")
     if config.trials < 1:
@@ -296,17 +300,15 @@ def cmd_predict(config):
 def compare_series(median, err_seq):
     """Gap statistics between the empirical median and the prediction.
 
-    rel_gap_t = |median_t - err_seq_t| / max(err_seq_t, floor) with floor the
-    minimum predicted error over the horizon; the floor in the denominator
-    keeps the metric meaningful once both series sit at the stagnation
-    level."""
+    rel_gap_t = |median_t - err_seq_t| / err_seq_t, read as 0 where both are
+    0 and inf where only err_seq_t is. floor is the minimum predicted error
+    over the horizon; compare uses it to mark the pre-floor phase."""
     median = np.asarray(median, dtype=float)
     err_seq = np.asarray(err_seq, dtype=float)
     abs_gap = np.abs(median - err_seq)
     floor = float(err_seq.min())
-    denom = np.maximum(err_seq, floor)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel_gap = np.where(denom > 0.0, abs_gap / np.where(denom > 0, denom, 1.0),
+        rel_gap = np.where(err_seq > 0.0, abs_gap / np.where(err_seq > 0, err_seq, 1.0),
                            np.where(abs_gap == 0.0, 0.0, np.inf))
     return abs_gap, rel_gap, floor
 
@@ -372,40 +374,17 @@ def cmd_tune(config):
 # argument parsing
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file; flags override it")
-    common.add_argument("--d", type=int, dest="d")
-    common.add_argument("--m", type=int, dest="m")
-    common.add_argument("--sigma", type=float)
-    common.add_argument("--lambda", type=float, dest="lambda0",
-                        help="inverse step-size lambda0")
-    common.add_argument("--schedule", choices=["constant", "delayed-linear"])
-    common.add_argument("--t0", type=int)
-    common.add_argument("--slope", type=float)
-    common.add_argument("--convention", choices=["offset", "absolute"],
-                        help="delayed-linear growth convention")
-    common.add_argument("--iters", type=int, help="iteration horizon T")
-    common.add_argument("--trials", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--alpha0", type=float, help="target initial overlap")
-    common.add_argument("--init-dist", type=float, dest="init_dist",
-                        help="target squared initial distance (distance mode)")
-    common.add_argument("--init-norm", type=float, dest="init_norm")
-    common.add_argument("--out", help="output base path")
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--policy", choices=["min-samples-to-target",
-                                             "min-iterations-to-target",
-                                             "min-floor-subject-to-iteration-budget"])
-    common.add_argument("--target-err", type=float, dest="target_err")
-    common.add_argument("--budget", type=int, help="iteration budget for the floor policy")
-    common.add_argument("--m-grid", dest="m_grid",
-                        help="comma-separated batch sizes for tune")
-    common.add_argument("--lambda-grid", dest="lambda_grid",
-                        help="comma-separated lambdas for tune (omit for the coupled rule)")
-    common.add_argument("--parallelism", type=int,
-                        help="trial worker count (default 0 = all cores)")
-    common.add_argument("--prefloor-margin", type=float, dest="prefloor_margin",
-                        help="floor multiple bounding the pre-floor phase in compare")
+    # unset flags stay out of the namespace, so an explicit none overrides
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--config", default=None,
+                        help="flat key = value config file; flags override it")
+    for f in fields(RunConfig):
+        if f.name == "mode":  # the subcommand
+            continue
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        common.add_argument(flag, dest=f.name, type=_parser(f.type),
+                            choices=f.metadata.get("choices"),
+                            help=f.metadata.get("help"))
 
     parser = argparse.ArgumentParser(
         prog="proxtune",
@@ -425,21 +404,13 @@ def _build_parser():
 
 
 def config_from_args(args):
-    if args.config:
-        with open(args.config) as fh:
+    overrides = vars(args).copy()
+    path = overrides.pop("config")
+    if path:
+        with open(path) as fh:
             config = RunConfig.from_text(fh.read())
     else:
         config = RunConfig()
-    overrides = {"mode": args.mode}
-    for f in fields(RunConfig):
-        if f.name == "mode":
-            continue
-        val = getattr(args, f.name, None)
-        if val is None:
-            continue
-        if f.name in ("m_grid", "lambda_grid") and isinstance(val, str):
-            val = _PARSERS[f.name](val)
-        overrides[f.name] = val
     return _validate_config(replace(config, **overrides))
 
 
@@ -463,13 +434,12 @@ def main(argv=None):
     except NoFeasiblePointError as exc:
         print(f"no feasible point: {exc}", file=sys.stderr)
         return EXIT_NO_FEASIBLE
-    except (NonConvergenceError, IllConditionedEtaError, SingularSystemError,
-            NumericalInputError, PredictionError, SimulationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except (ProxtuneError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -44,16 +44,23 @@ class SimulationError(ProxtuneError):
     """Failure inside the empirical runner, tagged with the iteration."""
 
     def __init__(self, iteration, message):
-        super().__init__(f"iteration {iteration}: {message}")
+        # both arguments stay in args so the error survives a pickle round trip
+        super().__init__(iteration, message)
         self.iteration = iteration
+
+    def __str__(self):
+        return f"iteration {self.args[0]}: {self.args[1]}"
 
 
 class PredictionError(ProxtuneError):
     """Failure inside the trajectory predictor, tagged with the step."""
 
     def __init__(self, step, message):
-        super().__init__(f"step {step}: {message}")
+        super().__init__(step, message)
         self.step = step
+
+    def __str__(self):
+        return f"step {self.args[0]}: {self.args[1]}"
 
 
 class NoFeasiblePointError(ProxtuneError):

@@ -25,8 +25,14 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ValidationError
 
+MC_CHUNK = 1_000_000
+# the first panel ends at LEAD times the smallest moment-factor scale; the
+# last ends where exp(-r1 r2 t) has decayed to exp(-TAIL) ~ 1e-20
+LEAD = 1e-5
+TAIL = 46.0
 
-def mc_expect2(f, L, Lt, n_samples, seed=0, chunk_size=1_000_000):
+
+def mc_expect2(f, L, Lt, n_samples, seed=0):
     """Plain Monte-Carlo estimate of E f(G1^2, G2^2) with its standard error."""
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
@@ -37,7 +43,7 @@ def mc_expect2(f, L, Lt, n_samples, seed=0, chunk_size=1_000_000):
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        k = min(chunk_size, n_samples - done)
+        k = min(MC_CHUNK, n_samples - done)
         g1 = (L * rng.standard_normal(k)) ** 2
         g2 = (Lt * rng.standard_normal(k)) ** 2
         v = np.asarray(f(g1, g2), dtype=float)
@@ -94,8 +100,7 @@ class ExpectationEngine:
     where the exponential has decayed below working precision.
     """
 
-    def __init__(self, points_per_panel=16, panels_per_decade=3,
-                 tail=46.0, lead=1e-5):
+    def __init__(self, points_per_panel=16, panels_per_decade=3):
         if points_per_panel < 2:
             raise ValidationError("points_per_panel must be >= 2")
         x, w = leggauss(points_per_panel)
@@ -103,8 +108,6 @@ class ExpectationEngine:
         self._w01 = 0.5 * w
         self.points_per_panel = int(points_per_panel)
         self.panels_per_decade = panels_per_decade
-        self.tail = tail
-        self.lead = lead
 
     def context(self, L, Lt, r1_min, r1_max, r2_min=None, r2_max=None):
         """Build a grid valid for all (r1, r2) inside the given bracket."""
@@ -119,8 +122,8 @@ class ExpectationEngine:
             1.0 / (2.0 * r2_max * Lt * Lt),
             1.0 / (r1_max * r2_max),
         )
-        lo = self.lead * scale_min
-        hi = self.tail / (r1_min * r2_min)
+        lo = LEAD * scale_min
+        hi = TAIL / (r1_min * r2_min)
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
         edges = np.concatenate(([0.0], np.geomspace(lo, hi, n_panels + 1)))
         widths = np.diff(edges)

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .expect import get_engine
-from .simulate import LambdaSchedule, as_schedule
+from .simulate import as_schedule
 from .state import StateVec, err_of
 
 
@@ -261,18 +261,10 @@ class DetTrajectory:
     with the schedule value at t.
     """
 
-    d: int
-    m: int
-    sigma: float
-    schedule: LambdaSchedule
     states: tuple
     err_seq: np.ndarray
     lambdas: np.ndarray
     theory_region: np.ndarray
-
-    @property
-    def T(self):
-        return len(self.states) - 1
 
     @property
     def in_region(self):
@@ -293,7 +285,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         lam = schedule.value(t)
         try:
             s = det_map(s, d, m, sigma, lam)
-        except ProxtuneError as exc:
+        except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
         states.append(s)
         errs.append(err_of(s))
@@ -303,10 +295,6 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         for t in range(T + 1)
     ])
     return DetTrajectory(
-        d=d,
-        m=m,
-        sigma=sigma,
-        schedule=schedule,
         states=tuple(states),
         err_seq=np.array(errs),
         lambdas=lambdas,

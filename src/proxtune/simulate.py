@@ -31,6 +31,9 @@ from .state import err_of, frob_err, state_of
 
 RESIDUAL_TOL = 1e-8
 
+SCHEDULES = ("constant", "delayed-linear")
+CONVENTIONS = ("offset", "absolute")
+
 
 @dataclass(frozen=True)
 class LambdaSchedule:
@@ -49,7 +52,7 @@ class LambdaSchedule:
     convention: str = "offset"
 
     def __post_init__(self):
-        if self.kind not in ("constant", "delayed-linear"):
+        if self.kind not in SCHEDULES:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
         if self.lambda0 <= 0:
             raise ValidationError("lambda0 must be positive")
@@ -58,7 +61,7 @@ class LambdaSchedule:
                 raise ValidationError("t0 must be nonnegative")
             if self.slope <= 0:
                 raise ValidationError("slope must be positive")
-        if self.convention not in ("offset", "absolute"):
+        if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")
 
     @classmethod
@@ -111,7 +114,7 @@ def prox_linear_step(mu, nu, batch, lam):
     K[np.diag_indices_from(K)] += scale
     try:
         s = cho_solve(cho_factor(K), Ac)
-    except np.linalg.LinAlgError as exc:
+    except ValueError as exc:  # LinAlgError, or non-finite entries in K
         raise SingularSystemError(f"Woodbury system solve failed: {exc}") from exc
     mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
     nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
@@ -150,9 +153,6 @@ def subproblem_objective(mu, nu, batch, lam, mu_at, nu_at):
 class EmpiricalTrajectory:
     """Per-iteration records of one run: states and error metrics."""
 
-    params: ProblemParams
-    seed: object
-    t: np.ndarray
     states: tuple
     err: np.ndarray
     frob: np.ndarray
@@ -184,9 +184,6 @@ def run_empirical(mu0, nu0, gt, params, T, seed):
         errs.append(err_of(s))
         frobs.append(frob_err(mu, nu, gt))
     return EmpiricalTrajectory(
-        params=params,
-        seed=seed,
-        t=np.arange(T + 1),
         states=tuple(states),
         err=np.array(errs),
         frob=np.array(frobs),
@@ -223,7 +220,6 @@ class TrialsResult:
     """Independent trials plus per-iteration median and quartiles of Err."""
 
     trajectories: tuple
-    t: np.ndarray
     median: np.ndarray
     q25: np.ndarray
     q75: np.ndarray
@@ -243,7 +239,6 @@ def run_trials(config, n_trials, master_seed, n_jobs=1):
     q25, median, q75 = np.percentile(errs, [25.0, 50.0, 75.0], axis=0)
     return TrialsResult(
         trajectories=trajectories,
-        t=np.arange(config.T + 1),
         median=median,
         q25=q25,
         q75=q75,

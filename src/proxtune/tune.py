@@ -122,7 +122,6 @@ def build_report(results, target_err):
 class Recommendation:
     m: int
     lam: float
-    policy: str
     rationale: str
 
 
@@ -163,7 +162,7 @@ def recommend(report, policy, budget=None):
         f"{what}: (m={pick.m}, lambda={pick.lam:g}) with tau={pick.tau}, "
         f"floor={pick.floor:.3e}, samples={pick.samples}"
     )
-    return Recommendation(m=pick.m, lam=pick.lam, policy=policy, rationale=rationale)
+    return Recommendation(m=pick.m, lam=pick.lam, rationale=rationale)
 
 
 def theory_summary(d, m, sigma, lam):

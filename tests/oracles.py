@@ -10,7 +10,7 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from proxtune import ValidationError
+from proxtune.errors import ValidationError
 
 
 def dense_oracle(mu, nu, batch, lam):

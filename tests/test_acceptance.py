@@ -8,24 +8,17 @@ import time
 
 import numpy as np
 
-from proxtune import (
+from proxtune.expect import get_engine
+from proxtune.model import InitSpec, ProblemParams, generate_ground_truth, sample_batch
+from proxtune.predict import det_map, predict_trajectory, solve_r
+from proxtune.simulate import (
     ExperimentConfig,
-    InitSpec,
     LambdaSchedule,
-    StateVec,
-    det_map,
-    generate_ground_truth,
-    get_engine,
-    iteration_complexity,
-    predict_trajectory,
     prox_linear_step,
     run_trials,
-    sample_batch,
-    sandwich_check,
-    solve_r,
-    state_frob_err,
 )
-from proxtune.model import ProblemParams
+from proxtune.state import StateVec, sandwich_check, state_frob_err
+from proxtune.tune import iteration_complexity
 from oracles import dense_oracle
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)

@@ -1,14 +1,22 @@
 import subprocess
 import sys
+from dataclasses import fields
+from typing import get_args, get_origin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtune.cli import (
     EXIT_NO_FEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     RunConfig,
+    _build_parser,
+    _format_value,
+    config_from_args,
     main,
     read_table,
     write_table,
@@ -41,9 +49,50 @@ class TestRunConfig:
         assert RunConfig().config_hash() != RunConfig(d=100).config_hash()
 
     def test_unknown_key_rejected(self):
-        from proxtune import ValidationError
+        from proxtune.errors import ValidationError
         with pytest.raises(ValidationError):
             RunConfig.from_text("bogus_key = 1\n")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flags_and_config_keys_agree(self, data):
+        cfg = RunConfig(**{f.name: data.draw(_field_values(f), label=f.name)
+                           for f in fields(RunConfig)})
+        argv = [cfg.mode] + [
+            f"{_flag(f)}={_format_value(getattr(cfg, f.name))}"
+            for f in fields(RunConfig) if f.name != "mode"
+        ]
+        assert config_from_args(_build_parser().parse_args(argv)) == cfg
+        assert RunConfig.from_text(cfg.to_text()) == cfg
+
+
+# lower bounds that _validate_config enforces
+_MINIMA = {"iters": 0, "trials": 1, "prefloor_margin": 1.0}
+_SCALARS = {
+    int: lambda name: st.integers(_MINIMA.get(name, -2 ** 63), 2 ** 63),
+    float: lambda name: st.floats(_MINIMA.get(name), allow_nan=False,
+                                  allow_infinity=False),
+    str: lambda name: st.text("abcXYZ019_./-", min_size=1, max_size=12),
+}
+
+
+def _flag(f):
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+
+
+def _field_values(f):
+    """Every value a setting may take: its choices, or any value of its type
+    (X, X | None or tuple[X, ...]) within the validated bounds."""
+    if f.name == "mode":
+        return st.sampled_from(["simulate", "predict", "compare", "tune"])
+    if f.metadata.get("choices"):
+        return st.sampled_from(f.metadata["choices"])
+    if f.type in _SCALARS:
+        return _SCALARS[f.type](f.name)
+    item = get_args(f.type)[0]
+    if get_origin(f.type) is tuple:
+        return st.lists(_SCALARS[item](f.name), max_size=4).map(tuple)
+    return st.none() | _SCALARS[item](f.name)
 
 
 class TestTableIO:
@@ -112,6 +161,32 @@ class TestSimulateCommand:
         assert run_cli(tmp_path, "simulate", "--m", "0") == EXIT_VALIDATION
         assert run_cli(tmp_path, "simulate", "--trials", "0") == EXIT_VALIDATION
 
+    def test_failing_trial_same_exit_in_pool(self, tmp_path, capsys):
+        # the worker's SimulationError must come back through the pool intact
+        args = ["simulate", "--d", "20", "--m", "4", "--trials", "2",
+                "--iters", "3", "--sigma", "inf"]
+        results = []
+        for jobs in ("1", "2"):
+            code = run_cli(tmp_path, *args, "--parallelism", jobs)
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0] == (EXIT_NUMERICAL, "numerical failure: iteration 0: "
+                                              "non-finite batch data\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--sigma", "1e200", "--iters", "3"],
+    ["predict", "--alpha0", "0", "--init-norm", "1e-160", "--iters", "5"],
+    ["predict", "--alpha0", "0.5", "--init-norm", "1e200"],
+    ["tune", "--sigma", "1e200", "--m-grid", "4", "--iters", "3"],
+    ["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
+     "--iters", "3", "--parallelism", "1"],
+], ids=["predict-overflow", "predict-underflow", "init-overflow",
+        "tune-overflow", "simulate-overflow"])
+def test_numerical_failure_exit_code(tmp_path, capsys, argv):
+    assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("numerical failure")
+
 
 class TestPredictCommand:
     def test_zero_iters_single_row(self, tmp_path):
@@ -155,6 +230,22 @@ class TestPredictCommand:
         with pytest.raises(SystemExit) as exc:
             main(["predict", flag, value, "--out", str(tmp_path / "run")])
         assert exc.value.code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("line, message", [
+        ("policy = bogus", "policy must be one of"),
+        ("d = abc", "config line 2: d: invalid literal"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, capsys, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"iters = 2\n{line}\n")
+        code = main(["predict", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert code == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
+    def test_optional_flag_accepts_none(self, tmp_path):
+        code = run_cli(tmp_path, "predict", "--iters", "2", "--alpha0", "none",
+                       "--init-dist", "0.5")
+        assert code == EXIT_OK
 
     def test_config_file_with_override(self, tmp_path):
         cfg = RunConfig(mode="predict", d=100, m=8, iters=5, sigma=0.0)

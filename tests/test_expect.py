@@ -3,12 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
-from proxtune import (
-    ExpectationEngine,
-    ValidationError,
-    get_engine,
-    mc_expect2,
-)
+from proxtune.errors import ValidationError
+from proxtune.expect import ExpectationEngine, get_engine, mc_expect2
 from oracles import QuadratureRule, gauss_expect2
 
 

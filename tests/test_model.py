@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from proxtune import (
+from proxtune.errors import (
     InfeasibleInitializationError,
-    InitSpec,
     InvalidDimensionError,
-    LambdaSchedule,
-    ProblemParams,
     ValidationError,
+)
+from proxtune.model import (
+    InitSpec,
+    ProblemParams,
     generate_ground_truth,
     init_iterates,
     sample_batch,
 )
+from proxtune.simulate import LambdaSchedule
 
 
 def params(d=200, m=32, sigma=0.0, lam=100.0):

@@ -3,27 +3,23 @@ import zlib
 import numpy as np
 import pytest
 
-from proxtune import (
+from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
+from proxtune.expect import get_engine, mc_expect2
+from proxtune.predict import (
     FixedPointR,
-    LambdaSchedule,
-    NonConvergenceError,
-    PredictionError,
-    StateVec,
-    ValidationError,
     compute_H,
     compute_parallel,
     compute_V,
     compute_V34,
     det_map,
     det_quantities,
-    err_of,
-    get_engine,
     in_theory_region,
-    mc_expect2,
     predict_trajectory,
     solve_eta,
     solve_r,
 )
+from proxtune.simulate import LambdaSchedule
+from proxtune.state import StateVec, err_of
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 

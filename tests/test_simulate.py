@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from proxtune import (
-    ExperimentConfig,
+from proxtune.errors import NumericalInputError, SimulationError, ValidationError
+from proxtune.model import (
     InitSpec,
-    LambdaSchedule,
-    NumericalInputError,
     ProblemParams,
-    SimulationError,
-    ValidationError,
-    err_of,
     generate_ground_truth,
     init_iterates,
+    sample_batch,
+)
+from proxtune.simulate import (
+    ExperimentConfig,
+    LambdaSchedule,
     prox_linear_step,
     run_empirical,
     run_trials,
-    sample_batch,
     subproblem_objective,
 )
+from proxtune.state import err_of
 from oracles import dense_oracle
 
 
@@ -139,7 +139,7 @@ class TestProxLinearStep:
         batch = sample_batch(gt, params(10, 3), seed=19)
         X = batch.X.copy()
         X[0] = 0.0
-        from proxtune import Batch
+        from proxtune.model import Batch
         y = (X @ gt.mu_star) * (batch.Z @ gt.nu_star)
         degenerate = Batch(X=X, Z=batch.Z, eps=np.zeros(3), y=y)
         rng = np.random.default_rng(20)

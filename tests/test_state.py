@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from proxtune import (
-    GroundTruth,
+from proxtune.errors import ValidationError
+from proxtune.model import GroundTruth
+from proxtune.state import (
     StateVec,
-    ValidationError,
     err_of,
     frob_err,
     sandwich_check,

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from proxtune import (
-    NoFeasiblePointError,
-    StateVec,
+from proxtune.errors import NoFeasiblePointError, ValidationError
+from proxtune.predict import predict_trajectory
+from proxtune.state import StateVec
+from proxtune.tune import (
     TuneGrid,
-    ValidationError,
     build_report,
     iteration_complexity,
-    predict_trajectory,
     recommend,
     sweep,
     theory_summary,
