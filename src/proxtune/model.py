@@ -1,14 +1,14 @@
-"""Ground truth, data generation, and controlled initialization.
+"""Problem check, ground truth, data generation and controlled initialization.
 
-Observations follow y_i = <x_i, mu*> <z_i, nu*> + eps_i with x_i, z_i i.i.d.
-standard Gaussian in R^d and eps_i ~ N(0, sigma^2), drawn fresh for every
-mini-batch (online model). All randomness flows through explicit seeds;
-numpy SeedSequences let the runner key batches as (master seed, trial,
-iteration) so trials parallelize reproducibly.
+check_problem is the one check of a problem's dimension d, batch size m and
+noise level sigma. Observations follow y_i = <x_i, mu*> <z_i, nu*> + eps_i
+with x_i, z_i i.i.d. standard Gaussian in R^d and eps_i ~ N(0, sigma^2),
+drawn fresh for every mini-batch (online model). All randomness flows
+through explicit seeds; numpy SeedSequences let the runner key batches as
+(master seed, trial, iteration) so trials parallelize reproducibly.
 """
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,8 +18,15 @@ from .errors import (
     ValidationError,
 )
 
-if TYPE_CHECKING:
-    from .simulate import LambdaSchedule
+
+def check_problem(d, m, sigma):
+    """Reject a dimension, batch size or noise level outside the model."""
+    if d < 2:
+        raise InvalidDimensionError("d must be at least 2")
+    if not 1 <= m <= d:
+        raise ValidationError(f"batch size must satisfy 1 <= m <= d; got m={m}, d={d}")
+    if sigma < 0:
+        raise ValidationError("sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -39,24 +46,6 @@ class GroundTruth:
     @property
     def d(self):
         return int(self.mu_star.shape[0])
-
-
-@dataclass(frozen=True)
-class ProblemParams:
-    """Dimension, batch size, noise level and inverse step-size schedule."""
-
-    d: int
-    m: int
-    sigma: float
-    schedule: "LambdaSchedule"
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise InvalidDimensionError("d must be at least 2")
-        if not 1 <= self.m <= self.d:
-            raise ValidationError("batch size must satisfy 1 <= m <= d")
-        if self.sigma < 0:
-            raise ValidationError("sigma must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,62 +69,50 @@ def generate_ground_truth(d, seed):
     )
 
 
-def sample_batch(gt, params, seed):
+def sample_batch(gt, m, sigma, seed):
     """Draw one batch of m observations; every call consumes fresh seeds."""
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((params.m, params.d))
-    Z = rng.standard_normal((params.m, params.d))
-    eps = params.sigma * rng.standard_normal(params.m)
+    X = rng.standard_normal((m, gt.d))
+    Z = rng.standard_normal((m, gt.d))
+    eps = sigma * rng.standard_normal(m)
     y = (X @ gt.mu_star) * (Z @ gt.nu_star) + eps
     return Batch(X=X, Z=Z, eps=eps, y=y)
 
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Target initial geometry, applied identically to both factor sides.
+    """Target overlap alpha0 = <mu0, mu*> at the norm ||mu0||, applied
+    identically to both factor sides; the achieved state is exact."""
 
-    overlap mode pins (alpha0, ||mu0||); distance mode pins ||mu0 - mu*||^2
-    at a given norm. Either way the achieved state is exact by construction.
-    """
-
-    mode: str
-    alpha0: float | None = None
+    alpha0: float
     norm: float = 1.0
-    dist_sq: float | None = None
 
     @classmethod
     def overlap(cls, alpha0, norm=1.0):
-        return cls(mode="overlap", alpha0=alpha0, norm=norm)
+        return cls(alpha0, norm)
 
     @classmethod
     def distance(cls, dist_sq, norm=1.0):
-        return cls(mode="distance", dist_sq=dist_sq, norm=norm)
+        """The overlap that puts ||mu0 - mu*||^2 at dist_sq for the given norm."""
+        if dist_sq < 0:
+            raise InfeasibleInitializationError("squared distance must be >= 0")
+        # solve (alpha - 1)^2 + beta^2 = dist_sq with alpha^2 + beta^2 = norm^2
+        alpha0 = 0.5 * (1.0 + norm ** 2 - dist_sq)
+        if abs(alpha0) > norm * (1.0 + 1e-12):
+            raise InfeasibleInitializationError(
+                f"distance {dist_sq:g} unreachable at norm {norm:g}"
+            )
+        return cls(alpha0, norm)
 
     def state_targets(self):
         """Resolve to (alpha0, beta0); raises if geometrically infeasible."""
         if self.norm <= 0:
             raise InfeasibleInitializationError("target norm must be positive")
-        if self.mode == "overlap":
-            if self.alpha0 is None:
-                raise ValidationError("overlap mode requires alpha0")
-            alpha0 = float(self.alpha0)
-            if abs(alpha0) > self.norm * (1.0 + 1e-12):
-                raise InfeasibleInitializationError(
-                    f"|alpha0|={abs(alpha0):g} exceeds the target norm {self.norm:g}"
-                )
-        elif self.mode == "distance":
-            if self.dist_sq is None:
-                raise ValidationError("distance mode requires dist_sq")
-            if self.dist_sq < 0:
-                raise InfeasibleInitializationError("squared distance must be >= 0")
-            # solve (alpha - 1)^2 + beta^2 = dist_sq with alpha^2 + beta^2 = norm^2
-            alpha0 = 0.5 * (1.0 + self.norm ** 2 - self.dist_sq)
-            if abs(alpha0) > self.norm * (1.0 + 1e-12):
-                raise InfeasibleInitializationError(
-                    f"distance {self.dist_sq:g} unreachable at norm {self.norm:g}"
-                )
-        else:
-            raise ValidationError(f"unknown init mode {self.mode!r}")
+        alpha0 = float(self.alpha0)
+        if abs(alpha0) > self.norm * (1.0 + 1e-12):
+            raise InfeasibleInitializationError(
+                f"|alpha0|={abs(alpha0):g} exceeds the target norm {self.norm:g}"
+            )
         beta0 = float(np.sqrt(max(0.0, self.norm ** 2 - alpha0 ** 2)))
         return alpha0, beta0
 

@@ -13,7 +13,8 @@ predicted next state without touching any data:
 6. assemble beta' = sqrt(H^2 + eta^2) and tbeta' = sqrt(Ht^2 + teta^2).
 
 Iterating the map yields the predicted error sequence used for offline
-hyperparameter tuning. Everything here is pure and deterministic; all
+hyperparameter tuning. predict_trajectory checks (d, m, sigma) once, before
+its first step. Everything here is pure and deterministic; all
 expectations go through a shared, machine-precision expectation engine.
 """
 
@@ -31,37 +32,19 @@ from .errors import (
     ValidationError,
 )
 from .expect import get_engine
+from .model import check_problem
 from .simulate import as_schedule
 from .state import StateVec, err_of
 
 
 @dataclass(frozen=True)
 class FixedPointR:
-    """Solution of the (r1, r2) fixed point with solver diagnostics.
-
-    contraction_certified records whether (lam, L, Lt, m/d) satisfy the
-    sufficient contraction condition; the solver still runs outside it.
-    """
+    """Solution of the (r1, r2) fixed point with solver diagnostics."""
 
     r1: float
     r2: float
     iterations_used: int
     residual: float
-    contraction_certified: bool = True
-
-
-@dataclass(frozen=True)
-class DetQuantities:
-    """Everything one application of the deterministic map consumes."""
-
-    r: FixedPointR
-    V: float
-    V1: float
-    V2: float
-    V3: float
-    V4: float
-    eta_sq: float
-    teta_sq: float
 
 
 def in_theory_region(L, Lt, lam, ratio):
@@ -126,13 +109,7 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000):
         abs(ratio * (lam + v1) - r1) / r1,
         abs(ratio * (lam + v2) - r2) / r2,
     )
-    return FixedPointR(
-        r1=r1,
-        r2=r2,
-        iterations_used=it,
-        residual=residual,
-        contraction_certified=in_theory_region(L, Lt, lam, ratio),
-    )
+    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual)
 
 
 def compute_V(r, L, Lt):
@@ -221,35 +198,27 @@ def solve_eta(d, m, V3, V4, kernels):
     return max(eta_sq, 0.0), max(teta_sq, 0.0)
 
 
-def det_quantities(s, d, m, sigma, lam, tol=1e-12, max_iter=1000):
-    """Solve and collect every deterministic quantity one map step uses."""
-    if d < 2 or not 1 <= m <= d:
-        raise ValidationError("need d >= 2 and 1 <= m <= d")
+def det_map(s, d, m, sigma, lam):
+    """One application of the deterministic state map (steps 1-6 above) to a
+    problem that predict_trajectory has checked."""
+    if not all(map(math.isfinite, s.as_tuple())):
+        raise NumericalInputError("non-finite state")
+    if s.L <= 0 or s.Lt <= 0:
+        raise ValidationError("state must have positive lengths L, Lt")
     engine = get_engine()
-    r = solve_r(s.L, s.Lt, lam, m / d, tol=tol, max_iter=max_iter)
+    r = solve_r(s.L, s.Lt, lam, m / d)
     ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
     V, V1, V2 = engine.first_order(ctx, r.r1, r.r2)
     kernels = engine.second_order(ctx, r.r1, r.r2)
     V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
     eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
-    return DetQuantities(r=r, V=V, V1=V1, V2=V2, V3=V3, V4=V4,
-                         eta_sq=eta_sq, teta_sq=teta_sq)
-
-
-def det_map(s, d, m, sigma, lam, tol=1e-12, max_iter=1000):
-    """One application of the deterministic state map."""
-    if not all(map(math.isfinite, s.as_tuple())):
-        raise NumericalInputError("non-finite state")
-    if s.L <= 0 or s.Lt <= 0:
-        raise ValidationError("state must have positive lengths L, Lt")
-    q = det_quantities(s, d, m, sigma, lam, tol=tol, max_iter=max_iter)
-    alpha_det, talpha_det = compute_parallel(s, q.V, q.V1, q.V2, lam)
-    h, ht = compute_H(s, q.V, q.V1, q.V2, lam)
+    alpha_det, talpha_det = compute_parallel(s, V, V1, V2, lam)
+    h, ht = compute_H(s, V, V1, V2, lam)
     return StateVec(
         alpha=alpha_det,
-        beta=math.sqrt(h * h + q.eta_sq),
+        beta=math.sqrt(h * h + eta_sq),
         talpha=talpha_det,
-        tbeta=math.sqrt(ht * ht + q.teta_sq),
+        tbeta=math.sqrt(ht * ht + teta_sq),
     )
 
 
@@ -274,6 +243,7 @@ class DetTrajectory:
 def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0, recording the
     predicted error sequence. No randomness is consumed."""
+    check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
     schedule = as_schedule(schedule)

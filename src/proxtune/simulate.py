@@ -9,7 +9,7 @@ diag(w) Z] the stacked m x 2d linearization matrix, the update is
 The inverse is applied through the Woodbury identity, costing one m x m
 solve per step for every batch size m <= d. lam m I keeps that system
 strictly positive definite, so a Cholesky factorization is used and the
-normal-equation residual is verified on every step.
+normal-equation residual, which must be finite, is verified on every step.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -26,7 +26,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import InitSpec, ProblemParams, generate_ground_truth, init_iterates, sample_batch
+from .model import InitSpec, check_problem, generate_ground_truth, init_iterates, sample_batch
 from .state import err_of, frob_err, state_of
 
 RESIDUAL_TOL = 1e-8
@@ -130,6 +130,8 @@ def _check_residual(batch, w, wt, b, mu, nu, mu_plus, nu_plus, c_mu, c_nu, scale
     res_nu = batch.Z.T @ (w * a_theta) + scale * nu_plus - c_nu
     res = np.sqrt(res_mu @ res_mu + res_nu @ res_nu)
     rhs = np.sqrt(c_mu @ c_mu + c_nu @ c_nu)
+    if not (np.isfinite(res) and np.isfinite(rhs)):
+        raise SingularSystemError("normal-equation residual is not finite")
     if res > RESIDUAL_TOL * rhs:
         raise SingularSystemError(
             f"normal-equation residual {res / rhs:.3e} exceeds {RESIDUAL_TOL:g}"
@@ -158,31 +160,31 @@ class EmpiricalTrajectory:
     frob: np.ndarray
 
 
-def run_empirical(mu0, nu0, gt, params, T, seed):
-    """Run T prox-linear steps from (mu0, nu0), drawing a fresh batch per
-    step with lambda from the schedule. Returns T + 1 records."""
-    if T < 0:
-        raise ValidationError("T must be nonnegative")
+def run_empirical(mu0, nu0, gt, config, seed):
+    """Run config.T prox-linear steps from (mu0, nu0), drawing a fresh batch
+    per step with lambda from the schedule. Returns T + 1 records. Overflow
+    raises no numpy warning: the step's checks stop it with a typed error."""
     if mu0.shape[0] != gt.d:
         raise ValidationError("initialization dimension does not match gt")
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    batch_seeds = ss.spawn(T) if T > 0 else []
+    batch_seeds = ss.spawn(config.T) if config.T > 0 else []
     mu = np.array(mu0, dtype=float, copy=True)
     nu = np.array(nu0, dtype=float, copy=True)
     states = [state_of(mu, nu, gt)]
     errs = [err_of(states[0])]
     frobs = [frob_err(mu, nu, gt)]
-    for t in range(T):
-        lam = params.schedule.value(t)
-        try:
-            batch = sample_batch(gt, params, batch_seeds[t])
-            mu, nu = prox_linear_step(mu, nu, batch, lam)
-        except ProxtuneError as exc:
-            raise SimulationError(t, str(exc)) from exc
-        s = state_of(mu, nu, gt)
-        states.append(s)
-        errs.append(err_of(s))
-        frobs.append(frob_err(mu, nu, gt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(config.T):
+            lam = config.schedule.value(t)
+            try:
+                batch = sample_batch(gt, config.m, config.sigma, batch_seeds[t])
+                mu, nu = prox_linear_step(mu, nu, batch, lam)
+            except ProxtuneError as exc:
+                raise SimulationError(t, str(exc)) from exc
+            s = state_of(mu, nu, gt)
+            states.append(s)
+            errs.append(err_of(s))
+            frobs.append(frob_err(mu, nu, gt))
     return EmpiricalTrajectory(
         states=tuple(states),
         err=np.array(errs),
@@ -201,9 +203,10 @@ class ExperimentConfig:
     init: InitSpec
     T: int
 
-    def problem_params(self):
-        return ProblemParams(d=self.d, m=self.m, sigma=self.sigma,
-                             schedule=self.schedule)
+    def __post_init__(self):
+        check_problem(self.d, self.m, self.sigma)
+        if self.T < 0:
+            raise ValidationError("T must be nonnegative")
 
 
 def _run_one_trial(config, trial_seed):
@@ -212,7 +215,7 @@ def _run_one_trial(config, trial_seed):
     gt_ss, init_ss, run_ss = trial_seed.spawn(3)
     gt = generate_ground_truth(config.d, gt_ss)
     mu0, nu0 = init_iterates(gt, config.init, init_ss)
-    return run_empirical(mu0, nu0, gt, config.problem_params(), config.T, run_ss)
+    return run_empirical(mu0, nu0, gt, config, run_ss)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoFeasiblePointError, ProxtuneError, ValidationError
+from .model import check_problem
 from .predict import predict_trajectory
 from .simulate import LambdaSchedule
 from .state import StateVec
@@ -40,8 +41,7 @@ class TuneGrid:
         if len(self.m_values) == 0:
             raise ValidationError("m_values must be nonempty")
         for m in self.m_values:
-            if not 1 <= m <= self.d:
-                raise ValidationError(f"every m must satisfy 1 <= m <= d; got {m}")
+            check_problem(self.d, m, self.sigma)
         if self.lambda_values is not None:
             if len(self.lambda_values) == 0:
                 raise ValidationError("lambda_values must be nonempty when given")
@@ -163,9 +163,3 @@ def recommend(report, policy, budget=None):
         f"floor={pick.floor:.3e}, samples={pick.samples}"
     )
     return Recommendation(m=pick.m, lam=pick.lam, rationale=rationale)
-
-
-def theory_summary(d, m, sigma, lam):
-    """Order-of-magnitude anchors (error floor ~ sigma^2 d/(lam m),
-    per-iteration rate deficit ~ 1/lam). Display hints, not assertions."""
-    return sigma ** 2 * d / (lam * m), 1.0 / lam

@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from proxtune.expect import get_engine
-from proxtune.model import InitSpec, ProblemParams, generate_ground_truth, sample_batch
+from proxtune.model import InitSpec, generate_ground_truth, sample_batch
 from proxtune.predict import det_map, predict_trajectory, solve_r
 from proxtune.simulate import (
     ExperimentConfig,
@@ -145,8 +145,7 @@ def test_criterion_04_solver_equivalence():
         m = int(rng.integers(1, d + 1))
         lam = float(10 ** rng.uniform(-1.0, 2.0))
         gt = generate_ground_truth(d, seed=(40, trial))
-        params = ProblemParams(d, m, 0.3, LambdaSchedule.constant(lam))
-        batch = sample_batch(gt, params, seed=(41, trial))
+        batch = sample_batch(gt, m, 0.3, seed=(41, trial))
         mu = rng.standard_normal(d)
         nu = rng.standard_normal(d)
         a = prox_linear_step(mu, nu, batch, lam)

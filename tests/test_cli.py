@@ -185,7 +185,26 @@ class TestSimulateCommand:
         "tune-overflow", "simulate-overflow"])
 def test_numerical_failure_exit_code(tmp_path, capsys, argv):
     assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("numerical failure")
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure")
+    assert err.count("\n") == 1  # no numpy warning ahead of the typed message
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--d", "200", "--m", "300", "--iters", "3"],
+    ["predict", "--d", "1", "--m", "1"],
+    ["predict", "--d", "200", "--m", "300", "--iters", "0"],
+    ["predict", "--sigma", "-1"],
+    ["tune", "--sigma", "-1", "--m-grid", "8"],
+    ["tune", "--d", "1", "--m-grid", "1"],
+    ["simulate", "--d", "20", "--m", "40"],
+], ids=["predict-m-above-d", "predict-d-1", "predict-m-above-d-no-steps",
+        "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d"])
+def test_problem_check_exit_code(tmp_path, capsys, argv):
+    # every mode rejects a bad (d, m, sigma) before it computes or writes
+    assert run_cli(tmp_path, *argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestPredictCommand:

@@ -8,16 +8,16 @@ from proxtune.errors import (
 )
 from proxtune.model import (
     InitSpec,
-    ProblemParams,
     generate_ground_truth,
     init_iterates,
     sample_batch,
 )
-from proxtune.simulate import LambdaSchedule
+from proxtune.simulate import ExperimentConfig, LambdaSchedule
 
 
-def params(d=200, m=32, sigma=0.0, lam=100.0):
-    return ProblemParams(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(lam))
+def config(d=200, m=32, sigma=0.0, lam=100.0):
+    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(lam),
+                            init=InitSpec.overlap(1.0), T=0)
 
 
 class TestGroundTruth:
@@ -48,44 +48,43 @@ class TestGroundTruth:
         assert np.mean(overlaps) < 3.0 / np.sqrt(d)
 
 
-class TestProblemParams:
+class TestExperimentConfig:
     def test_validation(self):
         with pytest.raises(ValidationError):
-            params(m=0)
+            config(m=0)
         with pytest.raises(ValidationError):
-            params(d=16, m=17)
+            config(d=16, m=17)
         with pytest.raises(ValidationError):
-            params(sigma=-0.1)
+            config(sigma=-0.1)
         with pytest.raises(ValidationError):
-            params(lam=0.0)
+            config(lam=0.0)
 
 
 class TestSampleBatch:
     def test_noiseless_construction_exact(self):
         gt = generate_ground_truth(100, seed=3)
-        batch = sample_batch(gt, params(d=100, m=16, sigma=0.0), seed=4)
+        batch = sample_batch(gt, 16, 0.0, seed=4)
         exact = (batch.X @ gt.mu_star) * (batch.Z @ gt.nu_star)
         assert np.max(np.abs(batch.y - exact)) == 0.0
 
     def test_noise_variance(self):
         gt = generate_ground_truth(200, seed=5)
-        p = params(sigma=0.01)
-        eps = np.concatenate([sample_batch(gt, p, seed=(6, k)).eps
+        eps = np.concatenate([sample_batch(gt, 32, 0.01, seed=(6, k)).eps
                               for k in range(313)])
         assert eps.size >= 10_000
         assert np.var(eps) == pytest.approx(1e-4, rel=0.1)
 
     def test_seeded_determinism(self):
         gt = generate_ground_truth(50, seed=7)
-        a = sample_batch(gt, params(d=50, m=8, sigma=0.3), seed=8)
-        b = sample_batch(gt, params(d=50, m=8, sigma=0.3), seed=8)
+        a = sample_batch(gt, 8, 0.3, seed=8)
+        b = sample_batch(gt, 8, 0.3, seed=8)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Z, b.Z)
         assert np.array_equal(a.y, b.y)
 
     def test_shapes(self):
         gt = generate_ground_truth(30, seed=9)
-        batch = sample_batch(gt, params(d=30, m=5), seed=10)
+        batch = sample_batch(gt, 5, 0.0, seed=10)
         assert batch.X.shape == (5, 30)
         assert batch.Z.shape == (5, 30)
         assert batch.eps.shape == (5,)

@@ -12,7 +12,6 @@ from proxtune.predict import (
     compute_V,
     compute_V34,
     det_map,
-    det_quantities,
     in_theory_region,
     predict_trajectory,
     solve_eta,
@@ -45,7 +44,7 @@ class TestSolveR:
         assert 16.0 <= r.r1 <= 32.0
         assert 16.0 <= r.r2 <= 32.0
         assert r.residual <= 1e-12
-        assert r.contraction_certified
+        assert in_theory_region(1.0, 1.0, 100.0, 32 / 200)
 
     def test_self_consistency_with_V(self):
         lam, ratio = 100.0, 32 / 200
@@ -67,7 +66,7 @@ class TestSolveR:
 
     def test_non_contractive_status_reported(self):
         r = solve_r(1.0, 1.0, 1.0, 0.16)
-        assert not r.contraction_certified
+        assert not in_theory_region(1.0, 1.0, 1.0, 0.16)
         assert r.residual <= 1e-12
 
     def test_asymmetric_lengths(self):
@@ -339,9 +338,14 @@ class TestDetMap:
         with pytest.raises(PredictionError):
             predict_trajectory(StateVec(0.0, 0.0, 1.0, 0.0), 2, 200, 32, 0.0, 100.0)
 
-    def test_det_quantities_nonnegative(self):
-        q = det_quantities(local_state(), 200, 32, 0.1, 100.0)
-        for val in (q.V, q.V1, q.V2, q.V3, q.V4, q.eta_sq, q.teta_sq):
+    def test_map_quantities_nonnegative(self):
+        s, d, m, sigma, lam = local_state(), 200, 32, 0.1, 100.0
+        r = solve_r(s.L, s.Lt, lam, m / d)
+        V, V1, V2 = compute_V(r, s.L, s.Lt)
+        k = kernels_at(r, s.L, s.Lt)
+        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, k)
+        eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
+        for val in (V, V1, V2, V3, V4, eta_sq, teta_sq):
             assert val >= 0.0
 
 

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from proxtune.errors import NumericalInputError, SimulationError, ValidationError
+from proxtune.errors import (
+    NumericalInputError,
+    SimulationError,
+    SingularSystemError,
+    ValidationError,
+)
 from proxtune.model import (
     InitSpec,
-    ProblemParams,
     generate_ground_truth,
     init_iterates,
     sample_batch,
@@ -21,8 +25,9 @@ from proxtune.state import err_of
 from oracles import dense_oracle
 
 
-def params(d, m, sigma=0.0, lam=100.0):
-    return ProblemParams(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(lam))
+def config(d, m, sigma=0.0, T=0):
+    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(100.0),
+                            init=InitSpec.overlap(1.0), T=T)
 
 
 class TestLambdaSchedule:
@@ -58,7 +63,7 @@ class TestProxLinearStep:
     def test_huge_lambda_pins_center(self):
         rng = np.random.default_rng(0)
         gt = generate_ground_truth(20, seed=1)
-        batch = sample_batch(gt, params(20, 5, sigma=0.1), seed=2)
+        batch = sample_batch(gt, 5, 0.1, seed=2)
         mu = rng.standard_normal(20)
         nu = rng.standard_normal(20)
         mu_p, nu_p = prox_linear_step(mu, nu, batch, lam=1e12)
@@ -68,7 +73,7 @@ class TestProxLinearStep:
     def test_matches_dense_oracle_small(self):
         rng = np.random.default_rng(3)
         gt = generate_ground_truth(3, seed=4)
-        batch = sample_batch(gt, params(3, 2, sigma=0.2, lam=5.0), seed=5)
+        batch = sample_batch(gt, 2, 0.2, seed=5)
         mu = rng.standard_normal(3)
         nu = rng.standard_normal(3)
         mu_o, nu_o = dense_oracle(mu, nu, batch, 5.0)
@@ -78,7 +83,7 @@ class TestProxLinearStep:
 
     def test_stationary_at_truth_noiseless(self):
         gt = generate_ground_truth(40, seed=6)
-        batch = sample_batch(gt, params(40, 10, sigma=0.0), seed=7)
+        batch = sample_batch(gt, 10, 0.0, seed=7)
         mu_p, nu_p = prox_linear_step(gt.mu_star, gt.nu_star, batch, lam=50.0)
         assert np.max(np.abs(mu_p - gt.mu_star)) <= 1e-9
         assert np.max(np.abs(nu_p - gt.nu_star)) <= 1e-9
@@ -95,7 +100,7 @@ class TestProxLinearStep:
         for trial in range(21):
             d, m, lam = draw() if trial < 20 else (64, 64, 50.0)
             gt = generate_ground_truth(d, seed=(9, trial))
-            batch = sample_batch(gt, params(d, m, sigma=0.5, lam=lam), seed=(10, trial))
+            batch = sample_batch(gt, m, 0.5, seed=(10, trial))
             mu = rng.standard_normal(d)
             nu = rng.standard_normal(d)
             a = prox_linear_step(mu, nu, batch, lam)
@@ -108,7 +113,7 @@ class TestProxLinearStep:
         for trial in range(20):
             d, m, lam = 30, 6, float(10 ** rng.uniform(-1, 2))
             gt = generate_ground_truth(d, seed=(12, trial))
-            batch = sample_batch(gt, params(d, m, sigma=0.3, lam=lam), seed=(13, trial))
+            batch = sample_batch(gt, m, 0.3, seed=(13, trial))
             mu = rng.standard_normal(d)
             nu = rng.standard_normal(d)
             mu_p, nu_p = prox_linear_step(mu, nu, batch, lam)
@@ -122,21 +127,30 @@ class TestProxLinearStep:
 
     def test_rejects_nonfinite(self):
         gt = generate_ground_truth(10, seed=14)
-        batch = sample_batch(gt, params(10, 3), seed=15)
+        batch = sample_batch(gt, 3, 0.0, seed=15)
         bad = np.full(10, np.nan)
         with pytest.raises(NumericalInputError):
             prox_linear_step(bad, gt.nu_star, batch, 1.0)
 
     def test_rejects_bad_lambda(self):
         gt = generate_ground_truth(10, seed=16)
-        batch = sample_batch(gt, params(10, 3), seed=17)
+        batch = sample_batch(gt, 3, 0.0, seed=17)
         with pytest.raises(ValidationError):
             prox_linear_step(gt.mu_star, gt.nu_star, batch, 0.0)
+
+    def test_rejects_overflowing_residual(self):
+        # at sigma = 1e200 the right-hand side norm overflows to inf, so the
+        # residual check cannot be evaluated and must not pass the step
+        gt = generate_ground_truth(20, seed=38)
+        batch = sample_batch(gt, 4, 1e200, seed=39)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularSystemError, match="not finite"):
+            prox_linear_step(gt.mu_star, gt.nu_star, batch, 100.0)
 
     def test_degenerate_row_is_fine(self):
         # a zero sensing row keeps the system positive definite
         gt = generate_ground_truth(10, seed=18)
-        batch = sample_batch(gt, params(10, 3), seed=19)
+        batch = sample_batch(gt, 3, 0.0, seed=19)
         X = batch.X.copy()
         X[0] = 0.0
         from proxtune.model import Batch
@@ -153,14 +167,14 @@ class TestRunEmpirical:
     def test_empty_run(self):
         gt = generate_ground_truth(30, seed=21)
         mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=22)
-        tr = run_empirical(mu0, nu0, gt, params(30, 5), T=0, seed=23)
+        tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), seed=23)
         assert len(tr.states) == 1
         assert tr.err[0] == pytest.approx(err_of(tr.states[0]), abs=1e-15)
 
     def test_record_count_and_err_consistency(self):
         gt = generate_ground_truth(30, seed=24)
         mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=25)
-        tr = run_empirical(mu0, nu0, gt, params(30, 5, sigma=0.01), T=20, seed=26)
+        tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20), seed=26)
         assert len(tr.states) == 21
         for t in range(21):
             assert tr.err[t] == pytest.approx(err_of(tr.states[t]), abs=1e-12)
@@ -168,15 +182,15 @@ class TestRunEmpirical:
     def test_seeded_determinism(self):
         gt = generate_ground_truth(30, seed=27)
         mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=28)
-        a = run_empirical(mu0, nu0, gt, params(30, 5, sigma=0.1), T=15, seed=29)
-        b = run_empirical(mu0, nu0, gt, params(30, 5, sigma=0.1), T=15, seed=29)
+        a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
+        b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
         assert np.array_equal(a.err, b.err)
 
     def test_failure_carries_iteration_index(self):
         gt = generate_ground_truth(10, seed=30)
         bad = np.full(10, np.nan)
         with pytest.raises(SimulationError) as err:
-            run_empirical(bad, gt.nu_star, gt, params(10, 3), T=3, seed=31)
+            run_empirical(bad, gt.nu_star, gt, config(10, 3, T=3), seed=31)
         assert err.value.iteration == 0
 
     def test_noiseless_monotone_decay(self):

@@ -10,7 +10,6 @@ from proxtune.tune import (
     iteration_complexity,
     recommend,
     sweep,
-    theory_summary,
 )
 
 
@@ -174,16 +173,6 @@ class TestRecommend:
 
 
 class TestTheorySummary:
-    def test_noiseless_floor_is_zero(self):
-        floor, rate = theory_summary(200, 32, 0.0, 100.0)
-        assert floor == 0.0
-        assert rate == pytest.approx(0.01)
-
-    def test_doubling_lambda_halves_floor(self):
-        f1, _ = theory_summary(200, 32, 0.1, 100.0)
-        f2, _ = theory_summary(200, 32, 0.1, 200.0)
-        assert f1 == pytest.approx(2.0 * f2)
-
     def test_predicted_floor_ratio_between_lambdas(self, lambda_grid_results):
         floor100 = lambda_grid_results[(32, 100.0)].err_seq.min()
         floor200 = lambda_grid_results[(32, 200.0)].err_seq.min()
