@@ -11,6 +11,15 @@ to machine precision uniformly in (r1, r2). Fixed Gauss-Hermite grids lose
 accuracy once r1, r2 are small because the integrand develops features on
 the scale sqrt(r), far below the Gaussian scale.
 
+A grid (``EngineContext``) is built for a bracket of (r1, r2) and is valid
+at every point inside it: one panel [0, lo], where lo is LEAD times the
+smallest moment-factor scale at the bracket's upper end, then panels whose
+edges lo * (hi/lo)^(k/n) grow geometrically, about panels_per_decade per
+decade, up to hi = TAIL / (r1 r2) at the bracket's lower end. The
+predictor builds one grid per map step: solve_r builds it for the fixed
+point's bracket, iterates on it, and the map step evaluates its kernels
+at the solved (r1, r2) on the same grid.
+
 ``mc_expect2`` is the plain Monte-Carlo oracle the engine is validated
 against.
 """
@@ -55,6 +64,11 @@ def mc_expect2(f, L, Lt, n_samples, seed=0):
         return mean, float("inf")
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return mean, math.sqrt(var / n_samples)
+
+
+def panel_edges(lo, hi, n):
+    """The n + 1 edges lo * (hi/lo)^(k/n), k = 0..n, of n geometric panels."""
+    return lo * (hi / lo) ** (np.arange(n + 1) / n)
 
 
 class SecondOrderKernels(NamedTuple):
@@ -125,7 +139,7 @@ class ExpectationEngine:
         lo = LEAD * scale_min
         hi = TAIL / (r1_min * r2_min)
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
-        edges = np.concatenate(([0.0], np.geomspace(lo, hi, n_panels + 1)))
+        edges = np.concatenate(([0.0], panel_edges(lo, hi, n_panels)))
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()

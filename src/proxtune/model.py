@@ -8,6 +8,7 @@ through explicit seeds; numpy SeedSequences let the runner key batches as
 (master seed, trial, iteration) so trials parallelize reproducibly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import (
     InfeasibleInitializationError,
     InvalidDimensionError,
+    NumericalInputError,
     ValidationError,
 )
 
@@ -25,7 +27,7 @@ def check_problem(d, m, sigma):
         raise InvalidDimensionError("d must be at least 2")
     if not 1 <= m <= d:
         raise ValidationError(f"batch size must satisfy 1 <= m <= d; got m={m}, d={d}")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValidationError("sigma must be nonnegative")
 
 
@@ -94,8 +96,9 @@ class InitSpec:
     @classmethod
     def distance(cls, dist_sq, norm=1.0):
         """The overlap that puts ||mu0 - mu*||^2 at dist_sq for the given norm."""
-        if dist_sq < 0:
+        if not dist_sq >= 0:
             raise InfeasibleInitializationError("squared distance must be >= 0")
+        _check_norm_sq(norm)
         # solve (alpha - 1)^2 + beta^2 = dist_sq with alpha^2 + beta^2 = norm^2
         alpha0 = 0.5 * (1.0 + norm ** 2 - dist_sq)
         if abs(alpha0) > norm * (1.0 + 1e-12):
@@ -106,15 +109,21 @@ class InitSpec:
 
     def state_targets(self):
         """Resolve to (alpha0, beta0); raises if geometrically infeasible."""
-        if self.norm <= 0:
+        if not self.norm > 0:
             raise InfeasibleInitializationError("target norm must be positive")
+        _check_norm_sq(self.norm)
         alpha0 = float(self.alpha0)
-        if abs(alpha0) > self.norm * (1.0 + 1e-12):
+        if not abs(alpha0) <= self.norm * (1.0 + 1e-12):
             raise InfeasibleInitializationError(
                 f"|alpha0|={abs(alpha0):g} exceeds the target norm {self.norm:g}"
             )
         beta0 = float(np.sqrt(max(0.0, self.norm ** 2 - alpha0 ** 2)))
         return alpha0, beta0
+
+
+def _check_norm_sq(norm):
+    if math.isinf(norm * norm):
+        raise NumericalInputError(f"squared target norm overflows at norm={norm:g}")
 
 
 def init_iterates(gt, spec, seed):

@@ -19,7 +19,7 @@ expectations go through a shared, machine-precision expectation engine.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
     ProxtuneError,
     ValidationError,
 )
-from .expect import get_engine
+from .expect import EngineContext, get_engine
 from .model import check_problem
 from .simulate import as_schedule
 from .state import StateVec, err_of
@@ -39,12 +39,14 @@ from .state import StateVec, err_of
 
 @dataclass(frozen=True)
 class FixedPointR:
-    """Solution of the (r1, r2) fixed point with solver diagnostics."""
+    """Solution of the (r1, r2) fixed point with solver diagnostics, and
+    the bracket grid it was solved on (valid at (r1, r2) too)."""
 
     r1: float
     r2: float
     iterations_used: int
     residual: float
+    ctx: EngineContext | None = field(default=None, repr=False, compare=False)
 
 
 def in_theory_region(L, Lt, lam, ratio):
@@ -54,16 +56,21 @@ def in_theory_region(L, Lt, lam, ratio):
     return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000):
+def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
-    ratio is the batch-to-dimension ratio m/d. Iteration starts at the
-    midpoint of the guaranteed bracket [lam*ratio, 2*lam*ratio]; inside the
-    certified region the map contracts and plain iteration converges
-    geometrically. Outside it a 0.5 damping kicks in after 200 sweeps as a
-    safety net. The reported residual is the relative defect max_i
-    |g_i(r) - r_i| / r_i at the returned point.
+    ratio is the batch-to-dimension ratio m/d. Every iterate lies in the
+    bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
+    and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
+    that bracket, or at 1.5*lam*ratio, the midpoint of [lam*ratio,
+    2*lam*ratio], when start is None; predict_trajectory passes the previous
+    step's solution. Inside the certified region the map contracts and plain
+    iteration converges geometrically. Outside it a 0.5 damping kicks in
+    after 200 sweeps as a safety net. The reported residual is the relative
+    defect max_i |g_i(r) - r_i| / r_i at the returned point. The grid built
+    for the bracket is returned as ``ctx``; it is valid at the solved
+    (r1, r2), so the map step evaluates its kernels on it.
     """
     if not (L > 0 and Lt > 0):
         raise ValidationError("L and Lt must be positive")
@@ -80,7 +87,10 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000):
     r_hi = ratio * (lam + max(L * L, Lt * Lt))
     ctx = engine.context(L, Lt, r_lo, r_hi)
 
-    r1 = r2 = 1.5 * lam * ratio
+    if start is None:
+        r1 = r2 = 1.5 * lam * ratio
+    else:
+        r1, r2 = (min(max(r, r_lo), r_hi) for r in start)
     damping = 1.0
     residual = math.inf
     for it in range(1, max_iter + 1):
@@ -109,7 +119,7 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000):
         abs(ratio * (lam + v1) - r1) / r1,
         abs(ratio * (lam + v2) - r2) / r2,
     )
-    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual)
+    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual, ctx=ctx)
 
 
 def compute_V(r, L, Lt):
@@ -153,6 +163,8 @@ def compute_V34(s, sigma, lam, V, V1, V2, kernels):
     The own term of V4 has denominator L^4 Lt^2, the form implied by
     swapping the two sides in V3.
     """
+    if math.isinf(sigma * sigma):
+        raise NumericalInputError(f"noise variance sigma^2 overflows at sigma={sigma:g}")
     Lsq = s.alpha ** 2 + s.beta ** 2
     Ltsq = s.talpha ** 2 + s.tbeta ** 2
     cross = s.alpha * s.talpha
@@ -198,16 +210,21 @@ def solve_eta(d, m, V3, V4, kernels):
     return max(eta_sq, 0.0), max(teta_sq, 0.0)
 
 
-def det_map(s, d, m, sigma, lam):
+def det_map(s, d, m, sigma, lam, start=None):
     """One application of the deterministic state map (steps 1-6 above) to a
-    problem that predict_trajectory has checked."""
+    problem that predict_trajectory has checked. Returns the next state and
+    the solved fixed point; start warm-starts solve_r (see there)."""
     if not all(map(math.isfinite, s.as_tuple())):
         raise NumericalInputError("non-finite state")
     if s.L <= 0 or s.Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")
+    if (s.alpha ** 2 + s.beta ** 2) * (s.talpha ** 2 + s.tbeta ** 2) == 0.0:
+        raise NumericalInputError(
+            f"squared lengths L^2 Lt^2 underflow to 0 at L={s.L:g}, Lt={s.Lt:g}"
+        )
     engine = get_engine()
-    r = solve_r(s.L, s.Lt, lam, m / d)
-    ctx = engine.context_at(s.L, s.Lt, r.r1, r.r2)
+    r = solve_r(s.L, s.Lt, lam, m / d, start=start)
+    ctx = r.ctx
     V, V1, V2 = engine.first_order(ctx, r.r1, r.r2)
     kernels = engine.second_order(ctx, r.r1, r.r2)
     V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
@@ -219,7 +236,7 @@ def det_map(s, d, m, sigma, lam):
         beta=math.sqrt(h * h + eta_sq),
         talpha=talpha_det,
         tbeta=math.sqrt(ht * ht + teta_sq),
-    )
+    ), r
 
 
 @dataclass(frozen=True)
@@ -251,12 +268,14 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     states = [s0]
     errs = [err_of(s0)]
     s = s0
+    start = None
     for t in range(T):
         lam = schedule.value(t)
         try:
-            s = det_map(s, d, m, sigma, lam)
+            s, r = det_map(s, d, m, sigma, lam, start)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
+        start = (r.r1, r.r2)
         states.append(s)
         errs.append(err_of(s))
     lambdas = np.array([schedule.value(t) for t in range(T + 1)])

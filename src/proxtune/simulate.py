@@ -54,12 +54,12 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULES:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        if self.lambda0 <= 0:
+        if not self.lambda0 > 0:
             raise ValidationError("lambda0 must be positive")
         if self.kind == "delayed-linear":
             if self.t0 < 0:
                 raise ValidationError("t0 must be nonnegative")
-            if self.slope <= 0:
+            if not self.slope > 0:
                 raise ValidationError("slope must be positive")
         if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")

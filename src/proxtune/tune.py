@@ -5,11 +5,17 @@ over a hyperparameter grid, reads off iteration complexity and error floor
 per point, and recommends a point under a stated policy.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasiblePointError, ProxtuneError, ValidationError
+from .errors import (
+    NoFeasiblePointError,
+    NumericalInputError,
+    ProxtuneError,
+    ValidationError,
+)
 from .model import check_problem
 from .predict import predict_trajectory
 from .simulate import LambdaSchedule
@@ -46,13 +52,18 @@ class TuneGrid:
             if len(self.lambda_values) == 0:
                 raise ValidationError("lambda_values must be nonempty when given")
             for lam in self.lambda_values:
-                if lam <= 0:
+                if not lam > 0:
                     raise ValidationError("lambda values must be positive")
         if self.horizon < 0:
             raise ValidationError("horizon must be nonnegative")
 
     def points(self):
         if self.lambda_values is None:
+            if math.isinf(self.sigma * self.sigma):
+                raise NumericalInputError(
+                    "coupled rule lambda = (1 + sigma^2) d / m overflows "
+                    f"at sigma={self.sigma:g}"
+                )
             return [(m, (1.0 + self.sigma ** 2) * self.d / m) for m in self.m_values]
         return [(m, float(lam)) for m in self.m_values for lam in self.lambda_values]
 

@@ -45,7 +45,7 @@ def test_criterion_01_truth_fixed_point():
     start = time.perf_counter()
     worst = 0.0
     for d, m, lam in [(200, 32, 100.0), (500, 50, 200.0), (64, 64, 50.0)]:
-        out = det_map(TRUTH, d, m, 0.0, lam)
+        out, _ = det_map(TRUTH, d, m, 0.0, lam)
         worst = max(worst, max(abs(a - b) for a, b in
                                zip(out.as_tuple(), TRUTH.as_tuple())))
     elapsed = time.perf_counter() - start

@@ -174,19 +174,25 @@ class TestSimulateCommand:
                                               "non-finite batch data\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["predict", "--sigma", "1e200", "--iters", "3"],
-    ["predict", "--alpha0", "0", "--init-norm", "1e-160", "--iters", "5"],
-    ["predict", "--alpha0", "0.5", "--init-norm", "1e200"],
-    ["tune", "--sigma", "1e200", "--m-grid", "4", "--iters", "3"],
-    ["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
-     "--iters", "3", "--parallelism", "1"],
+@pytest.mark.parametrize("argv, names", [
+    (["predict", "--sigma", "1e200", "--iters", "3"],
+     "noise variance sigma^2 overflows"),
+    (["predict", "--alpha0", "0", "--init-norm", "1e-160", "--iters", "5"],
+     "squared lengths L^2 Lt^2 underflow to 0"),
+    (["predict", "--alpha0", "0.5", "--init-norm", "1e200"],
+     "squared target norm overflows"),
+    (["tune", "--sigma", "1e200", "--m-grid", "4", "--iters", "3"],
+     "coupled rule lambda = (1 + sigma^2) d / m overflows"),
+    (["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
+      "--iters", "3", "--parallelism", "1"],
+     "normal-equation residual is not finite"),
 ], ids=["predict-overflow", "predict-underflow", "init-overflow",
         "tune-overflow", "simulate-overflow"])
-def test_numerical_failure_exit_code(tmp_path, capsys, argv):
+def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
     assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure")
+    assert names in err  # the message says what overflowed or vanished
     assert err.count("\n") == 1  # no numpy warning ahead of the typed message
 
 
@@ -198,10 +204,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys, argv):
     ["tune", "--sigma", "-1", "--m-grid", "8"],
     ["tune", "--d", "1", "--m-grid", "1"],
     ["simulate", "--d", "20", "--m", "40"],
+    ["predict", "--sigma", "nan", "--iters", "3"],
+    ["predict", "--lambda", "nan", "--iters", "3"],
+    ["tune", "--m-grid", "8", "--lambda-grid", "nan", "--iters", "3"],
+    ["simulate", "--sigma", "nan", "--d", "20", "--m", "4", "--trials", "1", "--iters", "2"],
+    ["predict", "--init-norm", "nan", "--iters", "3"],
 ], ids=["predict-m-above-d", "predict-d-1", "predict-m-above-d-no-steps",
-        "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d"])
+        "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d",
+        "predict-nan-sigma", "predict-nan-lambda", "tune-nan-lambda", "simulate-nan-sigma",
+        "predict-nan-init-norm"])
 def test_problem_check_exit_code(tmp_path, capsys, argv):
-    # every mode rejects a bad (d, m, sigma) before it computes or writes
+    # every mode rejects a bad setting (NaN included) before it computes or writes
     assert run_cli(tmp_path, *argv) == EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == []

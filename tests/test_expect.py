@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from proxtune.errors import ValidationError
-from proxtune.expect import ExpectationEngine, get_engine, mc_expect2
+from proxtune.expect import ExpectationEngine, get_engine, mc_expect2, panel_edges
+from proxtune.predict import solve_r
 from oracles import QuadratureRule, gauss_expect2
 
 
@@ -202,3 +203,43 @@ class TestExpectationEngine:
         engine = get_engine()
         with pytest.raises(ValidationError):
             engine.context(1.0, 1.0, 0.0, 1.0)
+
+    def test_panel_edges_geometric(self):
+        # closed-form edges hit both ends and grow strictly, for lo down to
+        # 1e-9 and hi/lo up to 1e14; a context's nodes then increase too
+        engine = get_engine()
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            lo = 10 ** rng.uniform(-9.0, 0.0)
+            hi = lo * 10 ** rng.uniform(0.1, 14.0)
+            n = int(rng.integers(1, 60))
+            edges = panel_edges(lo, hi, n)
+            assert edges.shape == (n + 1,)
+            assert edges[0] == lo
+            assert abs(edges[-1] - hi) <= np.spacing(hi)
+            assert np.all(np.diff(edges) > 0)
+        for L, Lt, r_lo, r_hi in [(1.0, 1.0, 0.2, 2.0), (3.0, 0.2, 1e-3, 9.0),
+                                  (0.2, 0.2, 50.0, 50.1)]:
+            t = engine.context(L, Lt, r_lo, r_hi).t
+            assert t[0] > 0 and np.all(np.diff(t) > 0)
+
+    def test_bracket_grid_matches_point_grid(self):
+        # the map step evaluates its kernels on solve_r's bracket grid; at the
+        # solved r that must agree with a grid built for r itself
+        engine = get_engine()
+        rng = np.random.default_rng(12)
+        cases = [(1.0, 1.0, lam, m / 200) for lam in (5.0, 20.0, 100.0, 200.0)
+                 for m in (8, 16, 32)]
+        for _ in range(100):
+            d = int(rng.integers(2, 501))
+            L, Lt = rng.uniform(0.2, 3.0, size=2)
+            lam = max(1.0, L * L, Lt * Lt) * 10 ** rng.uniform(0.0, 2.5)
+            cases.append((L, Lt, lam, int(rng.integers(1, d + 1)) / d))
+        for L, Lt, lam, ratio in cases:
+            r = solve_r(L, Lt, lam, ratio)
+            point = engine.context_at(L, Lt, r.r1, r.r2)
+            for kernel in (engine.first_order, engine.second_order):
+                a = kernel(r.ctx, r.r1, r.r2)
+                b = kernel(point, r.r1, r.r2)
+                for x, y in zip(a, b):
+                    assert abs(x - y) <= 1e-13 * abs(y), (L, Lt, lam, ratio)

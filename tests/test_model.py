@@ -58,6 +58,11 @@ class TestExperimentConfig:
             config(sigma=-0.1)
         with pytest.raises(ValidationError):
             config(lam=0.0)
+        # NaN is a bad setting, not a numerical failure
+        with pytest.raises(ValidationError):
+            config(sigma=float("nan"))
+        with pytest.raises(ValidationError):
+            config(lam=float("nan"))
 
 
 class TestSampleBatch:
@@ -120,10 +125,16 @@ class TestInitIterates:
     def test_infeasible_overlap(self):
         with pytest.raises(InfeasibleInitializationError):
             InitSpec.overlap(1.2, norm=1.0).state_targets()
+        with pytest.raises(InfeasibleInitializationError):
+            InitSpec.overlap(float("nan")).state_targets()
+        with pytest.raises(InfeasibleInitializationError):
+            InitSpec.overlap(0.5, norm=float("nan")).state_targets()
 
     def test_infeasible_distance(self):
         with pytest.raises(InfeasibleInitializationError):
             InitSpec.distance(5.0, norm=1.0).state_targets()
+        with pytest.raises(InfeasibleInitializationError):
+            InitSpec.distance(float("nan"))
 
     def test_nonunit_norm_overlap(self):
         spec = InitSpec.overlap(0.5, norm=1.3)

@@ -2,6 +2,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
 from proxtune.expect import get_engine, mc_expect2
@@ -81,6 +83,32 @@ class TestSolveR:
             solve_r(1.0, 1.0, 10.0, 1.5)
         with pytest.raises(ValidationError):
             solve_r(1.0, 1.0, -1.0, 0.1)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.0, 1.5),
+           st.floats(1e-3, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_warm_start_reaches_cold_start_point(self, L, Lt, lift, ratio, u1, u2):
+        # lam from the smallest value in_theory_region admits, lifted up to
+        # 1.5 decades; the start anywhere in the bracket solve_r clamps into
+        jac = 3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4
+        lam = max(1.0, L * L, Lt * Lt, (2.0 * jac / ratio) ** 0.5) * 1.0001 * 10 ** lift
+        assert in_theory_region(L, Lt, lam, ratio)
+        r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
+        start = (r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo))
+        cold = solve_r(L, Lt, lam, ratio)
+        warm = solve_r(L, Lt, lam, ratio, start=start)
+        assert warm.residual <= 1e-12
+        assert warm.r1 == pytest.approx(cold.r1, rel=1e-11)
+        assert warm.r2 == pytest.approx(cold.r2, rel=1e-11)
+
+    def test_start_outside_bracket_is_clamped(self):
+        cold = solve_r(1.0, 1.0, 100.0, 0.16)
+        assert solve_r(1.0, 1.0, 100.0, 0.16, start=(cold.r1, cold.r2)).iterations_used == 1
+        for start in [(0.0, 0.0), (1e9, 1e9), (1.0, 1e6)]:
+            warm = solve_r(1.0, 1.0, 100.0, 0.16, start=start)
+            assert warm.residual <= 1e-12
+            assert warm.r1 == pytest.approx(cold.r1, rel=1e-11)
+            assert warm.r2 == pytest.approx(cold.r2, rel=1e-11)
 
     def test_max_iter_exhaustion(self):
         with pytest.raises(NonConvergenceError) as err:
@@ -307,7 +335,7 @@ class TestSolveEta:
 class TestDetMap:
     def test_truth_fixed_point(self):
         for d, m, lam in [(200, 32, 100.0), (500, 10, 300.0), (64, 64, 50.0)]:
-            out = det_map(TRUTH, d, m, 0.0, lam)
+            out, _ = det_map(TRUTH, d, m, 0.0, lam)
             for a, b in zip(out.as_tuple(), TRUTH.as_tuple()):
                 assert abs(a - b) <= 1e-9
 
@@ -315,7 +343,7 @@ class TestDetMap:
         s = StateVec(0.95, 0.2, 1.02, 0.15)
         devs = []
         for lam in (1e4, 1e6, 1e8):
-            out = det_map(s, 200, 32, 0.05, lam)
+            out, _ = det_map(s, 200, 32, 0.05, lam)
             devs.append(max(abs(a - b) for a, b in zip(out.as_tuple(), s.as_tuple())))
         assert devs[1] <= devs[0] / 50.0
         assert devs[2] <= 1e-6

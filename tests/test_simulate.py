@@ -57,6 +57,10 @@ class TestLambdaSchedule:
             LambdaSchedule.delayed_linear(1.0, t0=0, slope=0.0)
         with pytest.raises(ValidationError):
             LambdaSchedule(kind="exponential")
+        with pytest.raises(ValidationError):
+            LambdaSchedule.constant(float("nan"))
+        with pytest.raises(ValidationError):
+            LambdaSchedule.delayed_linear(1.0, t0=0, slope=float("nan"))
 
 
 class TestProxLinearStep:

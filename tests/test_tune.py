@@ -68,6 +68,9 @@ class TestSweep:
         with pytest.raises(ValidationError):
             TuneGrid(m_values=(8,), d=100, sigma=0.0, s0=s0(), horizon=5,
                      lambda_values=(0.0,))
+        with pytest.raises(ValidationError):
+            TuneGrid(m_values=(8,), d=100, sigma=0.0, s0=s0(), horizon=5,
+                     lambda_values=(float("nan"),))
 
     def test_coupled_rule_iteration_complexity_decreases_in_m(self, coupled_rule_results):
         taus = [iteration_complexity(coupled_rule_results[point], 1e-8)
