@@ -11,21 +11,22 @@ to machine precision uniformly in (r1, r2). Fixed Gauss-Hermite grids lose
 accuracy once r1, r2 are small because the integrand develops features on
 the scale sqrt(r), far below the Gaussian scale.
 
-A grid (``EngineContext``) is built for a bracket of (r1, r2) and is valid
-at every point inside it: one panel [0, lo], where lo is LEAD times the
-smallest moment-factor scale at the bracket's upper end, then panels whose
-edges lo * (hi/lo)^(k/n) grow geometrically, about panels_per_decade per
-decade, up to hi = TAIL / (r1 r2) at the bracket's lower end. The
-predictor builds one grid per map step: solve_r builds it for the fixed
-point's bracket, iterates on it, and the map step evaluates its kernels
-at the solved (r1, r2) on the same grid.
-
-``mc_expect2`` is the plain Monte-Carlo oracle the engine is validated
-against.
+A grid (``EngineContext``) is valid at every (r1, r2) of a bracket whose
+t-span ``bracket_span`` it covers: one panel [0, lo], where lo is LEAD
+times the smallest moment-factor scale at the bracket's upper end, then
+panels whose edges lo * (hi/lo)^(k/n) grow geometrically, about
+panels_per_decade per decade, up to hi = TAIL / (r1 r2) at the bracket's
+lower end. A grid is built SLACK times wider than its bracket's span at
+each end, so it also covers every nearby bracket with at least
+panels_per_decade panels per decade, at any (L, Lt). One grid serves a
+trajectory while it covers the bracket: ``context_for`` hands the previous
+step's grid on when it covers the new step's span and overshoots neither
+end by more than SLACK^2, and builds a new one otherwise. ``map_kernels``
+then evaluates every expectation of a map step in one pass over the grid.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -34,36 +35,12 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import ValidationError
 
-MC_CHUNK = 1_000_000
 # the first panel ends at LEAD times the smallest moment-factor scale; the
 # last ends where exp(-r1 r2 t) has decayed to exp(-TAIL) ~ 1e-20
 LEAD = 1e-5
 TAIL = 46.0
-
-
-def mc_expect2(f, L, Lt, n_samples, seed=0):
-    """Plain Monte-Carlo estimate of E f(G1^2, G2^2) with its standard error."""
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
-    if L <= 0 or Lt <= 0:
-        raise ValidationError("L and Lt must be positive")
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        k = min(MC_CHUNK, n_samples - done)
-        g1 = (L * rng.standard_normal(k)) ** 2
-        g2 = (Lt * rng.standard_normal(k)) ** 2
-        v = np.asarray(f(g1, g2), dtype=float)
-        total += float(v.sum())
-        total_sq += float(v @ v)
-        done += k
-    mean = total / n_samples
-    if n_samples == 1:
-        return mean, float("inf")
-    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return mean, math.sqrt(var / n_samples)
+# a new grid spans SLACK times its bracket's t-span beyond each end
+SLACK = 2.0
 
 
 def panel_edges(lo, hi, n):
@@ -86,14 +63,30 @@ class SecondOrderKernels(NamedTuple):
     s1_u1u2: float
 
 
+def bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max):
+    """The t-span [lo, hi] a grid must cover to be valid at every (r1, r2)
+    with r1_min <= r1 <= r1_max and r2_min <= r2 <= r2_max."""
+    if min(L, Lt, r1_min, r2_min) <= 0:
+        raise ValidationError("L, Lt and the r bracket must be positive")
+    scale_min = min(
+        1.0 / (2.0 * r1_max * L * L),
+        1.0 / (2.0 * r2_max * Lt * Lt),
+        1.0 / (r1_max * r2_max),
+    )
+    return LEAD * scale_min, TAIL / (r1_min * r2_min)
+
+
 @dataclass(frozen=True)
 class EngineContext:
-    """Reusable integration grid for one (L, Lt) and a bracket of (r1, r2)."""
+    """Integration grid at one (L, Lt); its geometric panels span
+    [lo, hi]."""
 
     L: float
     Lt: float
     t: np.ndarray
     w: np.ndarray
+    lo: float
+    hi: float
 
     @property
     def Lsq(self):
@@ -102,6 +95,11 @@ class EngineContext:
     @property
     def Ltsq(self):
         return self.Lt * self.Lt
+
+    def covers(self, lo, hi):
+        """Whether this grid serves a bracket of t-span [lo, hi]: it contains
+        the span and overshoots neither end by more than SLACK^2."""
+        return lo / SLACK ** 2 <= self.lo <= lo and hi <= self.hi <= hi * SLACK ** 2
 
 
 class ExpectationEngine:
@@ -124,29 +122,29 @@ class ExpectationEngine:
         self.panels_per_decade = panels_per_decade
 
     def context(self, L, Lt, r1_min, r1_max, r2_min=None, r2_max=None):
-        """Build a grid valid for all (r1, r2) inside the given bracket."""
+        """Build a grid valid for all (r1, r2) inside the given bracket, SLACK
+        times wider than its t-span at each end."""
         if r2_min is None:
             r2_min = r1_min
         if r2_max is None:
             r2_max = r1_max
-        if min(L, Lt, r1_min, r2_min) <= 0:
-            raise ValidationError("L, Lt and the r bracket must be positive")
-        scale_min = min(
-            1.0 / (2.0 * r1_max * L * L),
-            1.0 / (2.0 * r2_max * Lt * Lt),
-            1.0 / (r1_max * r2_max),
-        )
-        lo = LEAD * scale_min
-        hi = TAIL / (r1_min * r2_min)
+        lo, hi = bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max)
+        lo, hi = lo / SLACK, hi * SLACK
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
         edges = np.concatenate(([0.0], panel_edges(lo, hi, n_panels)))
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()
-        return EngineContext(L=float(L), Lt=float(Lt), t=t, w=w)
+        return EngineContext(L=float(L), Lt=float(Lt), t=t, w=w, lo=lo, hi=hi)
 
-    def context_at(self, L, Lt, r1, r2):
-        return self.context(L, Lt, r1, r1, r2, r2)
+    def context_for(self, grid, L, Lt, r_lo, r_hi):
+        """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
+        previous step's, or None) at the new (L, Lt) when it covers the
+        bracket's t-span, otherwise a new one."""
+        lo, hi = bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi)
+        if grid is not None and grid.covers(lo, hi):
+            return replace(grid, L=float(L), Lt=float(Lt))
+        return self.context(L, Lt, r_lo, r_hi)
 
     @staticmethod
     def _factors(ctx, r1, r2):
@@ -163,35 +161,41 @@ class ExpectationEngine:
         v2 = coef * ctx.Lsq * float(damp @ (1.0 / e1))
         return v1, v2
 
-    def first_order(self, ctx, r1, r2):
-        """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D."""
-        e1, e2, damp = self._factors(ctx, r1, r2)
-        i1 = 1.0 / e1
-        i2 = 1.0 / e2
-        coef = r1 * r2
-        v = coef * ctx.Lsq * ctx.Ltsq * float(damp @ (i1 * i2))
-        v1 = coef * ctx.Ltsq * float(damp @ i2)
-        v2 = coef * ctx.Lsq * float(damp @ i1)
-        return v, v1, v2
-
-    def second_order(self, ctx, r1, r2):
+    def map_kernels(self, ctx, r1, r2):
+        """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
+        grid: every expectation a map step needs. V1 and V2 are v_pair's
+        expressions, so they equal v_pair's values bit for bit."""
         e1, e2, damp = self._factors(ctx, r1, r2)
         tdamp = damp * ctx.t
         i1 = 1.0 / e1
         i2 = 1.0 / e2
         i1i2 = i1 * i2
         Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
+        coef = r1 * r2
         r1sq, r2sq = r1 * r1, r2 * r2
-        return SecondOrderKernels(
-            s2_u2=r2sq * Ltsq * float(tdamp @ i2),
-            s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * float(tdamp @ (i1i2 * i2)),
-            s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * float(tdamp @ (i2 * i2)),
-            s2_u1u2=r2sq * Lsq * Ltsq * float(tdamp @ i1i2),
-            s1_u1=r1sq * Lsq * float(tdamp @ i1),
-            s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * float(tdamp @ (i1i2 * i1)),
-            s1_u1sq=r1sq * 3.0 * Lsq * Lsq * float(tdamp @ (i1 * i1)),
-            s1_u1u2=r1sq * Lsq * Ltsq * float(tdamp @ i1i2),
+        return (
+            coef * Lsq * Ltsq * float(damp @ i1i2),
+            coef * Ltsq * float(damp @ i2),
+            coef * Lsq * float(damp @ i1),
+            SecondOrderKernels(
+                s2_u2=r2sq * Ltsq * float(tdamp @ i2),
+                s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * float(tdamp @ (i1i2 * i2)),
+                s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * float(tdamp @ (i2 * i2)),
+                s2_u1u2=r2sq * Lsq * Ltsq * float(tdamp @ i1i2),
+                s1_u1=r1sq * Lsq * float(tdamp @ i1),
+                s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * float(tdamp @ (i1i2 * i1)),
+                s1_u1sq=r1sq * 3.0 * Lsq * Lsq * float(tdamp @ (i1 * i1)),
+                s1_u1u2=r1sq * Lsq * Ltsq * float(tdamp @ i1i2),
+            ),
         )
+
+    def first_order(self, ctx, r1, r2):
+        """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D; a view of map_kernels."""
+        return self.map_kernels(ctx, r1, r2)[:3]
+
+    def second_order(self, ctx, r1, r2):
+        """The SecondOrderKernels; a view of map_kernels."""
+        return self.map_kernels(ctx, r1, r2)[3]
 
 
 @lru_cache(maxsize=None)

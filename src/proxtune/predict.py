@@ -39,14 +39,16 @@ from .state import StateVec, err_of
 
 @dataclass(frozen=True)
 class FixedPointR:
-    """Solution of the (r1, r2) fixed point with solver diagnostics, and
-    the bracket grid it was solved on (valid at (r1, r2) too)."""
+    """Solution of the (r1, r2) fixed point with solver diagnostics, the
+    grid it was solved on (valid at (r1, r2) too), and the expectations
+    (V, V1, V2, SecondOrderKernels) at (r1, r2) on that grid."""
 
     r1: float
     r2: float
     iterations_used: int
     residual: float
     ctx: EngineContext | None = field(default=None, repr=False, compare=False)
+    expectations: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def in_theory_region(L, Lt, lam, ratio):
@@ -56,7 +58,7 @@ def in_theory_region(L, Lt, lam, ratio):
     return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None):
+def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
@@ -64,13 +66,18 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None):
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
     and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
     that bracket, or at 1.5*lam*ratio, the midpoint of [lam*ratio,
-    2*lam*ratio], when start is None; predict_trajectory passes the previous
-    step's solution. Inside the certified region the map contracts and plain
-    iteration converges geometrically. Outside it a 0.5 damping kicks in
-    after 200 sweeps as a safety net. The reported residual is the relative
-    defect max_i |g_i(r) - r_i| / r_i at the returned point. The grid built
-    for the bracket is returned as ``ctx``; it is valid at the solved
-    (r1, r2), so the map step evaluates its kernels on it.
+    2*lam*ratio], when start is None; predict_trajectory passes the linear
+    extrapolation of the last two steps' solutions. Inside the certified
+    region the map contracts and plain iteration converges geometrically.
+    Outside it a 0.5 damping kicks in after 200 sweeps as a safety net.
+
+    grid is the previous step's grid, or None. It is reused at (L, Lt) when
+    it covers the bracket (see ExpectationEngine.context_for), and a new
+    grid is built otherwise; either way the grid is returned as ``ctx``.
+    One fused kernel pass at the returned point gives ``expectations`` =
+    (V, V1, V2, SecondOrderKernels) for the map step, and its V1, V2 give
+    the reported residual: the relative defect max_i |g_i(r) - r_i| / r_i at
+    the returned point.
     """
     if not (L > 0 and Lt > 0):
         raise ValidationError("L and Lt must be positive")
@@ -85,7 +92,7 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None):
     # iterates stay inside [lam*ratio, ratio*(lam + max(L^2, Lt^2))]
     r_lo = lam * ratio
     r_hi = ratio * (lam + max(L * L, Lt * Lt))
-    ctx = engine.context(L, Lt, r_lo, r_hi)
+    ctx = engine.context_for(grid, L, Lt, r_lo, r_hi)
 
     if start is None:
         r1 = r2 = 1.5 * lam * ratio
@@ -114,19 +121,14 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None):
             iterations=max_iter,
         )
     # honest defect at the returned point
-    v1, v2 = engine.v_pair(ctx, r1, r2)
+    expectations = engine.map_kernels(ctx, r1, r2)
+    _, v1, v2, _ = expectations
     residual = max(
         abs(ratio * (lam + v1) - r1) / r1,
         abs(ratio * (lam + v2) - r2) / r2,
     )
-    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual, ctx=ctx)
-
-
-def compute_V(r, L, Lt):
-    """The first-order expectations (V, V1, V2) at a solved fixed point."""
-    engine = get_engine()
-    ctx = engine.context_at(L, Lt, r.r1, r.r2)
-    return engine.first_order(ctx, r.r1, r.r2)
+    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual,
+                       ctx=ctx, expectations=expectations)
 
 
 def _phi(s, V, lam):
@@ -210,10 +212,11 @@ def solve_eta(d, m, V3, V4, kernels):
     return max(eta_sq, 0.0), max(teta_sq, 0.0)
 
 
-def det_map(s, d, m, sigma, lam, start=None):
+def det_map(s, d, m, sigma, lam, start=None, grid=None):
     """One application of the deterministic state map (steps 1-6 above) to a
     problem that predict_trajectory has checked. Returns the next state and
-    the solved fixed point; start warm-starts solve_r (see there)."""
+    the solved fixed point; start warm-starts solve_r and grid is the grid
+    it may reuse (see there)."""
     if not all(map(math.isfinite, s.as_tuple())):
         raise NumericalInputError("non-finite state")
     if s.L <= 0 or s.Lt <= 0:
@@ -222,11 +225,8 @@ def det_map(s, d, m, sigma, lam, start=None):
         raise NumericalInputError(
             f"squared lengths L^2 Lt^2 underflow to 0 at L={s.L:g}, Lt={s.Lt:g}"
         )
-    engine = get_engine()
-    r = solve_r(s.L, s.Lt, lam, m / d, start=start)
-    ctx = r.ctx
-    V, V1, V2 = engine.first_order(ctx, r.r1, r.r2)
-    kernels = engine.second_order(ctx, r.r1, r.r2)
+    r = solve_r(s.L, s.Lt, lam, m / d, start=start, grid=grid)
+    V, V1, V2, kernels = r.expectations
     V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
     eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
     alpha_det, talpha_det = compute_parallel(s, V, V1, V2, lam)
@@ -244,13 +244,17 @@ class DetTrajectory:
     """Predicted states and error sequence over a horizon.
 
     theory_region[t] is the contraction certificate evaluated at state t
-    with the schedule value at t.
+    with the schedule value at t. fp_iterations[t] and fp_residual[t] are
+    the sweeps and the final relative defect of step t's (r1, r2) fixed
+    point (length T, like the steps).
     """
 
     states: tuple
     err_seq: np.ndarray
     lambdas: np.ndarray
     theory_region: np.ndarray
+    fp_iterations: np.ndarray
+    fp_residual: np.ndarray
 
     @property
     def in_region(self):
@@ -259,7 +263,9 @@ class DetTrajectory:
 
 def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0, recording the
-    predicted error sequence. No randomness is consumed."""
+    predicted error sequence. No randomness is consumed. Step t + 1's fixed
+    point starts from 2 r_t - r_(t-1), the linear extrapolation of the last
+    two solutions, on step t's grid while that grid covers the bracket."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
@@ -267,15 +273,21 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     ratio = m / d
     states = [s0]
     errs = [err_of(s0)]
+    iterations = []
+    residuals = []
     s = s0
-    start = None
+    start = grid = prev = None
     for t in range(T):
         lam = schedule.value(t)
         try:
-            s, r = det_map(s, d, m, sigma, lam, start)
+            s, r = det_map(s, d, m, sigma, lam, start, grid)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
-        start = (r.r1, r.r2)
+        prev = prev or r
+        start = (2.0 * r.r1 - prev.r1, 2.0 * r.r2 - prev.r2)
+        prev, grid = r, r.ctx
+        iterations.append(r.iterations_used)
+        residuals.append(r.residual)
         states.append(s)
         errs.append(err_of(s))
     lambdas = np.array([schedule.value(t) for t in range(T + 1)])
@@ -288,4 +300,6 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         err_seq=np.array(errs),
         lambdas=lambdas,
         theory_region=flags,
+        fp_iterations=np.array(iterations, dtype=int),
+        fp_residual=np.array(residuals, dtype=float),
     )

@@ -1,8 +1,11 @@
 """Independent reference implementations the tests compare the package with.
 
-The package uses neither: the dense solve is the reference the Woodbury
-prox-linear step must match, and the folded Gauss-Hermite rule is a second
-quadrature for the expectation engine where both converge (moderate r).
+The package uses none of them: the dense solve is the reference the
+Woodbury prox-linear step must match, the folded Gauss-Hermite rule is a
+second quadrature for the expectation engine where both converge (moderate
+r), and plain Monte Carlo is the oracle for every expectation. A point grid
+is the engine's grid built for one (r1, r2), the reference a reused
+trajectory grid must match.
 """
 
 import math
@@ -11,6 +14,9 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
 from proxtune.errors import ValidationError
+from proxtune.expect import get_engine
+
+MC_CHUNK = 1_000_000
 
 
 def dense_oracle(mu, nu, batch, lam):
@@ -57,3 +63,40 @@ def gauss_expect2(f, L, Lt, rule=None):
     g1, g2 = np.meshgrid((L * L) * sq, (Lt * Lt) * sq, indexing="ij")
     w2 = np.outer(rule.weights, rule.weights)
     return float(w2.ravel() @ np.asarray(f(g1.ravel(), g2.ravel()), dtype=float))
+
+
+def mc_expect2(f, L, Lt, n_samples, seed=0):
+    """Plain Monte-Carlo estimate of E f(G1^2, G2^2) with its standard error."""
+    if n_samples < 1:
+        raise ValidationError("n_samples must be >= 1")
+    if L <= 0 or Lt <= 0:
+        raise ValidationError("L and Lt must be positive")
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < n_samples:
+        k = min(MC_CHUNK, n_samples - done)
+        g1 = (L * rng.standard_normal(k)) ** 2
+        g2 = (Lt * rng.standard_normal(k)) ** 2
+        v = np.asarray(f(g1, g2), dtype=float)
+        total += float(v.sum())
+        total_sq += float(v @ v)
+        done += k
+    mean = total / n_samples
+    if n_samples == 1:
+        return mean, float("inf")
+    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
+    return mean, math.sqrt(var / n_samples)
+
+
+def point_grid(engine, L, Lt, r1, r2):
+    """The engine's grid built for the single point (r1, r2)."""
+    return engine.context(L, Lt, r1, r1, r2, r2)
+
+
+def compute_V(r, L, Lt):
+    """The first-order expectations (V, V1, V2) at a solved fixed point,
+    on a point grid."""
+    engine = get_engine()
+    return engine.first_order(point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)

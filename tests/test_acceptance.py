@@ -19,7 +19,7 @@ from proxtune.simulate import (
 )
 from proxtune.state import StateVec, sandwich_check, state_frob_err
 from proxtune.tune import iteration_complexity
-from oracles import dense_oracle
+from oracles import dense_oracle, point_grid
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 
@@ -120,7 +120,7 @@ def test_criterion_03_quadrature_vs_monte_carlo():
     for point in range(50):
         L, Lt = rng.uniform(0.3, 2.5, size=2)
         r1, r2 = 10 ** rng.uniform(-1.0, 1.6, size=2)
-        ctx = engine.context_at(L, Lt, r1, r2)
+        ctx = point_grid(engine, L, Lt, r1, r2)
         V, V1, V2 = engine.first_order(ctx, r1, r2)
         k = engine.second_order(ctx, r1, r2)
         quad = np.array([V, V1, V2, *k])

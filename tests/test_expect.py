@@ -2,11 +2,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proxtune.errors import ValidationError
-from proxtune.expect import ExpectationEngine, get_engine, mc_expect2, panel_edges
+from proxtune.expect import ExpectationEngine, bracket_span, get_engine, panel_edges
 from proxtune.predict import solve_r
-from oracles import QuadratureRule, gauss_expect2
+from oracles import QuadratureRule, gauss_expect2, mc_expect2, point_grid
 
 
 def double_factorial(k):
@@ -40,7 +42,7 @@ def rational_family(r1, r2):
 
 
 def engine_values(engine, r1, r2, L, Lt):
-    ctx = engine.context_at(L, Lt, r1, r2)
+    ctx = point_grid(engine, L, Lt, r1, r2)
     V, V1, V2 = engine.first_order(ctx, r1, r2)
     k = engine.second_order(ctx, r1, r2)
     return {"V": V, "V1": V1, "V2": V2, **k._asdict()}
@@ -175,7 +177,7 @@ class TestExpectationEngine:
                 row = []
                 prev = None
                 for r2 in grid:
-                    ctx = engine.context_at(L, Lt, r1, r2)
+                    ctx = point_grid(engine, L, Lt, r1, r2)
                     V, _, _ = engine.first_order(ctx, r1, r2)
                     row.append(V)
                     if prev is not None:
@@ -192,7 +194,7 @@ class TestExpectationEngine:
         for _ in range(50):
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
-            ctx = engine.context_at(L, Lt, r1, r2)
+            ctx = point_grid(engine, L, Lt, r1, r2)
             V, V1, V2 = engine.first_order(ctx, r1, r2)
             assert 0.0 <= V <= L ** 2 * Lt ** 2 * (1 + 1e-12)
             assert 0.0 <= V1 <= Lt ** 2 * (1 + 1e-12)
@@ -237,9 +239,76 @@ class TestExpectationEngine:
             cases.append((L, Lt, lam, int(rng.integers(1, d + 1)) / d))
         for L, Lt, lam, ratio in cases:
             r = solve_r(L, Lt, lam, ratio)
-            point = engine.context_at(L, Lt, r.r1, r.r2)
+            point = point_grid(engine, L, Lt, r.r1, r.r2)
             for kernel in (engine.first_order, engine.second_order):
                 a = kernel(r.ctx, r.r1, r.r2)
                 b = kernel(point, r.r1, r.r2)
                 for x, y in zip(a, b):
                     assert abs(x - y) <= 1e-13 * abs(y), (L, Lt, lam, ratio)
+
+    def test_first_and_second_order_are_views_of_the_fused_pass(self):
+        engine = get_engine()
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            L, Lt = rng.uniform(0.2, 3.0, size=2)
+            r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
+            ctx = engine.context(L, Lt, min(r1, r2), max(r1, r2))
+            V, V1, V2, kernels = engine.map_kernels(ctx, r1, r2)
+            assert engine.first_order(ctx, r1, r2) == (V, V1, V2)
+            assert engine.second_order(ctx, r1, r2) == kernels
+            assert engine.v_pair(ctx, r1, r2) == (V1, V2)
+
+
+def _bracket(L, Lt, lam, ratio):
+    return lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
+
+
+class TestGridReuse:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.0, 2.5),
+           st.floats(1e-3, 1.0), st.floats(0.9, 1.1), st.floats(0.9, 1.1),
+           st.floats(0.8, 1.25), st.floats(0.8, 1.25), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_covered_bracket_reuses_grid(self, L, Lt, lift, ratio, fL, fLt, f_lo, f_hi,
+                                         u1, u2):
+        # a grid built for one bracket serves a nearby (L, Lt, bracket) that
+        # the coverage rule accepts, to the accuracy of a fresh point grid
+        engine = get_engine()
+        lam = max(1.0, L * L, Lt * Lt) * 10 ** lift
+        grid = engine.context(L, Lt, *_bracket(L, Lt, lam, ratio))
+        r_lo, r_hi = _bracket(L, Lt, lam, ratio)
+        L2, Lt2, r_lo, r_hi = L * fL, Lt * fLt, r_lo * f_lo, r_hi * f_hi
+        assume(r_lo <= r_hi and grid.covers(*bracket_span(L2, Lt2, r_lo, r_hi, r_lo, r_hi)))
+        reused = engine.context_for(grid, L2, Lt2, r_lo, r_hi)
+        assert reused.t is grid.t and (reused.L, reused.Lt) == (L2, Lt2)
+        r1, r2 = r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo)
+        V, V1, V2, kernels = engine.map_kernels(reused, r1, r2)
+        point = point_grid(engine, L2, Lt2, r1, r2)
+        fresh = engine.map_kernels(point, r1, r2)
+        for x, y in zip((V, V1, V2, *kernels), (*fresh[:3], *fresh[3])):
+            assert abs(x - y) <= 1e-13 * abs(y)
+        for x, y in zip(engine.v_pair(reused, r1, r2), engine.v_pair(point, r1, r2)):
+            assert abs(x - y) <= 1e-13 * abs(y)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.0, 2.5),
+           st.floats(1e-3, 1.0), st.floats(0.4, 2.0), st.booleans())
+    def test_uncovered_bracket_is_rejected(self, L, Lt, lift, ratio, decades, up):
+        # shifting the whole bracket by a factor >= 2.5 moves the span's hi
+        # end past the grid or leaves more than SLACK^2 of the grid beyond it
+        engine = get_engine()
+        lam = max(1.0, L * L, Lt * Lt) * 10 ** lift
+        r_lo, r_hi = _bracket(L, Lt, lam, ratio)
+        grid = engine.context(L, Lt, r_lo, r_hi)
+        f = 10 ** (decades if up else -decades)
+        span = bracket_span(L, Lt, r_lo * f, r_hi * f, r_lo * f, r_hi * f)
+        assert not grid.covers(*span)
+        rebuilt = engine.context_for(grid, L, Lt, r_lo * f, r_hi * f)
+        assert rebuilt.t is not grid.t and rebuilt.covers(*span)
+
+    def test_fresh_grid_covers_its_own_bracket(self):
+        engine = get_engine()
+        for L, Lt, lam, ratio in [(1.0, 1.0, 100.0, 0.16), (3.0, 0.2, 9.5, 1e-3)]:
+            r_lo, r_hi = _bracket(L, Lt, lam, ratio)
+            grid = engine.context_for(None, L, Lt, r_lo, r_hi)
+            assert grid.covers(*bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi))

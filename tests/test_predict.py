@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
-from proxtune.expect import get_engine, mc_expect2
+from proxtune.cli import RunConfig
+from proxtune.expect import ExpectationEngine, get_engine
 from proxtune.predict import (
     FixedPointR,
     compute_H,
     compute_parallel,
-    compute_V,
     compute_V34,
     det_map,
     in_theory_region,
@@ -21,6 +21,7 @@ from proxtune.predict import (
 )
 from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec, err_of
+from oracles import compute_V, mc_expect2, point_grid
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 
@@ -32,7 +33,7 @@ def local_state():
 
 def kernels_at(r, L, Lt):
     engine = get_engine()
-    return engine.second_order(engine.context_at(L, Lt, r.r1, r.r2), r.r1, r.r2)
+    return engine.second_order(point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)
 
 
 class TestSolveR:
@@ -109,6 +110,20 @@ class TestSolveR:
             assert warm.residual <= 1e-12
             assert warm.r1 == pytest.approx(cold.r1, rel=1e-11)
             assert warm.r2 == pytest.approx(cold.r2, rel=1e-11)
+
+    def test_residual_is_v_pair_defect_at_returned_point(self):
+        # the honest residual comes from the fused kernel pass; it must be the
+        # defect v_pair gives at the returned point, bit for bit
+        engine = get_engine()
+        cases = [(1.0, 1.0, 100.0, 0.16, None), (0.7, 1.3, 20.0, 0.04, (0.9, 0.7)),
+                 (2.0, 0.5, 50.0, 1.0, (60.0, 40.0)), (1.0, 1.0, 1.0, 0.16, None)]
+        for L, Lt, lam, ratio, start in cases:
+            r = solve_r(L, Lt, lam, ratio, start=start)
+            v1, v2 = engine.v_pair(r.ctx, r.r1, r.r2)
+            defect = max(abs(ratio * (lam + v1) - r.r1) / r.r1,
+                         abs(ratio * (lam + v2) - r.r2) / r.r2)
+            assert r.residual == defect
+            assert r.expectations[1:3] == (v1, v2)
 
     def test_max_iter_exhaustion(self):
         with pytest.raises(NonConvergenceError) as err:
@@ -415,3 +430,46 @@ class TestPredictTrajectory:
         assert not in_theory_region(1.0, 1.0, 1.0, 0.16)
         # lam below max(1, L^2, Lt^2) fails regardless of the bound
         assert not in_theory_region(2.0, 1.0, 3.0, 1.0)
+
+    def test_fixed_point_health_per_step(self):
+        # the README predict configuration, cut to 300 steps
+        cfg = RunConfig(mode="predict", d=200, m=32, sigma=0.01, lambda0=100.0, iters=300)
+        traj = predict_trajectory(cfg.initial_state(), cfg.iters, cfg.d, cfg.m,
+                                  cfg.sigma, cfg.lambda_schedule())
+        assert traj.fp_iterations.shape == traj.fp_residual.shape == (300,)
+        assert traj.fp_iterations.dtype.kind == "i"
+        assert np.all(traj.fp_iterations >= 1)
+        assert np.all(traj.fp_residual <= 1e-12)
+
+    @pytest.mark.parametrize("schedule", [
+        LambdaSchedule.constant(20.0),
+        LambdaSchedule.delayed_linear(20.0, t0=100, slope=1.0, convention="absolute"),
+    ], ids=["constant", "delayed-linear-absolute"])
+    def test_warm_trajectory_matches_cold_steps(self, schedule):
+        # extrapolated starts and a reused grid against a midpoint start and
+        # a fresh grid on every step
+        d, m, sigma, T = 200, 16, 0.1, 250
+        warm = predict_trajectory(local_state(), T, d, m, sigma, schedule)
+        s = local_state()
+        for t in range(T):
+            s, _ = det_map(s, d, m, sigma, schedule.value(t))
+            for a, b in zip(warm.states[t + 1].as_tuple(), s.as_tuple()):
+                assert abs(a - b) <= 1e-12 * abs(b), t
+
+    def test_one_grid_and_few_sweeps_per_step(self, monkeypatch):
+        calls = {"context": 0, "v_pair": 0}
+
+        def counted(name):
+            original = getattr(ExpectationEngine, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ExpectationEngine, name, counted(name))
+        d, m, sigma, T = 200, 16, 0.1, 1000
+        predict_trajectory(local_state(), T, d, m, sigma, (1.0 + sigma ** 2) * d / m)
+        assert calls["context"] == 1
+        assert calls["v_pair"] <= 3 * T
