@@ -8,16 +8,23 @@ diag(w) Z] the stacked m x 2d linearization matrix, the update is
 
 The inverse is applied through the Woodbury identity, costing one m x m
 solve per step for every batch size m <= d. lam m I keeps that system
-strictly positive definite, so a Cholesky factorization is used and the
-normal-equation residual, which must be finite, is verified on every step.
+strictly positive definite, so it is solved by LAPACK's dpotrf and dpotrs,
+called as scipy's cho_factor and cho_solve call them, with their checks and
+messages. The system is exactly symmetric, so dpotrf factors its transpose,
+a Fortran-ordered view, in place. scipy is imported at the first step or
+before a trial pool forks, so predict and tune never load it. Every step
+checks that lambda is positive, that the iterate, batch, system and factor
+are finite, that the factorization succeeds, and that the normal-equation
+residual is finite and within RESIDUAL_TOL of the right-hand side.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from itertools import repeat
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     NumericalInputError,
@@ -89,15 +96,13 @@ def as_schedule(lam):
 
 def prox_linear_step(mu, nu, batch, lam):
     """One closed-form prox-linear update of (mu, nu) on the given batch,
-    through an m x m Woodbury solve. The normal-equation residual is
-    checked against RESIDUAL_TOL relative to the right-hand side.
-    """
-    if lam <= 0:
+    through an m x m Woodbury solve, with every check the module names."""
+    if not lam > 0:
         raise ValidationError("lambda must be positive")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(nu))):
+    if not (np.isfinite(mu).all() and np.isfinite(nu).all()):
         raise NumericalInputError("non-finite iterate")
-    if not (np.all(np.isfinite(batch.X)) and np.all(np.isfinite(batch.Z))
-            and np.all(np.isfinite(batch.y))):
+    if not (np.isfinite(batch.X).all() and np.isfinite(batch.Z).all()
+            and np.isfinite(batch.y).all()):
         raise NumericalInputError("non-finite batch data")
 
     m = batch.y.size
@@ -109,13 +114,20 @@ def prox_linear_step(mu, nu, batch, lam):
     c_nu = batch.Z.T @ (w * b) + scale * nu
 
     Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
-    K = np.outer(wt, wt) * (batch.X @ batch.X.T) \
-        + np.outer(w, w) * (batch.Z @ batch.Z.T)
-    K[np.diag_indices_from(K)] += scale
-    try:
-        s = cho_solve(cho_factor(K), Ac)
-    except ValueError as exc:  # LinAlgError, or non-finite entries in K
-        raise SingularSystemError(f"Woodbury system solve failed: {exc}") from exc
+    K = wt[:, None] * wt * (batch.X @ batch.X.T) + w[:, None] * w * (batch.Z @ batch.Z.T)
+    K.flat[::m + 1] += scale
+    potrf, potrs = _lapack_cholesky()
+    finite = np.isfinite(K).all()
+    if finite:
+        U, info = potrf(K.T, lower=0, overwrite_a=1, clean=0)
+        if info > 0:
+            raise SingularSystemError(f"Woodbury system solve failed: {info}-th leading "
+                                      "minor of the array is not positive definite")
+        finite = np.isfinite(Ac).all() and np.isfinite(U).all()
+    if not finite:
+        raise SingularSystemError(
+            "Woodbury system solve failed: array must not contain infs or NaNs")
+    s = potrs(U, Ac, lower=0, overwrite_b=1)[0]
     mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
     nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
 
@@ -123,32 +135,25 @@ def prox_linear_step(mu, nu, batch, lam):
     return mu_plus, nu_plus
 
 
+@cache
+def _lapack_cholesky():
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
 def _check_residual(batch, w, wt, b, mu, nu, mu_plus, nu_plus, c_mu, c_nu, scale):
     # (A^T A + scale I) theta_+ - (A^T b + scale theta), matrix-free
     a_theta = wt * (batch.X @ mu_plus) + w * (batch.Z @ nu_plus)
     res_mu = batch.X.T @ (wt * a_theta) + scale * mu_plus - c_mu
     res_nu = batch.Z.T @ (w * a_theta) + scale * nu_plus - c_nu
-    res = np.sqrt(res_mu @ res_mu + res_nu @ res_nu)
-    rhs = np.sqrt(c_mu @ c_mu + c_nu @ c_nu)
-    if not (np.isfinite(res) and np.isfinite(rhs)):
+    res = math.sqrt(res_mu @ res_mu + res_nu @ res_nu)
+    rhs = math.sqrt(c_mu @ c_mu + c_nu @ c_nu)
+    if not (math.isfinite(res) and math.isfinite(rhs)):
         raise SingularSystemError("normal-equation residual is not finite")
     if res > RESIDUAL_TOL * rhs:
         raise SingularSystemError(
             f"normal-equation residual {res / rhs:.3e} exceeds {RESIDUAL_TOL:g}"
         )
-
-
-def subproblem_objective(mu, nu, batch, lam, mu_at, nu_at):
-    """Objective of the prox subproblem centered at (mu, nu), evaluated at
-    (mu_at, nu_at): (1/m)||F + J delta||^2 + lam ||delta||^2."""
-    m = batch.y.size
-    w = batch.X @ mu
-    wt = batch.Z @ nu
-    residual = batch.y - w * wt
-    d_mu = mu_at - mu
-    d_nu = nu_at - nu
-    lin = residual - (wt * (batch.X @ d_mu) + w * (batch.Z @ d_nu))
-    return float(lin @ lin) / m + lam * (float(d_mu @ d_mu) + float(d_nu @ d_nu))
 
 
 @dataclass(frozen=True)
@@ -171,7 +176,6 @@ def run_empirical(mu0, nu0, gt, config, seed):
     mu = np.array(mu0, dtype=float, copy=True)
     nu = np.array(nu0, dtype=float, copy=True)
     states = [state_of(mu, nu, gt)]
-    errs = [err_of(states[0])]
     frobs = [frob_err(mu, nu, gt)]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.T):
@@ -181,13 +185,11 @@ def run_empirical(mu0, nu0, gt, config, seed):
                 mu, nu = prox_linear_step(mu, nu, batch, lam)
             except ProxtuneError as exc:
                 raise SimulationError(t, str(exc)) from exc
-            s = state_of(mu, nu, gt)
-            states.append(s)
-            errs.append(err_of(s))
+            states.append(state_of(mu, nu, gt))
             frobs.append(frob_err(mu, nu, gt))
     return EmpiricalTrajectory(
         states=tuple(states),
-        err=np.array(errs),
+        err=np.array([err_of(s) for s in states]),
         frob=np.array(frobs),
     )
 
@@ -234,6 +236,7 @@ def run_trials(config, n_trials, master_seed, n_jobs=1):
         raise ValidationError("n_trials must be >= 1")
     seeds = np.random.SeedSequence(master_seed).spawn(n_trials)
     if n_jobs is not None and n_jobs > 1:
+        _lapack_cholesky()  # forked workers inherit scipy rather than each importing it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             trajectories = tuple(pool.map(_run_one_trial, repeat(config), seeds))
     else:

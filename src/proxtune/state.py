@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import ValidationError
 
 
@@ -42,11 +40,10 @@ class StateVec:
 
 def state_of(mu, nu, gt):
     """Extract the state of (mu, nu) relative to the ground truth."""
-    alpha = float(mu @ gt.mu_star)
-    beta = float(np.linalg.norm(mu - alpha * gt.mu_star))
-    talpha = float(nu @ gt.nu_star)
-    tbeta = float(np.linalg.norm(nu - talpha * gt.nu_star))
-    return StateVec(alpha, beta, talpha, tbeta)
+    alpha, talpha = float(mu @ gt.mu_star), float(nu @ gt.nu_star)
+    r, rt = mu - alpha * gt.mu_star, nu - talpha * gt.nu_star
+    # numpy's 2-norm of a real vector is sqrt(x @ x)
+    return StateVec(alpha, math.sqrt(r @ r), talpha, math.sqrt(rt @ rt))
 
 
 def err_of(s):

@@ -1,17 +1,20 @@
 """Independent reference implementations the tests compare the package with.
 
 The package uses none of them: the dense solve is the reference the
-Woodbury prox-linear step must match, the folded Gauss-Hermite rule is a
-second quadrature for the expectation engine where both converge (moderate
-r), and plain Monte Carlo is the oracle for every expectation. A point grid
-is the engine's grid built for one (r1, r2), the reference a reused
-trajectory grid must match.
+Woodbury prox-linear step must match, the same Woodbury step through scipy's
+cho_factor/cho_solve is the reference it must match bit for bit, and the prox
+subproblem's objective is what every step must not increase. The folded
+Gauss-Hermite rule is a second quadrature for the expectation engine where
+both converge (moderate r), and plain Monte Carlo is the oracle for every
+expectation. A point grid is the engine's grid built for one (r1, r2), the
+reference a reused trajectory grid must match.
 """
 
 import math
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from scipy.linalg import cho_factor, cho_solve
 
 from proxtune.errors import ValidationError
 from proxtune.expect import get_engine
@@ -29,6 +32,37 @@ def dense_oracle(mu, nu, batch, lam):
     rhs = A.T @ (batch.y + w * wt) + lam * m * np.concatenate([mu, nu])
     theta = np.linalg.solve(M, rhs)
     return theta[:d], theta[d:]
+
+
+def woodbury_oracle(mu, nu, batch, lam):
+    """The Woodbury prox-linear step solved through scipy's cho_factor and
+    cho_solve, with no residual check."""
+    m = batch.y.size
+    scale = lam * m
+    w = batch.X @ mu
+    wt = batch.Z @ nu
+    b = batch.y + w * wt
+    c_mu = batch.X.T @ (wt * b) + scale * mu
+    c_nu = batch.Z.T @ (w * b) + scale * nu
+    Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
+    K = np.outer(wt, wt) * (batch.X @ batch.X.T) \
+        + np.outer(w, w) * (batch.Z @ batch.Z.T)
+    K[np.diag_indices_from(K)] += scale
+    s = cho_solve(cho_factor(K), Ac)
+    return (c_mu - batch.X.T @ (wt * s)) / scale, (c_nu - batch.Z.T @ (w * s)) / scale
+
+
+def subproblem_objective(mu, nu, batch, lam, mu_at, nu_at):
+    """Objective of the prox subproblem centered at (mu, nu), evaluated at
+    (mu_at, nu_at): (1/m)||F + J delta||^2 + lam ||delta||^2."""
+    m = batch.y.size
+    w = batch.X @ mu
+    wt = batch.Z @ nu
+    residual = batch.y - w * wt
+    d_mu = mu_at - mu
+    d_nu = nu_at - nu
+    lin = residual - (wt * (batch.X @ d_mu) + w * (batch.Z @ d_nu))
+    return float(lin @ lin) / m + lam * (float(d_mu @ d_mu) + float(d_nu @ d_nu))
 
 
 class QuadratureRule:

@@ -366,3 +366,19 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "wrote" in result.stdout
+
+
+def test_predict_and_tune_do_not_import_scipy(tmp_path):
+    # only the stochastic step solves a linear system; scipy.linalg is
+    # imported on its first call
+    code = "\n".join([
+        "import sys",
+        "import proxtune.cli as cli",
+        "assert 'scipy' not in sys.modules, 'import'",
+        f"assert cli.main(['predict', '--iters', '3', '--out', {str(tmp_path / 'p')!r}]) == 0",
+        f"assert cli.main(['tune', '--d', '40', '--m-grid', '4,8', '--iters', '3',"
+        f" '--target-err', '0.5', '--out', {str(tmp_path / 't')!r}]) == 0",
+        "assert 'scipy' not in sys.modules, 'run'",
+    ])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

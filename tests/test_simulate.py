@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxtune.errors import (
     NumericalInputError,
@@ -19,10 +21,42 @@ from proxtune.simulate import (
     prox_linear_step,
     run_empirical,
     run_trials,
-    subproblem_objective,
 )
 from proxtune.state import err_of
-from oracles import dense_oracle
+from oracles import dense_oracle, subproblem_objective, woodbury_oracle
+
+
+@st.composite
+def woodbury_cases(draw):
+    d = draw(st.integers(2, 64))
+    m = draw(st.integers(1, d))
+    lam = 10.0 ** draw(st.floats(-1.0, 2.0))
+    sigma = draw(st.floats(0.0, 2.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    return d, m, lam, sigma, seed, rng.standard_normal(d), rng.standard_normal(d)
+
+
+def fixed_woodbury_cases():
+    """20 random shapes, then the square m = d = 64, lam = 50 of the
+    compare-square benchmark workload."""
+    rng = np.random.default_rng(8)
+    for trial in range(21):
+        if trial < 20:
+            d = int(rng.integers(3, 51))
+            m, lam = int(rng.integers(1, d + 1)), float(10 ** rng.uniform(-1, 2))
+        else:
+            d, m, lam = 64, 64, 50.0
+        yield d, m, lam, 0.5, trial, rng.standard_normal(d), rng.standard_normal(d)
+
+
+def with_examples(cases):
+    """Run each case as an explicit hypothesis example."""
+    def decorate(test):
+        for case in cases:
+            test = example(case)(test)
+        return test
+    return decorate
 
 
 def config(d, m, sigma=0.0, T=0):
@@ -92,25 +126,20 @@ class TestProxLinearStep:
         assert np.max(np.abs(mu_p - gt.mu_star)) <= 1e-9
         assert np.max(np.abs(nu_p - gt.nu_star)) <= 1e-9
 
-    def test_woodbury_agrees_with_dense(self):
-        rng = np.random.default_rng(8)
-
-        def draw():
-            d = int(rng.integers(3, 51))
-            return d, int(rng.integers(1, d + 1)), float(10 ** rng.uniform(-1, 2))
-
-        # 20 random shapes, then the square m = d = 64, lam = 50 of the
-        # compare-square benchmark workload
-        for trial in range(21):
-            d, m, lam = draw() if trial < 20 else (64, 64, 50.0)
-            gt = generate_ground_truth(d, seed=(9, trial))
-            batch = sample_batch(gt, m, 0.5, seed=(10, trial))
-            mu = rng.standard_normal(d)
-            nu = rng.standard_normal(d)
-            a = prox_linear_step(mu, nu, batch, lam)
-            b = dense_oracle(mu, nu, batch, lam)
-            assert np.max(np.abs(a[0] - b[0])) <= 1e-8
-            assert np.max(np.abs(a[1] - b[1])) <= 1e-8
+    @with_examples(fixed_woodbury_cases())
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(woodbury_cases())
+    def test_woodbury_agrees_with_dense(self, case):
+        d, m, lam, sigma, seed, mu, nu = case
+        gt = generate_ground_truth(d, seed=(9, seed))
+        batch = sample_batch(gt, m, sigma, seed=(10, seed))
+        a = prox_linear_step(mu, nu, batch, lam)
+        b = dense_oracle(mu, nu, batch, lam)
+        assert np.max(np.abs(a[0] - b[0])) <= 1e-8
+        assert np.max(np.abs(a[1] - b[1])) <= 1e-8
+        # the LAPACK calls are the ones scipy's cho_factor/cho_solve make
+        c = woodbury_oracle(mu, nu, batch, lam)
+        assert np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])
 
     def test_subproblem_objective_decreases(self):
         rng = np.random.default_rng(11)
@@ -141,6 +170,17 @@ class TestProxLinearStep:
         batch = sample_batch(gt, 3, 0.0, seed=17)
         with pytest.raises(ValidationError):
             prox_linear_step(gt.mu_star, gt.nu_star, batch, 0.0)
+        with pytest.raises(ValidationError):
+            prox_linear_step(gt.mu_star, gt.nu_star, batch, float("nan"))
+
+    def test_rejects_overflowing_system(self):
+        # w = X mu overflows in K's w w^T term, so the Woodbury system is not
+        # finite and must fail as a typed error before any factorization
+        gt = generate_ground_truth(20, seed=40)
+        batch = sample_batch(gt, 4, 0.0, seed=41)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularSystemError, match="Woodbury system solve failed"):
+            prox_linear_step(np.full(20, 1e160), gt.nu_star, batch, 100.0)
 
     def test_rejects_overflowing_residual(self):
         # at sigma = 1e200 the right-hand side norm overflows to inf, so the
