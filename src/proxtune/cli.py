@@ -167,8 +167,14 @@ def _validate_config(config):
         raise ValidationError("iters must be nonnegative")
     if config.trials < 1:
         raise ValidationError("trials must be >= 1")
-    if config.prefloor_margin < 1.0:
+    if not config.prefloor_margin >= 1.0:
         raise ValidationError("prefloor_margin must be >= 1")
+    if not config.target_err > 0:
+        raise ValidationError("target_err must be positive")
+    if config.budget is not None and config.budget < 0:
+        raise ValidationError("budget must be nonnegative")
+    if not isinstance(config.out, str) or config.out == "--":  # argparse: --out=-- is []
+        raise ValidationError("out must be a path base other than '--'")
     return config
 
 

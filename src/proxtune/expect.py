@@ -22,18 +22,20 @@ panels_per_decade panels per decade, at any (L, Lt). One grid serves a
 trajectory while it covers the bracket: ``context_for`` hands the previous
 step's grid on when it covers the new step's span and overshoots neither
 end by more than SLACK^2, and builds a new one otherwise. ``map_kernels``
-then evaluates every expectation of a map step in one pass over the grid.
+evaluates every expectation of a map step in one pass over the grid, with
+each kind of sum taken as one matrix-vector product: at a few hundred nodes
+a numpy call costs more in overhead than in arithmetic.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ValidationError
+from .errors import NumericalInputError, ValidationError
 
 # the first panel ends at LEAD times the smallest moment-factor scale; the
 # last ends where exp(-r1 r2 t) has decayed to exp(-TAIL) ~ 1e-20
@@ -68,12 +70,17 @@ def bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max):
     with r1_min <= r1 <= r1_max and r2_min <= r2 <= r2_max."""
     if min(L, Lt, r1_min, r2_min) <= 0:
         raise ValidationError("L, Lt and the r bracket must be positive")
-    scale_min = min(
+    lo = LEAD * min(
         1.0 / (2.0 * r1_max * L * L),
         1.0 / (2.0 * r2_max * Lt * Lt),
         1.0 / (r1_max * r2_max),
     )
-    return LEAD * scale_min, TAIL / (r1_min * r2_min)
+    hi = TAIL / (r1_min * r2_min) if r1_min * r2_min > 0 else math.inf
+    # a grid spans [lo / SLACK, SLACK * hi], with panels per decade of hi/lo
+    if not (lo / SLACK > 0.0 and SLACK * hi / (lo / SLACK) < math.inf):
+        raise NumericalInputError(f"grid t-span [{lo:g}, {hi:g}] leaves the float range at "
+                                  f"L={L:g}, Lt={Lt:g}, r1 >= {r1_min:g}, r2 >= {r2_min:g}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -143,49 +150,57 @@ class ExpectationEngine:
         bracket's t-span, otherwise a new one."""
         lo, hi = bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi)
         if grid is not None and grid.covers(lo, hi):
-            return replace(grid, L=float(L), Lt=float(Lt))
+            return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi)
         return self.context(L, Lt, r_lo, r_hi)
 
     @staticmethod
-    def _factors(ctx, r1, r2):
-        e1 = 1.0 + (2.0 * r1 * ctx.Lsq) * ctx.t
-        e2 = 1.0 + (2.0 * r2 * ctx.Ltsq) * ctx.t
-        damp = ctx.w * np.exp((-r1 * r2) * ctx.t) / np.sqrt(e1 * e2)
-        return e1, e2, damp
+    def _factors(ctx, r1, r2, inv=None):
+        # the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t, written
+        # into inv when given, and the damped weights w exp(-r1 r2 t) / sqrt(e1 e2)
+        t = ctx.t
+        e = t * np.array([[2.0 * r1 * ctx.Lsq], [2.0 * r2 * ctx.Ltsq]])
+        e += 1.0
+        damp = np.exp((-r1 * r2) * t)
+        damp *= ctx.w
+        damp /= np.sqrt(e[0] * e[1])
+        return np.divide(1.0, e, out=inv), damp
+
+    @staticmethod
+    def _first_sums(ctx, r1, r2, inv, damp):  # (V1, V2), for v_pair and map_kernels
+        s1, s2 = (inv @ damp).tolist()
+        coef = r1 * r2
+        return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
 
     def v_pair(self, ctx, r1, r2):
         """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair."""
-        e1, e2, damp = self._factors(ctx, r1, r2)
-        coef = r1 * r2
-        v1 = coef * ctx.Ltsq * float(damp @ (1.0 / e2))
-        v2 = coef * ctx.Lsq * float(damp @ (1.0 / e1))
-        return v1, v2
+        return self._first_sums(ctx, r1, r2, *self._factors(ctx, r1, r2))
 
     def map_kernels(self, ctx, r1, r2):
         """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
         grid: every expectation a map step needs. V1 and V2 are v_pair's
-        expressions, so they equal v_pair's values bit for bit."""
-        e1, e2, damp = self._factors(ctx, r1, r2)
-        tdamp = damp * ctx.t
-        i1 = 1.0 / e1
-        i2 = 1.0 / e2
-        i1i2 = i1 * i2
+        expressions, so they equal v_pair's values bit for bit. The seven
+        monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k
+        fill one block, summed against damp * t in one product."""
+        mono = np.empty((7, ctx.t.size))
+        inv, damp = self._factors(ctx, r1, r2, mono[:2])
+        np.multiply(mono[0], mono[1], out=mono[2])
+        np.multiply(mono[0:3:2], mono[0], out=mono[3:5])
+        np.multiply(mono[1:3], mono[1], out=mono[5:7])
+        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (mono @ (damp * ctx.t)).tolist()
         Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
-        coef = r1 * r2
         r1sq, r2sq = r1 * r1, r2 * r2
         return (
-            coef * Lsq * Ltsq * float(damp @ i1i2),
-            coef * Ltsq * float(damp @ i2),
-            coef * Lsq * float(damp @ i1),
+            r1 * r2 * Lsq * Ltsq * float(mono[2] @ damp),
+            *self._first_sums(ctx, r1, r2, inv, damp),
             SecondOrderKernels(
-                s2_u2=r2sq * Ltsq * float(tdamp @ i2),
-                s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * float(tdamp @ (i1i2 * i2)),
-                s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * float(tdamp @ (i2 * i2)),
-                s2_u1u2=r2sq * Lsq * Ltsq * float(tdamp @ i1i2),
-                s1_u1=r1sq * Lsq * float(tdamp @ i1),
-                s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * float(tdamp @ (i1i2 * i1)),
-                s1_u1sq=r1sq * 3.0 * Lsq * Lsq * float(tdamp @ (i1 * i1)),
-                s1_u1u2=r1sq * Lsq * Ltsq * float(tdamp @ i1i2),
+                s2_u2=r2sq * Ltsq * u2,
+                s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
+                s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * u2sq,
+                s2_u1u2=r2sq * Lsq * Ltsq * u1u2,
+                s1_u1=r1sq * Lsq * u1,
+                s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
+                s1_u1sq=r1sq * 3.0 * Lsq * Lsq * u1sq,
+                s1_u1u2=r1sq * Lsq * Ltsq * u1u2,
             ),
         )
 

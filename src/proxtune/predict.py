@@ -20,6 +20,7 @@ expectations go through a shared, machine-precision expectation engine.
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -35,6 +36,10 @@ from .expect import EngineContext, get_engine
 from .model import check_problem
 from .simulate import as_schedule
 from .state import StateVec, err_of
+
+
+# weights on (r_t, r_(t-1), ...) of the constant to cubic extrapolation
+EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -66,9 +71,11 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
     and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
     that bracket, or at 1.5*lam*ratio, the midpoint of [lam*ratio,
-    2*lam*ratio], when start is None; predict_trajectory passes the linear
-    extrapolation of the last two steps' solutions. Inside the certified
-    region the map contracts and plain iteration converges geometrically.
+    2*lam*ratio], when start is None; predict_trajectory passes the cubic
+    extrapolation of the last four steps' solutions, which leaves about one
+    sweep per step. Inside the certified region the map contracts (by
+    ~1e-3 per sweep on the tuning grids) and plain iteration converges
+    geometrically, so the start's error decides the sweep count.
     Outside it a 0.5 damping kicks in after 200 sweeps as a safety net.
 
     grid is the previous step's grid, or None. It is reused at (L, Lt) when
@@ -97,7 +104,8 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     if start is None:
         r1 = r2 = 1.5 * lam * ratio
     else:
-        r1, r2 = (min(max(r, r_lo), r_hi) for r in start)
+        r1 = min(max(start[0], r_lo), r_hi)
+        r2 = min(max(start[1], r_lo), r_hi)
     damping = 1.0
     residual = math.inf
     for it in range(1, max_iter + 1):
@@ -214,29 +222,30 @@ def solve_eta(d, m, V3, V4, kernels):
 
 def det_map(s, d, m, sigma, lam, start=None, grid=None):
     """One application of the deterministic state map (steps 1-6 above) to a
-    problem that predict_trajectory has checked. Returns the next state and
-    the solved fixed point; start warm-starts solve_r and grid is the grid
-    it may reuse (see there)."""
+    problem that predict_trajectory has checked. Returns the next state,
+    checked finite, and the solved fixed point; start warm-starts solve_r
+    and grid is the grid it may reuse (see there)."""
     if not all(map(math.isfinite, s.as_tuple())):
         raise NumericalInputError("non-finite state")
-    if s.L <= 0 or s.Lt <= 0:
+    L, Lt = s.L, s.Lt
+    if L <= 0 or Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")
     if (s.alpha ** 2 + s.beta ** 2) * (s.talpha ** 2 + s.tbeta ** 2) == 0.0:
         raise NumericalInputError(
-            f"squared lengths L^2 Lt^2 underflow to 0 at L={s.L:g}, Lt={s.Lt:g}"
+            f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}"
         )
-    r = solve_r(s.L, s.Lt, lam, m / d, start=start, grid=grid)
+    r = solve_r(L, Lt, lam, m / d, start=start, grid=grid)
     V, V1, V2, kernels = r.expectations
     V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
     eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
     alpha_det, talpha_det = compute_parallel(s, V, V1, V2, lam)
     h, ht = compute_H(s, V, V1, V2, lam)
-    return StateVec(
-        alpha=alpha_det,
-        beta=math.sqrt(h * h + eta_sq),
-        talpha=talpha_det,
-        tbeta=math.sqrt(ht * ht + teta_sq),
-    ), r
+    out = StateVec(alpha_det, math.sqrt(h * h + eta_sq),
+                   talpha_det, math.sqrt(ht * ht + teta_sq))
+    if not all(map(math.isfinite, out.as_tuple())):
+        raise NumericalInputError("predicted state (alpha, beta, talpha, tbeta) = "
+                                  f"({', '.join(map('{:g}'.format, out.as_tuple()))}) is not finite")
+    return out, r
 
 
 @dataclass(frozen=True)
@@ -264,8 +273,10 @@ class DetTrajectory:
 def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0, recording the
     predicted error sequence. No randomness is consumed. Step t + 1's fixed
-    point starts from 2 r_t - r_(t-1), the linear extrapolation of the last
-    two solutions, on step t's grid while that grid covers the bracket."""
+    point starts from 4 r_t - 6 r_(t-1) + 4 r_(t-2) - r_(t-3), the cubic
+    extrapolation of the last four solutions (the quadratic, linear or
+    constant one while fewer exist, so step 1 starts from r_0), on step t's
+    grid while that grid covers the bracket."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
@@ -276,16 +287,18 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     iterations = []
     residuals = []
     s = s0
-    start = grid = prev = None
+    start = grid = None
+    r1s, r2s = [], []  # the last (up to) four solutions, newest first
     for t in range(T):
         lam = schedule.value(t)
         try:
             s, r = det_map(s, d, m, sigma, lam, start, grid)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
-        prev = prev or r
-        start = (2.0 * r.r1 - prev.r1, 2.0 * r.r2 - prev.r2)
-        prev, grid = r, r.ctx
+        r1s, r2s = [r.r1, *r1s[:3]], [r.r2, *r2s[:3]]
+        coefs = EXTRAPOLATION[len(r1s) - 1]
+        start = (sum(map(mul, coefs, r1s)), sum(map(mul, coefs, r2s)))
+        grid = r.ctx
         iterations.append(r.iterations_used)
         residuals.append(r.residual)
         states.append(s)

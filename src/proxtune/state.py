@@ -8,7 +8,6 @@ are functions of this state alone.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -58,40 +57,3 @@ def frob_err(mu, nu, gt):
         - 2.0 * float(mu @ gt.mu_star) * float(nu @ gt.nu_star)
         + 1.0
     )
-
-
-def state_frob_err(s):
-    """Same Frobenius error, written out from the state alone."""
-    return (
-        (s.alpha * s.talpha - 1.0) ** 2
-        + s.alpha ** 2 * s.tbeta ** 2
-        + s.talpha ** 2 * s.beta ** 2
-        + s.beta ** 2 * s.tbeta ** 2
-    )
-
-
-class SandwichResult(NamedTuple):
-    applicable: bool
-    within_band: bool | None
-    ratio: float
-
-
-def sandwich_check(s, frob):
-    """Check frob/5 <= err_of(s) <= 12.5*frob and report err/frob.
-
-    The two-sided bound only holds under the geometric hypotheses
-    beta, tbeta <= 0.1 and 0.3 <= L, Lt <= 1.7; outside them the result is
-    flagged not applicable and nothing is asserted.
-    """
-    hypotheses = (
-        s.beta <= 0.1
-        and s.tbeta <= 0.1
-        and 0.3 <= s.L <= 1.7
-        and 0.3 <= s.Lt <= 1.7
-    )
-    if not hypotheses:
-        return SandwichResult(False, None, float("nan"))
-    err = err_of(s)
-    within = frob / 5.0 <= err <= 12.5 * frob
-    ratio = err / frob if frob > 0 else float("nan")
-    return SandwichResult(True, within, ratio)

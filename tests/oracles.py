@@ -7,17 +7,22 @@ subproblem's objective is what every step must not increase. The folded
 Gauss-Hermite rule is a second quadrature for the expectation engine where
 both converge (moderate r), and plain Monte Carlo is the oracle for every
 expectation. A point grid is the engine's grid built for one (r1, r2), the
-reference a reused trajectory grid must match.
+reference a reused trajectory grid must match, and ``reference_kernels`` is
+the engine's kernel pass written out one sum at a time, the reference the
+fused pass must match. The Frobenius error written from the state and the
+sandwich check relating it to ``err_of`` are checks on the state summary.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.linalg import cho_factor, cho_solve
 
 from proxtune.errors import ValidationError
-from proxtune.expect import get_engine
+from proxtune.expect import SecondOrderKernels, get_engine
+from proxtune.state import err_of
 
 MC_CHUNK = 1_000_000
 
@@ -134,3 +139,70 @@ def compute_V(r, L, Lt):
     on a point grid."""
     engine = get_engine()
     return engine.first_order(point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)
+
+
+def reference_kernels(ctx, r1, r2):
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx, each sum taken
+    as its own dot product over separately built moment factors."""
+    e1 = 1.0 + (2.0 * r1 * ctx.Lsq) * ctx.t
+    e2 = 1.0 + (2.0 * r2 * ctx.Ltsq) * ctx.t
+    damp = ctx.w * np.exp((-r1 * r2) * ctx.t) / np.sqrt(e1 * e2)
+    tdamp = damp * ctx.t
+    i1 = 1.0 / e1
+    i2 = 1.0 / e2
+    i1i2 = i1 * i2
+    Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
+    coef = r1 * r2
+    r1sq, r2sq = r1 * r1, r2 * r2
+    return (
+        coef * Lsq * Ltsq * float(damp @ i1i2),
+        coef * Ltsq * float(damp @ i2),
+        coef * Lsq * float(damp @ i1),
+        SecondOrderKernels(
+            s2_u2=r2sq * Ltsq * float(tdamp @ i2),
+            s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * float(tdamp @ (i1i2 * i2)),
+            s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * float(tdamp @ (i2 * i2)),
+            s2_u1u2=r2sq * Lsq * Ltsq * float(tdamp @ i1i2),
+            s1_u1=r1sq * Lsq * float(tdamp @ i1),
+            s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * float(tdamp @ (i1i2 * i1)),
+            s1_u1sq=r1sq * 3.0 * Lsq * Lsq * float(tdamp @ (i1 * i1)),
+            s1_u1u2=r1sq * Lsq * Ltsq * float(tdamp @ i1i2),
+        ),
+    )
+
+
+def state_frob_err(s):
+    """Same Frobenius error, written out from the state alone."""
+    return (
+        (s.alpha * s.talpha - 1.0) ** 2
+        + s.alpha ** 2 * s.tbeta ** 2
+        + s.talpha ** 2 * s.beta ** 2
+        + s.beta ** 2 * s.tbeta ** 2
+    )
+
+
+class SandwichResult(NamedTuple):
+    applicable: bool
+    within_band: bool | None
+    ratio: float
+
+
+def sandwich_check(s, frob):
+    """Check frob/5 <= err_of(s) <= 12.5*frob and report err/frob.
+
+    The two-sided bound only holds under the geometric hypotheses
+    beta, tbeta <= 0.1 and 0.3 <= L, Lt <= 1.7; outside them the result is
+    flagged not applicable and nothing is asserted.
+    """
+    hypotheses = (
+        s.beta <= 0.1
+        and s.tbeta <= 0.1
+        and 0.3 <= s.L <= 1.7
+        and 0.3 <= s.Lt <= 1.7
+    )
+    if not hypotheses:
+        return SandwichResult(False, None, float("nan"))
+    err = err_of(s)
+    within = frob / 5.0 <= err <= 12.5 * frob
+    ratio = err / frob if frob > 0 else float("nan")
+    return SandwichResult(True, within, ratio)

@@ -17,9 +17,9 @@ from proxtune.simulate import (
     prox_linear_step,
     run_trials,
 )
-from proxtune.state import StateVec, sandwich_check, state_frob_err
+from proxtune.state import StateVec
 from proxtune.tune import iteration_complexity
-from oracles import dense_oracle, point_grid
+from oracles import dense_oracle, point_grid, sandwich_check, state_frob_err
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 

@@ -21,6 +21,7 @@ from proxtune.cli import (
     read_table,
     write_table,
 )
+from proxtune.errors import ValidationError
 
 
 def run_cli(tmp_path, *args):
@@ -48,8 +49,14 @@ class TestRunConfig:
     def test_hash_changes_with_config(self):
         assert RunConfig().config_hash() != RunConfig(d=100).config_hash()
 
+    def test_end_of_options_marker_is_no_output_base(self, tmp_path):
+        path = tmp_path / "dash.cfg"
+        path.write_text("out = --\n")
+        for argv in (["predict", "--out=--"], ["predict", "--config", str(path)]):
+            with pytest.raises(ValidationError, match="out must be a path base"):
+                config_from_args(_build_parser().parse_args(argv))
+
     def test_unknown_key_rejected(self):
-        from proxtune.errors import ValidationError
         with pytest.raises(ValidationError):
             RunConfig.from_text("bogus_key = 1\n")
 
@@ -66,13 +73,17 @@ class TestRunConfig:
         assert RunConfig.from_text(cfg.to_text()) == cfg
 
 
-# lower bounds that _validate_config enforces
-_MINIMA = {"iters": 0, "trials": 1, "prefloor_margin": 1.0}
+# lower bounds that _validate_config enforces (target_err > 0: the least
+# positive float)
+_MINIMA = {"iters": 0, "trials": 1, "prefloor_margin": 1.0, "budget": 0,
+           "target_err": 5e-324}
 _SCALARS = {
     int: lambda name: st.integers(_MINIMA.get(name, -2 ** 63), 2 ** 63),
     float: lambda name: st.floats(_MINIMA.get(name), allow_nan=False,
                                   allow_infinity=False),
-    str: lambda name: st.text("abcXYZ019_./-", min_size=1, max_size=12),
+    # "--" is no path base: argparse reads it as the end of options
+    str: lambda name: st.text("abcXYZ019_./-", min_size=1, max_size=12).filter(
+        lambda s: s != "--"),
 }
 
 
@@ -186,14 +197,20 @@ class TestSimulateCommand:
     (["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
       "--iters", "3", "--parallelism", "1"],
      "normal-equation residual is not finite"),
+    (["predict", "--alpha0", "0.5", "--init-norm", "1e60", "--iters", "1"],
+     "step 0: predicted state (alpha, beta, talpha, tbeta) = (0.48, inf, 0.48, inf) "
+     "is not finite"),
+    (["predict", "--alpha0", "0.5", "--init-norm", "1e100", "--iters", "1"],
+     "step 0: grid t-span [0, 0.179688] leaves the float range at L=1e+100"),
 ], ids=["predict-overflow", "predict-underflow", "init-overflow",
-        "tune-overflow", "simulate-overflow"])
+        "tune-overflow", "simulate-overflow", "last-state-overflow", "grid-span-underflow"])
 def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
     assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical failure")
     assert names in err  # the message says what overflowed or vanished
     assert err.count("\n") == 1  # no numpy warning ahead of the typed message
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,10 +226,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
     ["tune", "--m-grid", "8", "--lambda-grid", "nan", "--iters", "3"],
     ["simulate", "--sigma", "nan", "--d", "20", "--m", "4", "--trials", "1", "--iters", "2"],
     ["predict", "--init-norm", "nan", "--iters", "3"],
+    ["tune", "--target-err", "nan", "--m-grid", "8", "--iters", "3"],
+    ["tune", "--target-err", "-1", "--m-grid", "8", "--iters", "3"],
+    ["tune", "--budget", "-3", "--m-grid", "8", "--iters", "3",
+     "--policy", "min-floor-subject-to-iteration-budget"],
+    ["compare", "--prefloor-margin", "nan", "--d", "20", "--m", "4", "--trials", "1",
+     "--iters", "3"],
 ], ids=["predict-m-above-d", "predict-d-1", "predict-m-above-d-no-steps",
         "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d",
         "predict-nan-sigma", "predict-nan-lambda", "tune-nan-lambda", "simulate-nan-sigma",
-        "predict-nan-init-norm"])
+        "predict-nan-init-norm", "tune-nan-target", "tune-negative-target",
+        "tune-negative-budget", "compare-nan-prefloor-margin"])
 def test_problem_check_exit_code(tmp_path, capsys, argv):
     # every mode rejects a bad setting (NaN included) before it computes or writes
     assert run_cli(tmp_path, *argv) == EXIT_VALIDATION

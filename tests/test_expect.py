@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from proxtune.errors import ValidationError
 from proxtune.expect import ExpectationEngine, bracket_span, get_engine, panel_edges
 from proxtune.predict import solve_r
-from oracles import QuadratureRule, gauss_expect2, mc_expect2, point_grid
+from oracles import QuadratureRule, gauss_expect2, mc_expect2, point_grid, reference_kernels
 
 
 def double_factorial(k):
@@ -257,6 +257,22 @@ class TestExpectationEngine:
             assert engine.first_order(ctx, r1, r2) == (V, V1, V2)
             assert engine.second_order(ctx, r1, r2) == kernels
             assert engine.v_pair(ctx, r1, r2) == (V1, V2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(-1.5, 2.5),
+           st.floats(-1.5, 2.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_fused_pass_matches_reference_sums(self, L, Lt, lg1, lg2, u1, u2):
+        # the block-of-monomials pass against one dot product per sum, at
+        # points on and off the (r1, r2) a point grid was built for
+        engine = get_engine()
+        r1, r2 = 10 ** lg1, 10 ** lg2
+        ctx = point_grid(engine, L, Lt, r1, r2)
+        r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
+        V, V1, V2, kernels = engine.map_kernels(ctx, r1, r2)
+        ref = reference_kernels(ctx, r1, r2)
+        for x, y in zip((V, V1, V2, *kernels), (*ref[:3], *ref[3])):
+            assert abs(x - y) <= 1e-13 * abs(y)
+        assert engine.v_pair(ctx, r1, r2) == (V1, V2)
 
 
 def _bracket(L, Lt, lam, ratio):

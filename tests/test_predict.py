@@ -354,6 +354,18 @@ class TestDetMap:
             for a, b in zip(out.as_tuple(), TRUTH.as_tuple()):
                 assert abs(a - b) <= 1e-9
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(2, 1000), st.floats(0.0, 1.0), st.floats(0.0, 2.0))
+    def test_truth_is_fixed_point_in_theory_region(self, d, u, lift):
+        # sigma = 0: the truth maps to itself at any (d, m, lam) the
+        # contraction certificate admits
+        m = max(1, round(u * d))
+        lam = max(1.0, (16.0 * d / m) ** 0.5) * 1.0001 * 10 ** lift
+        assert in_theory_region(1.0, 1.0, lam, m / d)
+        out, _ = det_map(TRUTH, d, m, 0.0, lam)
+        for a, b in zip(out.as_tuple(), TRUTH.as_tuple()):
+            assert abs(a - b) <= 1e-9
+
     def test_identity_limit_large_lambda(self):
         s = StateVec(0.95, 0.2, 1.02, 0.15)
         devs = []
@@ -472,4 +484,4 @@ class TestPredictTrajectory:
         d, m, sigma, T = 200, 16, 0.1, 1000
         predict_trajectory(local_state(), T, d, m, sigma, (1.0 + sigma ** 2) * d / m)
         assert calls["context"] == 1
-        assert calls["v_pair"] <= 3 * T
+        assert calls["v_pair"] <= 1.5 * T

@@ -3,14 +3,8 @@ import pytest
 
 from proxtune.errors import ValidationError
 from proxtune.model import GroundTruth
-from proxtune.state import (
-    StateVec,
-    err_of,
-    frob_err,
-    sandwich_check,
-    state_frob_err,
-    state_of,
-)
+from proxtune.state import StateVec, err_of, frob_err, state_of
+from oracles import sandwich_check, state_frob_err
 
 
 def make_gt(d, seed):
