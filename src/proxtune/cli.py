@@ -13,6 +13,7 @@ digits for lossless double round-trips.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -192,13 +193,12 @@ def _cell(v):
 
 
 def _json_value(v):
+    # RFC 8259 has no inf or nan: those cells carry their CSV spelling
     if v is None:
         return None
-    if isinstance(v, (bool, np.bool_)):
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
         return int(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    return float(v)
+    return float(v) if math.isfinite(v) else _cell(v)
 
 
 def write_table(path, columns, rows, metadata, fmt):
@@ -217,17 +217,21 @@ def write_table(path, columns, rows, metadata, fmt):
             "rows": [[_json_value(v) for v in row] for row in rows],
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
             fh.write("\n")
 
 
 def read_table(path):
-    """Parse a table written by write_table; cells come back as floats
-    (ints preserved where exact) with empty cells as None."""
+    """Parse a table written by write_table. Cells come back as they were
+    written: integers (and bools) as ints, other numbers as floats and empty
+    cells as None; a JSON cell spelled "inf", "-inf" or "nan" is that float.
+    A CSV float cell with an integral value (1.0 is written 1) reads as the
+    equal int."""
     if path.endswith(".json"):
         with open(path) as fh:
             doc = json.load(fh)
-        return doc["metadata"], doc["columns"], doc["rows"]
+        rows = [[float(v) if isinstance(v, str) else v for v in row] for row in doc["rows"]]
+        return doc["metadata"], doc["columns"], rows
     metadata = {}
     columns = None
     rows = []
@@ -241,10 +245,8 @@ def read_table(path):
             if columns is None:
                 columns = line.split(",")
                 continue
-            if not line:
-                continue
-            rows.append([None if cell == "" else float(cell)
-                         for cell in line.split(",")])
+            rows.append([None if cell == "" else int(cell) if cell.lstrip("-").isdigit()
+                         else float(cell) for cell in line.split(",")])
     return metadata, columns or [], rows
 
 

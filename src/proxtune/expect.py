@@ -24,16 +24,15 @@ step's grid on when it covers the new step's span and overshoots neither
 end by more than SLACK^2, and builds a new one otherwise. ``map_kernels``
 evaluates every expectation of a map step in one pass over the grid, with
 each kind of sum taken as one matrix-vector product: at a few hundred nodes
-a numpy call costs more in overhead than in arithmetic.
+a numpy call costs more in overhead than in arithmetic. For the same reason
+the kernels write into the grid's ``KernelRows``, not into new arrays.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import NumericalInputError, ValidationError
 
@@ -83,25 +82,34 @@ def bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max):
     return lo, hi
 
 
-@dataclass(frozen=True)
+class KernelRows:
+    """A grid's scratch rows, overwritten by every kernel call (kernels
+    return Python floats, so no result aliases a row): the seven monomials
+    (i1, i2 hold e1, e2 until they are inverted in place), damp, sqrt(e1 e2)
+    and damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
+    (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials."""
+
+    __slots__ = ("mono", "inv", "i1", "i2", "i1i2", "damp", "root", "tdamp",
+                 "by_i1", "to_i1", "by_i2", "to_i2")
+
+    def __init__(self, n):
+        block = np.empty((10, n))
+        self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = block
+        self.mono, self.inv, self.by_i1, self.to_i1, self.by_i2, self.to_i2 = (
+            block[:7], block[:2], block[0:3:2], block[3:5], block[1:3], block[5:7])
+
+
 class EngineContext:
     """Integration grid at one (L, Lt); its geometric panels span
-    [lo, hi]."""
+    [lo, hi]. Lsq and Ltsq are L * L and Lt * Lt, and rows the grid's
+    KernelRows. A slotted record, since context_for rebinds a grid to the
+    new (L, Lt) on every map step."""
 
-    L: float
-    Lt: float
-    t: np.ndarray
-    w: np.ndarray
-    lo: float
-    hi: float
+    __slots__ = ("L", "Lt", "Lsq", "Ltsq", "t", "w", "lo", "hi", "rows")
 
-    @property
-    def Lsq(self):
-        return self.L * self.L
-
-    @property
-    def Ltsq(self):
-        return self.Lt * self.Lt
+    def __init__(self, L, Lt, t, w, lo, hi, rows):
+        self.L, self.Lt, self.Lsq, self.Ltsq = L, Lt, L * L, Lt * Lt
+        self.t, self.w, self.lo, self.hi, self.rows = t, w, lo, hi, rows
 
     def covers(self, lo, hi):
         """Whether this grid serves a bracket of t-span [lo, hi]: it contains
@@ -122,6 +130,8 @@ class ExpectationEngine:
     def __init__(self, points_per_panel=16, panels_per_decade=3):
         if points_per_panel < 2:
             raise ValidationError("points_per_panel must be >= 2")
+        from numpy.polynomial.legendre import leggauss  # loaded with the first engine
+
         x, w = leggauss(points_per_panel)
         self._x01 = 0.5 * (x + 1.0)
         self._w01 = 0.5 * w
@@ -131,10 +141,8 @@ class ExpectationEngine:
     def context(self, L, Lt, r1_min, r1_max, r2_min=None, r2_max=None):
         """Build a grid valid for all (r1, r2) inside the given bracket, SLACK
         times wider than its t-span at each end."""
-        if r2_min is None:
-            r2_min = r1_min
-        if r2_max is None:
-            r2_max = r1_max
+        r2_min = r1_min if r2_min is None else r2_min
+        r2_max = r1_max if r2_max is None else r2_max
         lo, hi = bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max)
         lo, hi = lo / SLACK, hi * SLACK
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
@@ -142,7 +150,7 @@ class ExpectationEngine:
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()
-        return EngineContext(L=float(L), Lt=float(Lt), t=t, w=w, lo=lo, hi=hi)
+        return EngineContext(float(L), float(Lt), t, w, lo, hi, KernelRows(t.size))
 
     def context_for(self, grid, L, Lt, r_lo, r_hi):
         """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
@@ -150,30 +158,32 @@ class ExpectationEngine:
         bracket's t-span, otherwise a new one."""
         lo, hi = bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi)
         if grid is not None and grid.covers(lo, hi):
-            return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi)
+            return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi, grid.rows)
         return self.context(L, Lt, r_lo, r_hi)
 
     @staticmethod
-    def _factors(ctx, r1, r2, inv=None):
-        # the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t, written
-        # into inv when given, and the damped weights w exp(-r1 r2 t) / sqrt(e1 e2)
-        t = ctx.t
-        e = t * np.array([[2.0 * r1 * ctx.Lsq], [2.0 * r2 * ctx.Ltsq]])
+    def _factors(ctx, r1, r2):
+        # ctx's rows with the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t
+        # in inv and the damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp
+        t, rows = ctx.t, ctx.rows
+        e, e1, e2, damp, root = rows.inv, rows.i1, rows.i2, rows.damp, rows.root
+        np.multiply(t, 2.0 * r1 * ctx.Lsq, out=e1)
+        np.multiply(t, 2.0 * r2 * ctx.Ltsq, out=e2)
         e += 1.0
-        damp = np.exp((-r1 * r2) * t)
+        np.multiply(t, -r1 * r2, out=damp)
+        np.exp(damp, out=damp)
         damp *= ctx.w
-        damp /= np.sqrt(e[0] * e[1])
-        return np.divide(1.0, e, out=inv), damp
-
-    @staticmethod
-    def _first_sums(ctx, r1, r2, inv, damp):  # (V1, V2), for v_pair and map_kernels
-        s1, s2 = (inv @ damp).tolist()
-        coef = r1 * r2
-        return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
+        np.multiply(e1, e2, out=root)
+        damp /= np.sqrt(root, out=root)
+        np.divide(1.0, e, out=e)
+        return rows
 
     def v_pair(self, ctx, r1, r2):
         """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair."""
-        return self._first_sums(ctx, r1, r2, *self._factors(ctx, r1, r2))
+        rows = self._factors(ctx, r1, r2)
+        s1, s2 = (rows.inv @ rows.damp).tolist()
+        coef = r1 * r2
+        return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
 
     def map_kernels(self, ctx, r1, r2):
         """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
@@ -181,27 +191,25 @@ class ExpectationEngine:
         expressions, so they equal v_pair's values bit for bit. The seven
         monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k
         fill one block, summed against damp * t in one product."""
-        mono = np.empty((7, ctx.t.size))
-        inv, damp = self._factors(ctx, r1, r2, mono[:2])
-        np.multiply(mono[0], mono[1], out=mono[2])
-        np.multiply(mono[0:3:2], mono[0], out=mono[3:5])
-        np.multiply(mono[1:3], mono[1], out=mono[5:7])
-        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (mono @ (damp * ctx.t)).tolist()
+        rows = self._factors(ctx, r1, r2)
+        damp = rows.damp
+        np.multiply(rows.i1, rows.i2, out=rows.i1i2)
+        np.multiply(rows.by_i1, rows.i1, out=rows.to_i1)
+        np.multiply(rows.by_i2, rows.i2, out=rows.to_i2)
+        s1, s2 = (rows.inv @ damp).tolist()
+        np.multiply(damp, ctx.t, out=rows.tdamp)
+        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (rows.mono @ rows.tdamp).tolist()
         Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
+        coef = r1 * r2
         r1sq, r2sq = r1 * r1, r2 * r2
         return (
-            r1 * r2 * Lsq * Ltsq * float(mono[2] @ damp),
-            *self._first_sums(ctx, r1, r2, inv, damp),
-            SecondOrderKernels(
-                s2_u2=r2sq * Ltsq * u2,
-                s2_u1u2sq=r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
-                s2_u2sq=r2sq * 3.0 * Ltsq * Ltsq * u2sq,
-                s2_u1u2=r2sq * Lsq * Ltsq * u1u2,
-                s1_u1=r1sq * Lsq * u1,
-                s1_u1squ2=r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
-                s1_u1sq=r1sq * 3.0 * Lsq * Lsq * u1sq,
-                s1_u1u2=r1sq * Lsq * Ltsq * u1u2,
-            ),
+            coef * Lsq * Ltsq * float(rows.i1i2 @ damp),
+            coef * Ltsq * s2, coef * Lsq * s1,
+            SecondOrderKernels(  # the fields in order
+                r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
+                r2sq * 3.0 * Ltsq * Ltsq * u2sq, r2sq * Lsq * Ltsq * u1u2,
+                r1sq * Lsq * u1, r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
+                r1sq * 3.0 * Lsq * Lsq * u1sq, r1sq * Lsq * Ltsq * u1u2),
         )
 
     def first_order(self, ctx, r1, r2):

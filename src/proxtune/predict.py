@@ -19,7 +19,8 @@ expectations go through a shared, machine-precision expectation engine.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import isfinite
 from operator import mul
 
 import numpy as np
@@ -32,7 +33,7 @@ from .errors import (
     ProxtuneError,
     ValidationError,
 )
-from .expect import EngineContext, get_engine
+from .expect import get_engine
 from .model import check_problem
 from .simulate import as_schedule
 from .state import StateVec, err_of
@@ -42,18 +43,16 @@ from .state import StateVec, err_of
 EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
 
 
-@dataclass(frozen=True)
 class FixedPointR:
-    """Solution of the (r1, r2) fixed point with solver diagnostics, the
-    grid it was solved on (valid at (r1, r2) too), and the expectations
-    (V, V1, V2, SecondOrderKernels) at (r1, r2) on that grid."""
+    """Solution (r1, r2) of the fixed point, its sweeps and relative defect,
+    the EngineContext it was solved on (valid at (r1, r2) too) and the
+    expectations (V, V1, V2, SecondOrderKernels) there; a slotted record."""
 
-    r1: float
-    r2: float
-    iterations_used: int
-    residual: float
-    ctx: EngineContext | None = field(default=None, repr=False, compare=False)
-    expectations: tuple | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations")
+
+    def __init__(self, r1, r2, iterations_used, residual, ctx=None, expectations=None):
+        self.r1, self.r2, self.iterations_used, self.residual = r1, r2, iterations_used, residual
+        self.ctx, self.expectations = ctx, expectations
 
 
 def in_theory_region(L, Lt, lam, ratio):
@@ -92,13 +91,13 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
         raise ValidationError("lambda must be positive")
     if not 0 < ratio <= 1:
         raise ValidationError("ratio m/d must lie in (0, 1]")
-    if not all(map(math.isfinite, (L, Lt, lam, ratio))):
+    if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
         raise NumericalInputError("non-finite fixed-point parameters")
     engine = get_engine()
+    v_pair = engine.v_pair
 
     # iterates stay inside [lam*ratio, ratio*(lam + max(L^2, Lt^2))]
-    r_lo = lam * ratio
-    r_hi = ratio * (lam + max(L * L, Lt * Lt))
+    r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
     ctx = engine.context_for(grid, L, Lt, r_lo, r_hi)
 
     if start is None:
@@ -109,7 +108,7 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     damping = 1.0
     residual = math.inf
     for it in range(1, max_iter + 1):
-        v1, v2 = engine.v_pair(ctx, r1, r2)
+        v1, v2 = v_pair(ctx, r1, r2)
         g1 = ratio * (lam + v1)
         g2 = ratio * (lam + v2)
         residual = max(abs(g1 - r1) / g1, abs(g2 - r2) / g2)
@@ -125,71 +124,64 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     else:
         raise NonConvergenceError(
             f"(r1, r2) fixed point did not reach tol={tol:g} in {max_iter} iterations",
-            residual=residual,
-            iterations=max_iter,
-        )
+            residual=residual, iterations=max_iter)
     # honest defect at the returned point
     expectations = engine.map_kernels(ctx, r1, r2)
     _, v1, v2, _ = expectations
-    residual = max(
-        abs(ratio * (lam + v1) - r1) / r1,
-        abs(ratio * (lam + v2) - r2) / r2,
+    residual = max(abs(ratio * (lam + v1) - r1) / r1, abs(ratio * (lam + v2) - r2) / r2)
+    return FixedPointR(r1, r2, it, residual, ctx, expectations)
+
+
+def squares(s):
+    """(alpha^2 + beta^2, talpha^2 + tbeta^2, alpha talpha): the squared
+    lengths L^2, Lt^2 and the cross term, shared by the map functions."""
+    return s.alpha ** 2 + s.beta ** 2, s.talpha ** 2 + s.tbeta ** 2, s.alpha * s.talpha
+
+
+def compute_parallel_H(s, V, V1, V2, lam, sq=None):
+    """Predicted overlaps and in-span orthogonal components
+    (alpha', talpha', H, Ht) of the next iterate pair, which share the
+    prefactors phi1, phi2; sq is squares(s), computed when not given."""
+    Lsq, Ltsq, cross = sq or squares(s)
+    lam_LL = lam * Lsq * Ltsq
+    denom = V * (Lsq + Ltsq) + lam_LL
+    phi1 = (V * (cross / Lsq + Lsq) + lam_LL) / denom
+    phi2 = (V * (cross / Ltsq + Ltsq) + lam_LL) / denom
+    LL = Lsq * Ltsq
+    return (
+        phi1 * s.alpha + V1 * s.beta ** 2 / (LL * (V1 + lam)) * s.talpha,
+        phi2 * s.talpha + V2 * s.tbeta ** 2 / (LL * (V2 + lam)) * s.alpha,
+        (phi1 - cross / LL * V1 / (V1 + lam)) * s.beta,
+        (phi2 - cross / LL * V2 / (V2 + lam)) * s.tbeta,
     )
-    return FixedPointR(r1=r1, r2=r2, iterations_used=it, residual=residual,
-                       ctx=ctx, expectations=expectations)
 
 
-def _phi(s, V, lam):
-    # shared prefactors of the parallel and in-span maps
-    Lsq = s.alpha ** 2 + s.beta ** 2
-    Ltsq = s.talpha ** 2 + s.tbeta ** 2
-    cross = s.alpha * s.talpha
-    denom = V * (Lsq + Ltsq) + lam * Lsq * Ltsq
-    phi1 = (V * (cross / Lsq + Lsq) + lam * Lsq * Ltsq) / denom
-    phi2 = (V * (cross / Ltsq + Ltsq) + lam * Lsq * Ltsq) / denom
-    return Lsq, Ltsq, cross, phi1, phi2
-
-
-def compute_parallel(s, V, V1, V2, lam):
-    """Predicted overlaps (alpha', talpha') of the next iterate pair."""
-    Lsq, Ltsq, cross, phi1, phi2 = _phi(s, V, lam)
-    alpha_det = phi1 * s.alpha + V1 * s.beta ** 2 / (Lsq * Ltsq * (V1 + lam)) * s.talpha
-    talpha_det = phi2 * s.talpha + V2 * s.tbeta ** 2 / (Lsq * Ltsq * (V2 + lam)) * s.alpha
-    return alpha_det, talpha_det
-
-
-def compute_H(s, V, V1, V2, lam):
-    """Predicted in-span orthogonal components (H, Ht)."""
-    Lsq, Ltsq, cross, phi1, phi2 = _phi(s, V, lam)
-    h = (phi1 - cross / (Lsq * Ltsq) * V1 / (V1 + lam)) * s.beta
-    ht = (phi2 - cross / (Lsq * Ltsq) * V2 / (V2 + lam)) * s.tbeta
-    return h, ht
-
-
-def compute_V34(s, sigma, lam, V, V1, V2, kernels):
+def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq=None):
     """The source terms (V3, V4) feeding the orthogonal-variance system,
-    from the second-order kernels at the solved fixed point.
+    from the second-order kernels at the solved fixed point; sq is
+    squares(s), computed here when not given.
 
     The own term of V4 has denominator L^4 Lt^2, the form implied by
     swapping the two sides in V3.
     """
     if math.isinf(sigma * sigma):
         raise NumericalInputError(f"noise variance sigma^2 overflows at sigma={sigma:g}")
-    Lsq = s.alpha ** 2 + s.beta ** 2
-    Ltsq = s.talpha ** 2 + s.tbeta ** 2
-    cross = s.alpha * s.talpha
+    Lsq, Ltsq, cross = sq or squares(s)
     lamsq = lam * lam
+    LL, Lsq2, Ltsq2 = Lsq * Ltsq, Lsq ** 2, Ltsq ** 2
+    # numerators and denominators each shared by one V3 and one V4 weight
+    tb_w, at_w = lamsq * (s.talpha * s.beta) ** 2, lamsq * (s.alpha * s.tbeta) ** 2
+    den1, den2 = (lam + V1) ** 2, (lam + V2) ** 2
 
-    noise_w = sigma ** 2 + (s.beta ** 2 * s.tbeta ** 2) / (Lsq * Ltsq)
-    mis_w = lamsq * (cross / (Lsq * Ltsq) - 1.0) ** 2 \
-        / (lam + V * (1.0 / Lsq + 1.0 / Ltsq)) ** 2
-    own3_w = lamsq * (s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * Ltsq ** 2 * Lsq)
-    mix3_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * Lsq ** 2 * Ltsq)
+    noise_w = sigma ** 2 + (s.beta ** 2 * s.tbeta ** 2) / LL
+    mis_w = lamsq * (cross / LL - 1.0) ** 2 / (lam + V * (1.0 / Lsq + 1.0 / Ltsq)) ** 2
+    own3_w = tb_w / (den1 * Ltsq2 * Lsq)
+    mix3_w = at_w / (den2 * Lsq2 * Ltsq)
     V3 = (noise_w * kernels.s2_u2 + mis_w * kernels.s2_u1u2sq
           + own3_w * kernels.s2_u2sq + mix3_w * kernels.s2_u1u2)
 
-    own4_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * (Lsq ** 2 * Ltsq))
-    mix4_w = lamsq * (s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * Lsq * Ltsq ** 2)
+    own4_w = at_w / (den2 * (Lsq2 * Ltsq))
+    mix4_w = tb_w / (den1 * Lsq * Ltsq2)
     V4 = (noise_w * kernels.s1_u1 + mis_w * kernels.s1_u1squ2
           + own4_w * kernels.s1_u1sq + mix4_w * kernels.s1_u1u2)
     return V3, V4
@@ -223,29 +215,27 @@ def solve_eta(d, m, V3, V4, kernels):
 def det_map(s, d, m, sigma, lam, start=None, grid=None):
     """One application of the deterministic state map (steps 1-6 above) to a
     problem that predict_trajectory has checked. Returns the next state,
-    checked finite, and the solved fixed point; start warm-starts solve_r
-    and grid is the grid it may reuse (see there)."""
-    if not all(map(math.isfinite, s.as_tuple())):
+    checked finite, and the solved FixedPointR; start warm-starts solve_r
+    and grid is the grid it may reuse (see there). squares(s) is computed
+    once, for the check and for steps 4-6."""
+    if not (isfinite(s.alpha) and isfinite(s.beta) and isfinite(s.talpha) and isfinite(s.tbeta)):
         raise NumericalInputError("non-finite state")
     L, Lt = s.L, s.Lt
     if L <= 0 or Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")
-    if (s.alpha ** 2 + s.beta ** 2) * (s.talpha ** 2 + s.tbeta ** 2) == 0.0:
-        raise NumericalInputError(
-            f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}"
-        )
+    sq = squares(s)
+    if sq[0] * sq[1] == 0.0:
+        raise NumericalInputError(f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
     r = solve_r(L, Lt, lam, m / d, start=start, grid=grid)
     V, V1, V2, kernels = r.expectations
-    V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels)
+    V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels, sq)
     eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
-    alpha_det, talpha_det = compute_parallel(s, V, V1, V2, lam)
-    h, ht = compute_H(s, V, V1, V2, lam)
-    out = StateVec(alpha_det, math.sqrt(h * h + eta_sq),
-                   talpha_det, math.sqrt(ht * ht + teta_sq))
-    if not all(map(math.isfinite, out.as_tuple())):
+    a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
+    b, tb = math.sqrt(h * h + eta_sq), math.sqrt(ht * ht + teta_sq)
+    if not (isfinite(a) and isfinite(b) and isfinite(ta) and isfinite(tb)):
         raise NumericalInputError("predicted state (alpha, beta, talpha, tbeta) = "
-                                  f"({', '.join(map('{:g}'.format, out.as_tuple()))}) is not finite")
-    return out, r
+                                  f"({a:g}, {b:g}, {ta:g}, {tb:g}) is not finite")
+    return StateVec(a, b, ta, tb), r
 
 
 @dataclass(frozen=True)
@@ -284,17 +274,19 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     ratio = m / d
     states = [s0]
     errs = [err_of(s0)]
-    iterations = []
-    residuals = []
+    lambdas, flags, iterations, residuals = [], [], [], []
     s = s0
     start = grid = None
     r1s, r2s = [], []  # the last (up to) four solutions, newest first
     for t in range(T):
         lam = schedule.value(t)
         try:
-            s, r = det_map(s, d, m, sigma, lam, start, grid)
+            s_next, r = det_map(s, d, m, sigma, lam, start, grid)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
+        lambdas.append(lam)
+        flags.append(in_theory_region(s.L, s.Lt, lam, ratio))
+        s = s_next
         r1s, r2s = [r.r1, *r1s[:3]], [r.r2, *r2s[:3]]
         coefs = EXTRAPOLATION[len(r1s) - 1]
         start = (sum(map(mul, coefs, r1s)), sum(map(mul, coefs, r2s)))
@@ -303,16 +295,13 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         residuals.append(r.residual)
         states.append(s)
         errs.append(err_of(s))
-    lambdas = np.array([schedule.value(t) for t in range(T + 1)])
-    flags = np.array([
-        in_theory_region(states[t].L, states[t].Lt, lambdas[t], ratio)
-        for t in range(T + 1)
-    ])
+    lambdas.append(schedule.value(T))
+    flags.append(in_theory_region(s.L, s.Lt, lambdas[T], ratio))
     return DetTrajectory(
         states=tuple(states),
         err_seq=np.array(errs),
-        lambdas=lambdas,
-        theory_region=flags,
+        lambdas=np.array(lambdas),
+        theory_region=np.array(flags),
         fp_iterations=np.array(iterations, dtype=int),
         fp_residual=np.array(residuals, dtype=float),
     )

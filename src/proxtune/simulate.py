@@ -19,7 +19,6 @@ residual is finite and within RESIDUAL_TOL of the right-hand side.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import repeat
@@ -236,6 +235,8 @@ def run_trials(config, n_trials, master_seed, n_jobs=1):
         raise ValidationError("n_trials must be >= 1")
     seeds = np.random.SeedSequence(master_seed).spawn(n_trials)
     if n_jobs is not None and n_jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
+
         _lapack_cholesky()  # forked workers inherit scipy rather than each importing it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             trajectories = tuple(pool.map(_run_one_trial, repeat(config), seeds))

@@ -9,8 +9,12 @@ both converge (moderate r), and plain Monte Carlo is the oracle for every
 expectation. A point grid is the engine's grid built for one (r1, r2), the
 reference a reused trajectory grid must match, and ``reference_kernels`` is
 the engine's kernel pass written out one sum at a time, the reference the
-fused pass must match. The Frobenius error written from the state and the
-sandwich check relating it to ``err_of`` are checks on the state summary.
+fused pass must match. ``reference_parallel``, ``reference_H`` and
+``reference_V34`` write the map's scalar formulas out with nothing shared
+between them (each evaluates its own phi prefactors and squared lengths), the
+reference the package's shared-scalar versions must match bit for bit. The
+Frobenius error written from the state and the sandwich check relating it to
+``err_of`` are checks on the state summary.
 """
 
 import math
@@ -169,6 +173,55 @@ def reference_kernels(ctx, r1, r2):
             s1_u1u2=r1sq * Lsq * Ltsq * float(tdamp @ i1i2),
         ),
     )
+
+
+def reference_phi(s, V, lam):
+    """Shared prefactors (Lsq, Ltsq, cross, phi1, phi2) of the parallel and
+    in-span maps, evaluated once per map function."""
+    Lsq = s.alpha ** 2 + s.beta ** 2
+    Ltsq = s.talpha ** 2 + s.tbeta ** 2
+    cross = s.alpha * s.talpha
+    denom = V * (Lsq + Ltsq) + lam * Lsq * Ltsq
+    phi1 = (V * (cross / Lsq + Lsq) + lam * Lsq * Ltsq) / denom
+    phi2 = (V * (cross / Ltsq + Ltsq) + lam * Lsq * Ltsq) / denom
+    return Lsq, Ltsq, cross, phi1, phi2
+
+
+def reference_parallel(s, V, V1, V2, lam):
+    """Predicted overlaps (alpha', talpha'), with their own phi evaluation."""
+    Lsq, Ltsq, cross, phi1, phi2 = reference_phi(s, V, lam)
+    alpha_det = phi1 * s.alpha + V1 * s.beta ** 2 / (Lsq * Ltsq * (V1 + lam)) * s.talpha
+    talpha_det = phi2 * s.talpha + V2 * s.tbeta ** 2 / (Lsq * Ltsq * (V2 + lam)) * s.alpha
+    return alpha_det, talpha_det
+
+
+def reference_H(s, V, V1, V2, lam):
+    """Predicted in-span orthogonal components (H, Ht), with their own phi
+    evaluation."""
+    Lsq, Ltsq, cross, phi1, phi2 = reference_phi(s, V, lam)
+    h = (phi1 - cross / (Lsq * Ltsq) * V1 / (V1 + lam)) * s.beta
+    ht = (phi2 - cross / (Lsq * Ltsq) * V2 / (V2 + lam)) * s.tbeta
+    return h, ht
+
+
+def reference_V34(s, sigma, lam, V, V1, V2, kernels):
+    """(V3, V4) with every weight written out in full, no term shared."""
+    Lsq = s.alpha ** 2 + s.beta ** 2
+    Ltsq = s.talpha ** 2 + s.tbeta ** 2
+    cross = s.alpha * s.talpha
+    lamsq = lam * lam
+    noise_w = sigma ** 2 + (s.beta ** 2 * s.tbeta ** 2) / (Lsq * Ltsq)
+    mis_w = lamsq * (cross / (Lsq * Ltsq) - 1.0) ** 2 \
+        / (lam + V * (1.0 / Lsq + 1.0 / Ltsq)) ** 2
+    own3_w = lamsq * (s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * Ltsq ** 2 * Lsq)
+    mix3_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * Lsq ** 2 * Ltsq)
+    V3 = (noise_w * kernels.s2_u2 + mis_w * kernels.s2_u1u2sq
+          + own3_w * kernels.s2_u2sq + mix3_w * kernels.s2_u1u2)
+    own4_w = lamsq * (s.alpha * s.tbeta) ** 2 / ((lam + V2) ** 2 * (Lsq ** 2 * Ltsq))
+    mix4_w = lamsq * (s.talpha * s.beta) ** 2 / ((lam + V1) ** 2 * Lsq * Ltsq ** 2)
+    V4 = (noise_w * kernels.s1_u1 + mis_w * kernels.s1_u1squ2
+          + own4_w * kernels.s1_u1sq + mix4_w * kernels.s1_u1u2)
+    return V3, V4
 
 
 def state_frob_err(s):

@@ -1,6 +1,10 @@
+import json
+import math
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_origin
 
 import numpy as np
@@ -106,7 +110,60 @@ def _field_values(f):
     return st.none() | _SCALARS[item](f.name)
 
 
+def _written(v):
+    """The value read_table must give back for a cell written as v."""
+    if v is None:
+        return None
+    if isinstance(v, (bool, np.bool_, int, np.integer)):
+        return int(v)
+    return float(v)
+
+
+def _same_cell(a, b):
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+_CELLS = (st.none() | st.booleans() | st.booleans().map(np.bool_)
+          | st.integers(-2 ** 70, 2 ** 70) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+          | st.floats() | st.floats().map(np.float64)
+          | st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -2.5e-310, -0.0,
+                             2 ** 53 + 1, -(2 ** 63) + 1]))
+
+
 class TestTableIO:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda k: st.lists(st.lists(_CELLS, min_size=k, max_size=k), max_size=5)
+        .map(lambda rows: (k, rows))))
+    def test_csv_and_json_read_back_the_same_cells(self, table):
+        # ints, bools, None, subnormals, +-inf and nan: both formats give back
+        # every cell as written (nan compared by isnan), and the JSON file is
+        # strict RFC 8259
+        k, rows = table
+        columns = [f"c{j}" for j in range(k)]
+        meta = {"seed": 1, "version": "x"}
+        with tempfile.TemporaryDirectory() as tmp:
+            got = {}
+            for fmt in ("csv", "json"):
+                path = str(Path(tmp) / f"t.{fmt}")
+                write_table(path, columns, rows, meta, fmt)
+                got[fmt] = read_table(path)
+            json.loads(Path(tmp, "t.json").read_text(), parse_constant=_reject_constant)
+        for meta_read, cols, cells in got.values():
+            assert meta_read == {"seed": "1", "version": "x"}
+            assert cols == columns
+            assert len(cells) == len(rows)
+            for written, read in zip(rows, cells):
+                assert all(_same_cell(_written(v), r) for v, r in zip(written, read, strict=True))
+
     def test_csv_json_numeric_identity(self, tmp_path):
         columns = ["a", "b", "c"]
         rows = [[1, 0.1 + 0.2, None], [2, 1e-300, 3.0]]
@@ -244,6 +301,35 @@ def test_problem_check_exit_code(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, code, tables", [
+    (["predict", "--d", "2", "--m", "1"], EXIT_OK, ["predict"]),
+    (["predict", "--d", "2", "--m", "2"], EXIT_OK, ["predict"]),
+    (["predict", "--d", "200", "--m", "1"], EXIT_OK, ["predict"]),
+    (["simulate", "--d", "2", "--m", "1", "--trials", "3", "--iters", "200",
+      "--parallelism", "1"], EXIT_OK, ["trials", "aggregate"]),
+    (["predict", "--lambda", "0.5", "--m", "200", "--iters", "20"], EXIT_OK, ["predict"]),
+    (["tune", "--d", "2", "--m-grid", "1,2", "--iters", "5"], EXIT_NO_FEASIBLE, ["tune"]),
+    (["predict", "--sigma", "1e100", "--iters", "3"], EXIT_NUMERICAL, []),
+], ids=["predict-d2-m1", "predict-d2-m2", "predict-d200-m1", "simulate-d2-m1",
+        "predict-m-equals-d-small-lambda", "tune-d2-no-feasible", "predict-grid-span-overflow"])
+def test_boundary_runs(tmp_path, capsys, argv, code, tables):
+    # the edges of the problem check: exit code, files written, finite rows
+    assert run_cli(tmp_path, *argv) == code
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"run.{k}.csv" for k in tables)
+    if code == EXIT_NUMERICAL:
+        assert "grid t-span" in err
+    if code != EXIT_OK:
+        return
+    iters = int(argv[argv.index("--iters") + 1]) if "--iters" in argv else 1000
+    for kind in tables:
+        _, columns, rows = read_table(str(tmp_path / f"run.{kind}.csv"))
+        assert len(rows) == (iters + 1) * (3 if kind == "trials" else 1)
+        assert all(math.isfinite(v) for row in rows for v in row)
+        if "--lambda" in argv:
+            assert not any(col(columns, rows, "theory_region"))
+
+
 class TestPredictCommand:
     def test_zero_iters_single_row(self, tmp_path):
         code = run_cli(tmp_path, "predict", "--iters", "0")
@@ -315,6 +401,22 @@ class TestPredictCommand:
 
 
 class TestCompareCommand:
+    def test_infinite_gaps_are_strict_json(self, tmp_path):
+        # err_seq = 0 makes rel_gap inf; JSON spells it "inf", as CSV does
+        base = ["compare", "--d", "20", "--m", "4", "--sigma", "0", "--alpha0", "1",
+                "--iters", "5", "--trials", "2", "--parallelism", "1",
+                "--out", str(tmp_path / "r")]
+        for fmt in ("csv", "json"):
+            assert main([*base, "--format", fmt]) == EXIT_OK
+        text = (tmp_path / "r.compare.json").read_text()
+        json.loads(text, parse_constant=_reject_constant)
+        assert '"inf"' in text
+        _, columns, rows_j = read_table(str(tmp_path / "r.compare.json"))
+        _, _, rows_c = read_table(str(tmp_path / "r.compare.csv"))
+        assert math.inf in col(columns, rows_j, "rel_gap")
+        for rc, rj in zip(rows_c, rows_j, strict=True):
+            assert all(_same_cell(a, b) for a, b in zip(rc, rj, strict=True))
+
     def test_truth_start_noiseless_gap_vanishes(self, tmp_path):
         code = run_cli(tmp_path, "compare", "--d", "50", "--m", "8",
                        "--sigma", "0", "--lambda", "20", "--alpha0", "1",
@@ -399,6 +501,9 @@ def test_predict_and_tune_do_not_import_scipy(tmp_path):
         "import sys",
         "import proxtune.cli as cli",
         "assert 'scipy' not in sys.modules, 'import'",
+        # the trial pool and the Legendre rule load where they are first used
+        "assert 'multiprocessing' not in sys.modules, 'pool'",
+        "assert 'numpy.polynomial' not in sys.modules, 'legendre'",
         f"assert cli.main(['predict', '--iters', '3', '--out', {str(tmp_path / 'p')!r}]) == 0",
         f"assert cli.main(['tune', '--d', '40', '--m-grid', '4,8', '--iters', '3',"
         f" '--target-err', '0.5', '--out', {str(tmp_path / 't')!r}]) == 0",

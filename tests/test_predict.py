@@ -8,20 +8,28 @@ from hypothesis import strategies as st
 from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
 from proxtune.cli import RunConfig
 from proxtune.expect import ExpectationEngine, get_engine
+from proxtune.expect import SecondOrderKernels
 from proxtune.predict import (
     FixedPointR,
-    compute_H,
-    compute_parallel,
+    compute_parallel_H,
     compute_V34,
     det_map,
     in_theory_region,
     predict_trajectory,
     solve_eta,
     solve_r,
+    squares,
 )
 from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec, err_of
-from oracles import compute_V, mc_expect2, point_grid
+from oracles import (
+    compute_V,
+    mc_expect2,
+    point_grid,
+    reference_H,
+    reference_parallel,
+    reference_V34,
+)
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 
@@ -170,7 +178,36 @@ def theta_route(s, V, V1, V2, lam):
     return alpha_det, talpha_det
 
 
+def compute_parallel(s, V, V1, V2, lam):
+    return compute_parallel_H(s, V, V1, V2, lam)[:2]
+
+
+def compute_H(s, V, V1, V2, lam):
+    return compute_parallel_H(s, V, V1, V2, lam)[2:]
+
+
+def bits(values):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [float(v).hex() for v in values]
+
+
+# a state with L, Lt >= 1e-3, so every map function stays finite
+_coord = st.floats(-3.0, 3.0)
+_state = st.builds(StateVec, _coord, st.floats(0.0, 3.0), _coord, st.floats(0.0, 3.0)).filter(
+    lambda s: min(s.L, s.Lt) >= 1e-3)
+
+
 class TestParallelAndH:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_state, st.floats(0.0, 10.0), st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+           st.floats(1e-3, 1e4))
+    def test_folded_map_matches_separate_formulas(self, s, V, V1, V2, lam):
+        # one phi evaluation for both pairs gives the values of the separate
+        # parallel and H maps that each evaluated phi, bit for bit
+        expected = (*reference_parallel(s, V, V1, V2, lam), *reference_H(s, V, V1, V2, lam))
+        assert bits(compute_parallel_H(s, V, V1, V2, lam)) == bits(expected)
+        assert bits(compute_parallel_H(s, V, V1, V2, lam, squares(s))) == bits(expected)
+
     def test_truth_is_fixed(self):
         alpha_det, talpha_det = compute_parallel(TRUTH, 0.8, 0.8, 0.8, 12.5)
         assert alpha_det == 1.0
@@ -236,6 +273,17 @@ class TestParallelAndH:
 
 
 class TestComputeV34:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_state, st.floats(0.0, 1.0), st.floats(1e-3, 1e4),
+           st.lists(st.floats(0.0, 10.0), min_size=11, max_size=11))
+    def test_shared_scalars_match_reference(self, s, sigma, lam, values):
+        # squares(s) and the weights' shared terms leave (V3, V4) bit for bit
+        V, V1, V2, *rest = values
+        k = SecondOrderKernels(*rest)
+        expected = reference_V34(s, sigma, lam, V, V1, V2, k)
+        assert bits(compute_V34(s, sigma, lam, V, V1, V2, k)) == bits(expected)
+        assert bits(compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))) == bits(expected)
+
     def test_structural_zeros_at_truth_noiseless(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
@@ -430,6 +478,23 @@ class TestPredictTrajectory:
         assert not traj.in_region
         certified = predict_trajectory(local_state(), 5, 200, 32, 0.1, 100.0)
         assert certified.in_region
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.sampled_from(["constant", "delayed-linear"]), st.floats(5.0, 300.0),
+           st.integers(0, 8), st.floats(0.1, 20.0), st.sampled_from(["offset", "absolute"]),
+           st.integers(0, 12), st.sampled_from([8, 16, 32]))
+    def test_recorded_schedule_and_certificate(self, kind, lam0, t0, slope, convention, T, m):
+        # the loop records lambda_t and the certificate at state t as it goes
+        d = 200
+        sched = LambdaSchedule(kind=kind, lambda0=lam0, t0=t0, slope=slope,
+                               convention=convention)
+        traj = predict_trajectory(local_state(), T, d, m, 0.1, sched)
+        assert traj.lambdas.dtype == float
+        assert traj.lambdas.tolist() == [sched.value(t) for t in range(T + 1)]
+        assert traj.theory_region.dtype == bool
+        assert traj.theory_region.tolist() == [
+            in_theory_region(s.L, s.Lt, traj.lambdas[t], m / d)
+            for t, s in enumerate(traj.states)]
 
     def test_schedule_values_recorded(self):
         sched = LambdaSchedule.delayed_linear(50.0, t0=10)
