@@ -21,11 +21,16 @@ each end, so it also covers every nearby bracket with at least
 panels_per_decade panels per decade, at any (L, Lt). One grid serves a
 trajectory while it covers the bracket: ``context_for`` hands the previous
 step's grid on when it covers the new step's span and overshoots neither
-end by more than SLACK^2, and builds a new one otherwise. ``map_kernels``
-evaluates every expectation of a map step in one pass over the grid, with
-each kind of sum taken as one matrix-vector product: at a few hundred nodes
-a numpy call costs more in overhead than in arithmetic. For the same reason
-the kernels write into the grid's ``KernelRows``, not into new arrays.
+end by more than SLACK^2, and builds a new one otherwise.
+
+``v_pair`` gives the fixed-point solver's pair (V1, V2) from the moment
+factors at (r1, r2), which it leaves in the grid's ``KernelRows``;
+``finish`` then completes every expectation of a map step at that point
+from those rows, without building the factors again. ``map_kernels`` is the
+factors plus ``finish``. Each kind of sum is one matrix-vector product: at a
+few hundred nodes a numpy call costs more in overhead than in arithmetic.
+For the same reason the kernels write into the grid's ``KernelRows``, not
+into new arrays.
 """
 
 import math
@@ -87,7 +92,13 @@ class KernelRows:
     return Python floats, so no result aliases a row): the seven monomials
     (i1, i2 hold e1, e2 until they are inverted in place), damp, sqrt(e1 e2)
     and damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
-    (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials."""
+    (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials.
+
+    Contract of ``ExpectationEngine.finish``: it reads the factors i1, i2
+    and damp that the last v_pair on these rows left at its (r1, r2), so no
+    kernel call on the same grid (or on any grid context_for rebound to
+    these rows) may run between that v_pair and the finish at the same
+    (r1, r2)."""
 
     __slots__ = ("mono", "inv", "i1", "i2", "i1i2", "damp", "root", "tdamp",
                  "by_i1", "to_i1", "by_i2", "to_i2")
@@ -179,19 +190,23 @@ class ExpectationEngine:
         return rows
 
     def v_pair(self, ctx, r1, r2):
-        """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair."""
+        """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
+        Leaves the factors at (r1, r2) in ctx.rows for finish."""
         rows = self._factors(ctx, r1, r2)
         s1, s2 = (rows.inv @ rows.damp).tolist()
         coef = r1 * r2
         return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
 
-    def map_kernels(self, ctx, r1, r2):
-        """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
-        grid: every expectation a map step needs. V1 and V2 are v_pair's
-        expressions, so they equal v_pair's values bit for bit. The seven
-        monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k
-        fill one block, summed against damp * t in one product."""
-        rows = self._factors(ctx, r1, r2)
+    @staticmethod
+    def finish(ctx, r1, r2):
+        """(V, V1, V2, SecondOrderKernels) at (r1, r2): every expectation a
+        map step needs, completed from the factors that the v_pair at
+        (r1, r2) just left in ctx.rows (see KernelRows for the contract).
+        V1 and V2 are v_pair's expressions, so they equal v_pair's values bit
+        for bit. The seven monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2,
+        i1 i2^2 of i_k = 1/e_k fill one block, summed against damp * t in
+        one product."""
+        rows = ctx.rows
         damp = rows.damp
         np.multiply(rows.i1, rows.i2, out=rows.i1i2)
         np.multiply(rows.by_i1, rows.i1, out=rows.to_i1)
@@ -211,6 +226,12 @@ class ExpectationEngine:
                 r1sq * Lsq * u1, r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
                 r1sq * 3.0 * Lsq * Lsq * u1sq, r1sq * Lsq * Ltsq * u1u2),
         )
+
+    def map_kernels(self, ctx, r1, r2):
+        """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
+        grid: the moment factors, then finish."""
+        self._factors(ctx, r1, r2)
+        return self.finish(ctx, r1, r2)
 
     def first_order(self, ctx, r1, r2):
         """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D; a view of map_kernels."""

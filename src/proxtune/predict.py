@@ -39,13 +39,16 @@ from .simulate import as_schedule
 from .state import StateVec, err_of
 
 
-# weights on (r_t, r_(t-1), ...) of the constant to cubic extrapolation
-EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0))
+# weights on (x_t, x_(t-1), ...) of the constant to quintic extrapolation:
+# row k is exact on every polynomial sequence of degree <= k
+EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
+                 (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
 
 
 class FixedPointR:
-    """Solution (r1, r2) of the fixed point, its sweeps and relative defect,
-    the EngineContext it was solved on (valid at (r1, r2) too) and the
+    """Solution (r1, r2) of the fixed point, its sweeps and relative defect
+    max_i |g_i(r) - r_i| / r_i (the one the stopping test passed), the
+    EngineContext it was solved on (valid at (r1, r2) too) and the
     expectations (V, V1, V2, SecondOrderKernels) there; a slotted record."""
 
     __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations")
@@ -62,7 +65,7 @@ def in_theory_region(L, Lt, lam, ratio):
     return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
+def solve_r(L, Lt, lam, ratio, tol=3e-14, max_iter=1000, start=None, grid=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
@@ -70,20 +73,23 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
     and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
     that bracket, or at 1.5*lam*ratio, the midpoint of [lam*ratio,
-    2*lam*ratio], when start is None; predict_trajectory passes the cubic
-    extrapolation of the last four steps' solutions, which leaves about one
-    sweep per step. Inside the certified region the map contracts (by
-    ~1e-3 per sweep on the tuning grids) and plain iteration converges
-    geometrically, so the start's error decides the sweep count.
-    Outside it a 0.5 damping kicks in after 200 sweeps as a safety net.
+    2*lam*ratio], when start is None; predict_trajectory passes the quintic
+    extrapolation of the last six steps' g(r), which leaves about one sweep
+    per step. Inside the certified region the map contracts (by ~1e-3 per
+    sweep on the tuning grids) and plain iteration converges geometrically,
+    so the start's error decides the sweep count. Outside it a 0.5 damping
+    kicks in after 200 sweeps as a safety net.
+
+    Each sweep takes v_pair at the current point r and its relative defect
+    max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= tol is
+    returned, with that defect as ``residual``; its expectations
+    (V, V1, V2, SecondOrderKernels) are completed by ExpectationEngine.finish
+    from the kernel rows that the accepted sweep filled, so a step that
+    converges on its first sweep makes one pass over the grid.
 
     grid is the previous step's grid, or None. It is reused at (L, Lt) when
     it covers the bracket (see ExpectationEngine.context_for), and a new
     grid is built otherwise; either way the grid is returned as ``ctx``.
-    One fused kernel pass at the returned point gives ``expectations`` =
-    (V, V1, V2, SecondOrderKernels) for the map step, and its V1, V2 give
-    the reported residual: the relative defect max_i |g_i(r) - r_i| / r_i at
-    the returned point.
     """
     if not (L > 0 and Lt > 0):
         raise ValidationError("L and Lt must be positive")
@@ -111,25 +117,22 @@ def solve_r(L, Lt, lam, ratio, tol=1e-12, max_iter=1000, start=None, grid=None):
         v1, v2 = v_pair(ctx, r1, r2)
         g1 = ratio * (lam + v1)
         g2 = ratio * (lam + v2)
-        residual = max(abs(g1 - r1) / g1, abs(g2 - r2) / g2)
+        residual = max(abs(g1 - r1) / r1, abs(g2 - r2) / r2)
+        if residual <= tol:
+            break
         if damping == 1.0:
             r1, r2 = g1, g2
         else:
             r1 += damping * (g1 - r1)
             r2 += damping * (g2 - r2)
-        if residual <= tol:
-            break
         if it == 200:
             damping = 0.5
     else:
         raise NonConvergenceError(
             f"(r1, r2) fixed point did not reach tol={tol:g} in {max_iter} iterations",
             residual=residual, iterations=max_iter)
-    # honest defect at the returned point
-    expectations = engine.map_kernels(ctx, r1, r2)
-    _, v1, v2, _ = expectations
-    residual = max(abs(ratio * (lam + v1) - r1) / r1, abs(ratio * (lam + v2) - r2) / r2)
-    return FixedPointR(r1, r2, it, residual, ctx, expectations)
+    # no kernel call on ctx between the accepted v_pair and finish
+    return FixedPointR(r1, r2, it, residual, ctx, engine.finish(ctx, r1, r2))
 
 
 def squares(s):
@@ -171,10 +174,16 @@ def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq=None):
     LL, Lsq2, Ltsq2 = Lsq * Ltsq, Lsq ** 2, Ltsq ** 2
     # numerators and denominators each shared by one V3 and one V4 weight
     tb_w, at_w = lamsq * (s.talpha * s.beta) ** 2, lamsq * (s.alpha * s.tbeta) ** 2
-    den1, den2 = (lam + V1) ** 2, (lam + V2) ** 2
+    try:  # a float ** raises where * would give inf
+        den1, den2 = (lam + V1) ** 2, (lam + V2) ** 2
+        mis_den = (lam + V * (1.0 / Lsq + 1.0 / Ltsq)) ** 2
+    except OverflowError:
+        raise NumericalInputError(
+            "V3/V4 weight denominators (lambda + V1)^2, (lambda + V2)^2, "
+            f"(lambda + V (1/L^2 + 1/Lt^2))^2 overflow at lambda={lam:g}") from None
 
     noise_w = sigma ** 2 + (s.beta ** 2 * s.tbeta ** 2) / LL
-    mis_w = lamsq * (cross / LL - 1.0) ** 2 / (lam + V * (1.0 / Lsq + 1.0 / Ltsq)) ** 2
+    mis_w = lamsq * (cross / LL - 1.0) ** 2 / mis_den
     own3_w = tb_w / (den1 * Ltsq2 * Lsq)
     mix3_w = at_w / (den2 * Lsq2 * Ltsq)
     V3 = (noise_w * kernels.s2_u2 + mis_w * kernels.s2_u1u2sq
@@ -263,10 +272,11 @@ class DetTrajectory:
 def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0, recording the
     predicted error sequence. No randomness is consumed. Step t + 1's fixed
-    point starts from 4 r_t - 6 r_(t-1) + 4 r_(t-2) - r_(t-3), the cubic
-    extrapolation of the last four solutions (the quadratic, linear or
-    constant one while fewer exist, so step 1 starts from r_0), on step t's
-    grid while that grid covers the bracket."""
+    point starts from 6 g_t - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3)
+    + 6 g_(t-4) - g_(t-5), the quintic extrapolation of the last six
+    g_t = g(r_t) = ratio * (lam + V1, lam + V2), taken from each step's
+    expectations (the quartic to constant one while fewer exist, so step 1
+    starts from g_0), on step t's grid while that grid covers the bracket."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
@@ -277,7 +287,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     lambdas, flags, iterations, residuals = [], [], [], []
     s = s0
     start = grid = None
-    r1s, r2s = [], []  # the last (up to) four solutions, newest first
+    g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
     for t in range(T):
         lam = schedule.value(t)
         try:
@@ -287,9 +297,10 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         lambdas.append(lam)
         flags.append(in_theory_region(s.L, s.Lt, lam, ratio))
         s = s_next
-        r1s, r2s = [r.r1, *r1s[:3]], [r.r2, *r2s[:3]]
-        coefs = EXTRAPOLATION[len(r1s) - 1]
-        start = (sum(map(mul, coefs, r1s)), sum(map(mul, coefs, r2s)))
+        _, v1, v2, _ = r.expectations
+        g1s, g2s = [ratio * (lam + v1), *g1s[:5]], [ratio * (lam + v2), *g2s[:5]]
+        coefs = EXTRAPOLATION[len(g1s) - 1]
+        start = (sum(map(mul, coefs, g1s)), sum(map(mul, coefs, g2s)))
         grid = r.ctx
         iterations.append(r.iterations_used)
         residuals.append(r.residual)

@@ -259,8 +259,12 @@ class TestSimulateCommand:
      "is not finite"),
     (["predict", "--alpha0", "0.5", "--init-norm", "1e100", "--iters", "1"],
      "step 0: grid t-span [0, 0.179688] leaves the float range at L=1e+100"),
+    (["predict", "--lambda", "5e154", "--iters", "3"],
+     "step 0: V3/V4 weight denominators (lambda + V1)^2, (lambda + V2)^2, "
+     "(lambda + V (1/L^2 + 1/Lt^2))^2 overflow at lambda=5e+154"),
 ], ids=["predict-overflow", "predict-underflow", "init-overflow",
-        "tune-overflow", "simulate-overflow", "last-state-overflow", "grid-span-underflow"])
+        "tune-overflow", "simulate-overflow", "last-state-overflow", "grid-span-underflow",
+        "weight-denominator-overflow"])
 def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
     assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err

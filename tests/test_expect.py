@@ -293,6 +293,25 @@ class TestExpectationEngine:
             assert abs(x - y) <= 1e-13 * abs(y)
         assert engine.v_pair(ctx, r1, r2) == (V1, V2)
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(-1.5, 2.5),
+           st.floats(-1.5, 2.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_finish_after_v_pair_is_the_fused_pass(self, L, Lt, lg1, lg2, u1, u2):
+        # finish completes the expectations from the rows the v_pair just
+        # before it filled: the same 11 values as map_kernels, bit for bit,
+        # at points on (u = 0) and off the (r1, r2) the grid was built for
+        engine = get_engine()
+        r1, r2 = 10 ** lg1, 10 ** lg2
+        ctx = point_grid(engine, L, Lt, r1, r2)
+        r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
+        engine.map_kernels(ctx, r2, r1)  # leave other values in the rows
+        V1, V2 = engine.v_pair(ctx, r1, r2)
+        V, fV1, fV2, kernels = engine.finish(ctx, r1, r2)
+        fused = engine.map_kernels(ctx, r1, r2)
+        assert (fV1, fV2) == (V1, V2)
+        assert [x.hex() for x in (V, V1, V2, *kernels)] == [
+            x.hex() for x in (*fused[:3], *fused[3])]
+
 
 def _bracket(L, Lt, lam, ratio):
     return lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
