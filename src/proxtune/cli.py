@@ -117,7 +117,7 @@ class RunConfig:
             return InitSpec.distance(self.init_dist, norm=self.init_norm)
         if self.alpha0 is None:
             raise ValidationError("either alpha0 or init_dist must be set")
-        return InitSpec.overlap(self.alpha0, norm=self.init_norm)
+        return InitSpec(self.alpha0, self.init_norm)
 
     def initial_state(self):
         a0, b0 = self.init_spec().state_targets()
@@ -135,8 +135,6 @@ class RunConfig:
 def _format_value(v):
     if v is None:
         return "none"
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, tuple):
         return ",".join(_format_value(x) for x in v)
     if isinstance(v, float):
@@ -174,6 +172,13 @@ def _validate_config(config):
         raise ValidationError("target_err must be positive")
     if config.budget is not None and config.budget < 0:
         raise ValidationError("budget must be nonnegative")
+    if (config.mode == "tune" and config.budget is None
+            and config.policy == "min-floor-subject-to-iteration-budget"):
+        raise ValidationError(f"policy {config.policy!r} requires an iteration budget")
+    if config.seed < 0:
+        raise ValidationError("seed must be nonnegative")
+    if config.parallelism < 0:
+        raise ValidationError("parallelism must be nonnegative (0 = all cores)")
     if not isinstance(config.out, str) or config.out == "--":  # argparse: --out=-- is []
         raise ValidationError("out must be a path base other than '--'")
     return config

@@ -111,15 +111,15 @@ class KernelRows:
 
 
 class EngineContext:
-    """Integration grid at one (L, Lt); its geometric panels span
-    [lo, hi]. Lsq and Ltsq are L * L and Lt * Lt, and rows the grid's
-    KernelRows. A slotted record, since context_for rebinds a grid to the
-    new (L, Lt) on every map step."""
+    """Integration grid at one (L, Lt), kept as Lsq = L * L and
+    Ltsq = Lt * Lt; its geometric panels span [lo, hi], and rows is the
+    grid's KernelRows. A slotted record, since context_for rebinds a grid to
+    the new (L, Lt) on every map step."""
 
-    __slots__ = ("L", "Lt", "Lsq", "Ltsq", "t", "w", "lo", "hi", "rows")
+    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "rows")
 
     def __init__(self, L, Lt, t, w, lo, hi, rows):
-        self.L, self.Lt, self.Lsq, self.Ltsq = L, Lt, L * L, Lt * Lt
+        self.Lsq, self.Ltsq = L * L, Lt * Lt
         self.t, self.w, self.lo, self.hi, self.rows = t, w, lo, hi, rows
 
     def covers(self, lo, hi):

@@ -52,11 +52,10 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Batch:
-    """One fresh mini-batch: sensing rows X, Z, noise eps and responses y."""
+    """One fresh mini-batch: sensing rows X, Z and noisy responses y."""
 
     X: np.ndarray
     Z: np.ndarray
-    eps: np.ndarray
     y: np.ndarray
 
 
@@ -76,9 +75,8 @@ def sample_batch(gt, m, sigma, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((m, gt.d))
     Z = rng.standard_normal((m, gt.d))
-    eps = sigma * rng.standard_normal(m)
-    y = (X @ gt.mu_star) * (Z @ gt.nu_star) + eps
-    return Batch(X=X, Z=Z, eps=eps, y=y)
+    y = (X @ gt.mu_star) * (Z @ gt.nu_star) + sigma * rng.standard_normal(m)
+    return Batch(X=X, Z=Z, y=y)
 
 
 @dataclass(frozen=True)
@@ -88,10 +86,6 @@ class InitSpec:
 
     alpha0: float
     norm: float = 1.0
-
-    @classmethod
-    def overlap(cls, alpha0, norm=1.0):
-        return cls(alpha0, norm)
 
     @classmethod
     def distance(cls, dist_sq, norm=1.0):

@@ -35,7 +35,6 @@ from .errors import (
 )
 from .expect import get_engine
 from .model import check_problem
-from .simulate import as_schedule
 from .state import StateVec, err_of
 
 
@@ -53,7 +52,7 @@ class FixedPointR:
 
     __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations")
 
-    def __init__(self, r1, r2, iterations_used, residual, ctx=None, expectations=None):
+    def __init__(self, r1, r2, iterations_used, residual, ctx, expectations):
         self.r1, self.r2, self.iterations_used, self.residual = r1, r2, iterations_used, residual
         self.ctx, self.expectations = ctx, expectations
 
@@ -141,11 +140,11 @@ def squares(s):
     return s.alpha ** 2 + s.beta ** 2, s.talpha ** 2 + s.tbeta ** 2, s.alpha * s.talpha
 
 
-def compute_parallel_H(s, V, V1, V2, lam, sq=None):
+def compute_parallel_H(s, V, V1, V2, lam, sq):
     """Predicted overlaps and in-span orthogonal components
     (alpha', talpha', H, Ht) of the next iterate pair, which share the
-    prefactors phi1, phi2; sq is squares(s), computed when not given."""
-    Lsq, Ltsq, cross = sq or squares(s)
+    prefactors phi1, phi2; sq is squares(s)."""
+    Lsq, Ltsq, cross = sq
     lam_LL = lam * Lsq * Ltsq
     denom = V * (Lsq + Ltsq) + lam_LL
     phi1 = (V * (cross / Lsq + Lsq) + lam_LL) / denom
@@ -159,17 +158,16 @@ def compute_parallel_H(s, V, V1, V2, lam, sq=None):
     )
 
 
-def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq=None):
+def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq):
     """The source terms (V3, V4) feeding the orthogonal-variance system,
-    from the second-order kernels at the solved fixed point; sq is
-    squares(s), computed here when not given.
+    from the second-order kernels at the solved fixed point; sq is squares(s).
 
     The own term of V4 has denominator L^4 Lt^2, the form implied by
     swapping the two sides in V3.
     """
     if math.isinf(sigma * sigma):
         raise NumericalInputError(f"noise variance sigma^2 overflows at sigma={sigma:g}")
-    Lsq, Ltsq, cross = sq or squares(s)
+    Lsq, Ltsq, cross = sq
     lamsq = lam * lam
     LL, Lsq2, Ltsq2 = Lsq * Ltsq, Lsq ** 2, Ltsq ** 2
     # numerators and denominators each shared by one V3 and one V4 weight
@@ -270,17 +268,17 @@ class DetTrajectory:
 
 
 def predict_trajectory(s0, T, d, m, sigma, schedule):
-    """Iterate the deterministic map T times from s0, recording the
-    predicted error sequence. No randomness is consumed. Step t + 1's fixed
-    point starts from 6 g_t - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3)
-    + 6 g_(t-4) - g_(t-5), the quintic extrapolation of the last six
-    g_t = g(r_t) = ratio * (lam + V1, lam + V2), taken from each step's
-    expectations (the quartic to constant one while fewer exist, so step 1
-    starts from g_0), on step t's grid while that grid covers the bracket."""
+    """Iterate the deterministic map T times from s0, lambda_t given by the
+    LambdaSchedule schedule, recording the predicted error sequence. No
+    randomness is consumed. Step t + 1's fixed point starts from 6 g_t
+    - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3) + 6 g_(t-4) - g_(t-5), the
+    quintic extrapolation of the last six g_t = g(r_t) = ratio * (lam + V1,
+    lam + V2), taken from each step's expectations (the quartic to constant
+    one while fewer exist, so step 1 starts from g_0), on step t's grid while
+    that grid covers the bracket."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
-    schedule = as_schedule(schedule)
     ratio = m / d
     states = [s0]
     errs = [err_of(s0)]

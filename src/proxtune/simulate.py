@@ -70,27 +70,11 @@ class LambdaSchedule:
         if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")
 
-    @classmethod
-    def constant(cls, lambda0):
-        return cls(kind="constant", lambda0=lambda0)
-
-    @classmethod
-    def delayed_linear(cls, lambda0, t0, slope=1.0, convention="offset"):
-        return cls(kind="delayed-linear", lambda0=lambda0, t0=t0,
-                   slope=slope, convention=convention)
-
     def value(self, t):
         if self.kind == "constant" or t <= self.t0:
             return self.lambda0
         growth = self.slope * ((t - self.t0) if self.convention == "offset" else t)
         return self.lambda0 + growth
-
-
-def as_schedule(lam):
-    """Coerce a bare number into a constant schedule."""
-    if isinstance(lam, LambdaSchedule):
-        return lam
-    return LambdaSchedule.constant(float(lam))
 
 
 def prox_linear_step(mu, nu, batch, lam):
@@ -234,7 +218,7 @@ def run_trials(config, n_trials, master_seed, n_jobs=1):
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
     seeds = np.random.SeedSequence(master_seed).spawn(n_trials)
-    if n_jobs is not None and n_jobs > 1:
+    if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
 
         _lapack_cholesky()  # forked workers inherit scipy rather than each importing it

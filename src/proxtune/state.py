@@ -33,9 +33,6 @@ class StateVec:
         """Norm of the nu-side iterate implied by the state."""
         return math.hypot(self.talpha, self.tbeta)
 
-    def as_tuple(self):
-        return (self.alpha, self.beta, self.talpha, self.tbeta)
-
 
 def state_of(mu, nu, gt):
     """Extract the state of (mu, nu) relative to the ground truth."""

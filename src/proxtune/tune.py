@@ -76,9 +76,7 @@ def sweep(grid):
     for m, lam in grid.points():
         try:
             results[(m, lam)] = predict_trajectory(
-                grid.s0, grid.horizon, grid.d, m, grid.sigma,
-                LambdaSchedule.constant(lam),
-            )
+                grid.s0, grid.horizon, grid.d, m, grid.sigma, LambdaSchedule(lambda0=lam))
         except ProxtuneError as exc:
             failures[(m, lam)] = exc
     return results, failures

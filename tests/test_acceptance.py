@@ -5,6 +5,7 @@ here; the heavy experiment reproductions take a few minutes total.
 """
 
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ def report(number, name, ok, detail):
 
 def median_errs(d, m, sigma, schedule, T, trials, seed):
     config = ExperimentConfig(d=d, m=m, sigma=sigma, schedule=schedule,
-                              init=InitSpec.overlap(0.99), T=T)
+                              init=InitSpec(0.99), T=T)
     return run_trials(config, trials, seed).median
 
 
@@ -47,7 +48,7 @@ def test_criterion_01_truth_fixed_point():
     for d, m, lam in [(200, 32, 100.0), (500, 50, 200.0), (64, 64, 50.0)]:
         out, _ = det_map(TRUTH, d, m, 0.0, lam)
         worst = max(worst, max(abs(a - b) for a, b in
-                               zip(out.as_tuple(), TRUTH.as_tuple())))
+                               zip(astuple(out), astuple(TRUTH))))
     elapsed = time.perf_counter() - start
     report(1, "truth fixed point", worst <= 1e-9 and elapsed < 1.0,
            f"max component error {worst:.2e}, {elapsed:.2f}s")
@@ -187,8 +188,8 @@ def test_criterion_06_low_noise_batch_sweep():
     taus_emp = []
     for m in (4, 8, 16, 32):
         lam = (1.0 + sigma ** 2) * d / m
-        traj = predict_trajectory(local_s0(), T, d, m, sigma, lam)
-        med = median_errs(d, m, sigma, LambdaSchedule.constant(lam), T, trials,
+        traj = predict_trajectory(local_s0(), T, d, m, sigma, LambdaSchedule(lambda0=lam))
+        med = median_errs(d, m, sigma, LambdaSchedule(lambda0=lam), T, trials,
                           seed=(606, m))
         cutoff = np.nonzero(traj.err_seq < 1e-9)[0]
         end = int(cutoff[0]) if cutoff.size else T + 1
@@ -217,8 +218,8 @@ def test_criterion_07_high_noise_lambda_sweep():
     emp_floors = []
     pred_floors = {}
     for lam in (1.0, 10.0, 100.0, 200.0):
-        traj = predict_trajectory(local_s0(), T, d, m, sigma, lam)
-        med = median_errs(d, m, sigma, LambdaSchedule.constant(lam), T, trials,
+        traj = predict_trajectory(local_s0(), T, d, m, sigma, LambdaSchedule(lambda0=lam))
+        med = median_errs(d, m, sigma, LambdaSchedule(lambda0=lam), T, trials,
                           seed=(707, int(lam)))
         floor = float(traj.err_seq.min())
         pred_floors[lam] = floor
@@ -242,7 +243,7 @@ def test_criterion_07_high_noise_lambda_sweep():
 def test_criterion_08_delayed_decay_phases():
     start = time.perf_counter()
     d, sigma, T, trials, t0 = 200, 0.01, 3000, 30, 1500
-    schedule = LambdaSchedule.delayed_linear(100.0, t0=t0, slope=1.0)
+    schedule = LambdaSchedule("delayed-linear", 100.0, t0=t0, slope=1.0)
     worst_gap = 0.0
     phases_ok = True
     for m in (8, 16, 32):
@@ -268,7 +269,7 @@ def test_criterion_09_trajectory_speed():
     best = np.inf
     for _ in range(2):
         start = time.perf_counter()
-        traj = predict_trajectory(local_s0(), 1000, d, m, sigma, lam)
+        traj = predict_trajectory(local_s0(), 1000, d, m, sigma, LambdaSchedule(lambda0=lam))
         best = min(best, time.perf_counter() - start)
     assert len(traj.states) == 1001
     report(9, "trajectory speed", best < 1.0, f"1000 iterations in {best:.2f}s")
@@ -277,7 +278,7 @@ def test_criterion_09_trajectory_speed():
 def test_criterion_10_geometric_rate():
     start = time.perf_counter()
     d, m = 128, 32
-    traj = predict_trajectory(local_s0(), 2500, d, m, 0.0, 10.0 * d / m)
+    traj = predict_trajectory(local_s0(), 2500, d, m, 0.0, LambdaSchedule(lambda0=10.0 * d / m))
     err = traj.err_seq
     mask = (err >= 1e-12) & (err <= 1e-2)
     t = np.arange(err.size)[mask]

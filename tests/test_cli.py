@@ -9,7 +9,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxtune.cli import (
@@ -69,6 +69,9 @@ class TestRunConfig:
     def test_flags_and_config_keys_agree(self, data):
         cfg = RunConfig(**{f.name: data.draw(_field_values(f), label=f.name)
                            for f in fields(RunConfig)})
+        # tune's floor policy needs a budget; _validate_config rejects it without one
+        assume(not (cfg.mode == "tune" and cfg.budget is None
+                    and cfg.policy == "min-floor-subject-to-iteration-budget"))
         argv = [cfg.mode] + [
             f"{_flag(f)}={_format_value(getattr(cfg, f.name))}"
             for f in fields(RunConfig) if f.name != "mode"
@@ -80,7 +83,7 @@ class TestRunConfig:
 # lower bounds that _validate_config enforces (target_err > 0: the least
 # positive float)
 _MINIMA = {"iters": 0, "trials": 1, "prefloor_margin": 1.0, "budget": 0,
-           "target_err": 5e-324}
+           "target_err": 5e-324, "seed": 0, "parallelism": 0}
 _SCALARS = {
     int: lambda name: st.integers(_MINIMA.get(name, -2 ** 63), 2 ** 63),
     float: lambda name: st.floats(_MINIMA.get(name), allow_nan=False,
@@ -293,11 +296,18 @@ def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
      "--policy", "min-floor-subject-to-iteration-budget"],
     ["compare", "--prefloor-margin", "nan", "--d", "20", "--m", "4", "--trials", "1",
      "--iters", "3"],
+    ["simulate", "--seed", "-1", "--d", "10", "--m", "2", "--iters", "2", "--trials", "1"],
+    ["compare", "--seed", "-1", "--d", "10", "--m", "2", "--iters", "2", "--trials", "1"],
+    ["simulate", "--parallelism", "-3", "--d", "10", "--m", "2", "--iters", "2",
+     "--trials", "1"],
+    ["tune", "--d", "50", "--m-grid", "8", "--iters", "20",
+     "--policy", "min-floor-subject-to-iteration-budget"],
 ], ids=["predict-m-above-d", "predict-d-1", "predict-m-above-d-no-steps",
         "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d",
         "predict-nan-sigma", "predict-nan-lambda", "tune-nan-lambda", "simulate-nan-sigma",
         "predict-nan-init-norm", "tune-nan-target", "tune-negative-target",
-        "tune-negative-budget", "compare-nan-prefloor-margin"])
+        "tune-negative-budget", "compare-nan-prefloor-margin", "simulate-negative-seed",
+        "compare-negative-seed", "simulate-negative-parallelism", "tune-budget-policy-no-budget"])
 def test_problem_check_exit_code(tmp_path, capsys, argv):
     # every mode rejects a bad setting (NaN included) before it computes or writes
     assert run_cli(tmp_path, *argv) == EXIT_VALIDATION

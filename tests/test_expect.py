@@ -334,7 +334,7 @@ class TestGridReuse:
         L2, Lt2, r_lo, r_hi = L * fL, Lt * fLt, r_lo * f_lo, r_hi * f_hi
         assume(r_lo <= r_hi and grid.covers(*bracket_span(L2, Lt2, r_lo, r_hi, r_lo, r_hi)))
         reused = engine.context_for(grid, L2, Lt2, r_lo, r_hi)
-        assert reused.t is grid.t and (reused.L, reused.Lt) == (L2, Lt2)
+        assert reused.t is grid.t and (reused.Lsq, reused.Ltsq) == (L2 * L2, Lt2 * Lt2)
         r1, r2 = r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo)
         V, V1, V2, kernels = engine.map_kernels(reused, r1, r2)
         point = point_grid(engine, L2, Lt2, r1, r2)

@@ -16,8 +16,8 @@ from proxtune.simulate import ExperimentConfig, LambdaSchedule
 
 
 def config(d=200, m=32, sigma=0.0, lam=100.0):
-    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(lam),
-                            init=InitSpec.overlap(1.0), T=0)
+    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule(lambda0=lam),
+                            init=InitSpec(1.0), T=0)
 
 
 class TestGroundTruth:
@@ -74,8 +74,8 @@ class TestSampleBatch:
 
     def test_noise_variance(self):
         gt = generate_ground_truth(200, seed=5)
-        eps = np.concatenate([sample_batch(gt, 32, 0.01, seed=(6, k)).eps
-                              for k in range(313)])
+        batches = [sample_batch(gt, 32, 0.01, seed=(6, k)) for k in range(313)]
+        eps = np.concatenate([b.y - (b.X @ gt.mu_star) * (b.Z @ gt.nu_star) for b in batches])
         assert eps.size >= 10_000
         assert np.var(eps) == pytest.approx(1e-4, rel=0.1)
 
@@ -92,14 +92,13 @@ class TestSampleBatch:
         batch = sample_batch(gt, 5, 0.0, seed=10)
         assert batch.X.shape == (5, 30)
         assert batch.Z.shape == (5, 30)
-        assert batch.eps.shape == (5,)
         assert batch.y.shape == (5,)
 
 
 class TestInitIterates:
     def test_overlap_mode_targets(self):
         gt = generate_ground_truth(200, seed=11)
-        mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.99), seed=12)
+        mu0, nu0 = init_iterates(gt, InitSpec(0.99), seed=12)
         beta0 = np.sqrt(1.0 - 0.99 ** 2)
         for v, star in ((mu0, gt.mu_star), (nu0, gt.nu_star)):
             assert v @ star == pytest.approx(0.99, abs=1e-10)
@@ -118,17 +117,17 @@ class TestInitIterates:
 
     def test_perfect_initialization(self):
         gt = generate_ground_truth(40, seed=15)
-        mu0, nu0 = init_iterates(gt, InitSpec.overlap(1.0), seed=16)
+        mu0, nu0 = init_iterates(gt, InitSpec(1.0), seed=16)
         assert np.array_equal(mu0, gt.mu_star)
         assert np.array_equal(nu0, gt.nu_star)
 
     def test_infeasible_overlap(self):
         with pytest.raises(InfeasibleInitializationError):
-            InitSpec.overlap(1.2, norm=1.0).state_targets()
+            InitSpec(1.2, norm=1.0).state_targets()
         with pytest.raises(InfeasibleInitializationError):
-            InitSpec.overlap(float("nan")).state_targets()
+            InitSpec(float("nan")).state_targets()
         with pytest.raises(InfeasibleInitializationError):
-            InitSpec.overlap(0.5, norm=float("nan")).state_targets()
+            InitSpec(0.5, norm=float("nan")).state_targets()
 
     def test_infeasible_distance(self):
         with pytest.raises(InfeasibleInitializationError):
@@ -137,14 +136,14 @@ class TestInitIterates:
             InitSpec.distance(float("nan"))
 
     def test_nonunit_norm_overlap(self):
-        spec = InitSpec.overlap(0.5, norm=1.3)
+        spec = InitSpec(0.5, norm=1.3)
         a0, b0 = spec.state_targets()
         assert a0 == 0.5
         assert a0 ** 2 + b0 ** 2 == pytest.approx(1.3 ** 2, rel=1e-12)
 
     def test_seeded_determinism(self):
         gt = generate_ground_truth(60, seed=17)
-        a = init_iterates(gt, InitSpec.overlap(0.9), seed=18)
-        b = init_iterates(gt, InitSpec.overlap(0.9), seed=18)
+        a = init_iterates(gt, InitSpec(0.9), seed=18)
+        b = init_iterates(gt, InitSpec(0.9), seed=18)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])

@@ -60,41 +60,41 @@ def with_examples(cases):
 
 
 def config(d, m, sigma=0.0, T=0):
-    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule.constant(100.0),
-                            init=InitSpec.overlap(1.0), T=T)
+    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule(lambda0=100.0),
+                            init=InitSpec(1.0), T=T)
 
 
 class TestLambdaSchedule:
     def test_constant(self):
-        sched = LambdaSchedule.constant(7.0)
+        sched = LambdaSchedule(lambda0=7.0)
         assert sched.value(0) == 7.0
         assert sched.value(10_000) == 7.0
 
     def test_delayed_linear_offset(self):
-        sched = LambdaSchedule.delayed_linear(100.0, t0=1500)
+        sched = LambdaSchedule("delayed-linear", 100.0, t0=1500)
         assert sched.value(0) == 100.0
         assert sched.value(1500) == 100.0
         assert sched.value(1501) == 101.0
         assert sched.value(3000) == 1600.0
 
     def test_delayed_linear_absolute(self):
-        sched = LambdaSchedule.delayed_linear(100.0, t0=1500, convention="absolute")
+        sched = LambdaSchedule("delayed-linear", 100.0, t0=1500, convention="absolute")
         assert sched.value(1500) == 100.0
         assert sched.value(1501) == 1601.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            LambdaSchedule.constant(0.0)
+            LambdaSchedule(lambda0=0.0)
         with pytest.raises(ValidationError):
-            LambdaSchedule.delayed_linear(1.0, t0=-1)
+            LambdaSchedule("delayed-linear", 1.0, t0=-1)
         with pytest.raises(ValidationError):
-            LambdaSchedule.delayed_linear(1.0, t0=0, slope=0.0)
+            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=0.0)
         with pytest.raises(ValidationError):
             LambdaSchedule(kind="exponential")
         with pytest.raises(ValidationError):
-            LambdaSchedule.constant(float("nan"))
+            LambdaSchedule(lambda0=float("nan"))
         with pytest.raises(ValidationError):
-            LambdaSchedule.delayed_linear(1.0, t0=0, slope=float("nan"))
+            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=float("nan"))
 
 
 class TestProxLinearStep:
@@ -199,7 +199,7 @@ class TestProxLinearStep:
         X[0] = 0.0
         from proxtune.model import Batch
         y = (X @ gt.mu_star) * (batch.Z @ gt.nu_star)
-        degenerate = Batch(X=X, Z=batch.Z, eps=np.zeros(3), y=y)
+        degenerate = Batch(X=X, Z=batch.Z, y=y)
         rng = np.random.default_rng(20)
         mu, nu = rng.standard_normal(10), rng.standard_normal(10)
         a = prox_linear_step(mu, nu, degenerate, 2.0)
@@ -210,14 +210,14 @@ class TestProxLinearStep:
 class TestRunEmpirical:
     def test_empty_run(self):
         gt = generate_ground_truth(30, seed=21)
-        mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=22)
+        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=22)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), seed=23)
         assert len(tr.states) == 1
         assert tr.err[0] == pytest.approx(err_of(tr.states[0]), abs=1e-15)
 
     def test_record_count_and_err_consistency(self):
         gt = generate_ground_truth(30, seed=24)
-        mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=25)
+        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=25)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20), seed=26)
         assert len(tr.states) == 21
         for t in range(21):
@@ -225,7 +225,7 @@ class TestRunEmpirical:
 
     def test_seeded_determinism(self):
         gt = generate_ground_truth(30, seed=27)
-        mu0, nu0 = init_iterates(gt, InitSpec.overlap(0.95), seed=28)
+        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=28)
         a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
         b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
         assert np.array_equal(a.err, b.err)
@@ -242,8 +242,8 @@ class TestRunEmpirical:
         # log-linearly until numerical noise
         d, m = 64, 16
         config = ExperimentConfig(d=d, m=m, sigma=0.0,
-                                  schedule=LambdaSchedule.constant(10.0 * d / m),
-                                  init=InitSpec.overlap(0.99), T=150)
+                                  schedule=LambdaSchedule(lambda0=10.0 * d / m),
+                                  init=InitSpec(0.99), T=150)
         result = run_trials(config, n_trials=9, master_seed=32)
         med = result.median
         live = med > 1e-13
@@ -260,16 +260,16 @@ class TestRunEmpirical:
 class TestRunTrials:
     def test_single_trial_aggregate_is_trajectory(self):
         config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule.constant(20.0),
-                                  init=InitSpec.overlap(0.95), T=10)
+                                  schedule=LambdaSchedule(lambda0=20.0),
+                                  init=InitSpec(0.95), T=10)
         result = run_trials(config, n_trials=1, master_seed=33)
         assert np.array_equal(result.median, result.trajectories[0].err)
         assert np.array_equal(result.q25, result.trajectories[0].err)
 
     def test_master_seed_determinism(self):
         config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule.constant(20.0),
-                                  init=InitSpec.overlap(0.95), T=10)
+                                  schedule=LambdaSchedule(lambda0=20.0),
+                                  init=InitSpec(0.95), T=10)
         a = run_trials(config, n_trials=3, master_seed=34)
         b = run_trials(config, n_trials=3, master_seed=34)
         assert np.array_equal(a.median, b.median)
@@ -278,8 +278,8 @@ class TestRunTrials:
 
     def test_parallel_matches_serial(self):
         config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule.constant(20.0),
-                                  init=InitSpec.overlap(0.95), T=10)
+                                  schedule=LambdaSchedule(lambda0=20.0),
+                                  init=InitSpec(0.95), T=10)
         serial = run_trials(config, n_trials=4, master_seed=35, n_jobs=1)
         parallel = run_trials(config, n_trials=4, master_seed=35, n_jobs=2)
         assert np.array_equal(serial.median, parallel.median)
@@ -288,8 +288,8 @@ class TestRunTrials:
         # fixed lam and t: trial-to-trial spread decreases from m=8 to m=32
         def iqr_mean(m):
             config = ExperimentConfig(d=200, m=m, sigma=0.01,
-                                      schedule=LambdaSchedule.constant(100.0),
-                                      init=InitSpec.overlap(0.99), T=250)
+                                      schedule=LambdaSchedule(lambda0=100.0),
+                                      init=InitSpec(0.99), T=250)
             result = run_trials(config, n_trials=15, master_seed=36)
             window = slice(50, 251)
             return np.mean(result.q75[window] - result.q25[window])
@@ -298,7 +298,7 @@ class TestRunTrials:
 
     def test_rejects_zero_trials(self):
         config = ExperimentConfig(d=20, m=4, sigma=0.0,
-                                  schedule=LambdaSchedule.constant(20.0),
-                                  init=InitSpec.overlap(0.95), T=5)
+                                  schedule=LambdaSchedule(lambda0=20.0),
+                                  init=InitSpec(0.95), T=5)
         with pytest.raises(ValidationError):
             run_trials(config, n_trials=0, master_seed=37)
