@@ -26,9 +26,9 @@ end by more than SLACK^2, and builds a new one otherwise.
 ``v_pair`` gives the fixed-point solver's pair (V1, V2) from the moment
 factors at (r1, r2), which it leaves in the grid's ``KernelRows``;
 ``finish`` then completes every expectation of a map step at that point
-from those rows, without building the factors again. ``map_kernels`` is the
-factors plus ``finish``. Each kind of sum is one matrix-vector product: at a
-few hundred nodes a numpy call costs more in overhead than in arithmetic.
+from those rows, without building the factors again. Each kind of sum is
+one matrix-vector product: at a few hundred nodes a numpy call costs more
+in overhead than in arithmetic.
 For the same reason the kernels write into the grid's ``KernelRows``, not
 into new arrays.
 """
@@ -146,7 +146,6 @@ class ExpectationEngine:
         x, w = leggauss(points_per_panel)
         self._x01 = 0.5 * (x + 1.0)
         self._w01 = 0.5 * w
-        self.points_per_panel = int(points_per_panel)
         self.panels_per_decade = panels_per_decade
 
     def context(self, L, Lt, r1_min, r1_max, r2_min=None, r2_max=None):
@@ -172,10 +171,11 @@ class ExpectationEngine:
             return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi, grid.rows)
         return self.context(L, Lt, r_lo, r_hi)
 
-    @staticmethod
-    def _factors(ctx, r1, r2):
-        # ctx's rows with the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t
-        # in inv and the damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp
+    def v_pair(self, ctx, r1, r2):
+        """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
+        Leaves the factors at (r1, r2) in ctx.rows for finish: the
+        reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv and the
+        damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp."""
         t, rows = ctx.t, ctx.rows
         e, e1, e2, damp, root = rows.inv, rows.i1, rows.i2, rows.damp, rows.root
         np.multiply(t, 2.0 * r1 * ctx.Lsq, out=e1)
@@ -187,13 +187,7 @@ class ExpectationEngine:
         np.multiply(e1, e2, out=root)
         damp /= np.sqrt(root, out=root)
         np.divide(1.0, e, out=e)
-        return rows
-
-    def v_pair(self, ctx, r1, r2):
-        """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
-        Leaves the factors at (r1, r2) in ctx.rows for finish."""
-        rows = self._factors(ctx, r1, r2)
-        s1, s2 = (rows.inv @ rows.damp).tolist()
+        s1, s2 = (e @ damp).tolist()
         coef = r1 * r2
         return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
 
@@ -227,19 +221,17 @@ class ExpectationEngine:
                 r1sq * 3.0 * Lsq * Lsq * u1sq, r1sq * Lsq * Ltsq * u1u2),
         )
 
-    def map_kernels(self, ctx, r1, r2):
-        """(V, V1, V2, SecondOrderKernels) at (r1, r2) from one pass over the
-        grid: the moment factors, then finish."""
-        self._factors(ctx, r1, r2)
-        return self.finish(ctx, r1, r2)
-
     def first_order(self, ctx, r1, r2):
-        """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D; a view of map_kernels."""
-        return self.map_kernels(ctx, r1, r2)[:3]
+        """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D: v_pair, then finish.
+        Kept for the benchmark's tracer and the tests."""
+        self.v_pair(ctx, r1, r2)
+        return self.finish(ctx, r1, r2)[:3]
 
     def second_order(self, ctx, r1, r2):
-        """The SecondOrderKernels; a view of map_kernels."""
-        return self.map_kernels(ctx, r1, r2)[3]
+        """The SecondOrderKernels: v_pair, then finish. Kept for the
+        benchmark's tracer and the tests."""
+        self.v_pair(ctx, r1, r2)
+        return self.finish(ctx, r1, r2)[3]
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,10 @@ from .state import StateVec, err_of
 EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
                  (5.0, -10.0, 10.0, -5.0, 1.0), (6.0, -15.0, 20.0, -15.0, 6.0, -1.0))
 
+# solve_r's bound on the relative defect, and its cap on sweeps
+FP_TOL = 3e-14
+FP_MAX_ITER = 1000
+
 
 class FixedPointR:
     """Solution (r1, r2) of the fixed point, its sweeps and relative defect
@@ -64,7 +68,7 @@ def in_theory_region(L, Lt, lam, ratio):
     return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, tol=3e-14, max_iter=1000, start=None, grid=None):
+def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
@@ -80,7 +84,7 @@ def solve_r(L, Lt, lam, ratio, tol=3e-14, max_iter=1000, start=None, grid=None):
     kicks in after 200 sweeps as a safety net.
 
     Each sweep takes v_pair at the current point r and its relative defect
-    max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= tol is
+    max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= FP_TOL is
     returned, with that defect as ``residual``; its expectations
     (V, V1, V2, SecondOrderKernels) are completed by ExpectationEngine.finish
     from the kernel rows that the accepted sweep filled, so a step that
@@ -100,6 +104,7 @@ def solve_r(L, Lt, lam, ratio, tol=3e-14, max_iter=1000, start=None, grid=None):
         raise NumericalInputError("non-finite fixed-point parameters")
     engine = get_engine()
     v_pair = engine.v_pair
+    tol, max_iter = FP_TOL, FP_MAX_ITER
 
     # iterates stay inside [lam*ratio, ratio*(lam + max(L^2, Lt^2))]
     r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))

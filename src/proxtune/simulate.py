@@ -114,7 +114,7 @@ def prox_linear_step(mu, nu, batch, lam):
     mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
     nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
 
-    _check_residual(batch, w, wt, b, mu, nu, mu_plus, nu_plus, c_mu, c_nu, scale)
+    _check_residual(batch, w, wt, mu_plus, nu_plus, c_mu, c_nu, scale)
     return mu_plus, nu_plus
 
 
@@ -124,7 +124,7 @@ def _lapack_cholesky():
     return dpotrf, dpotrs
 
 
-def _check_residual(batch, w, wt, b, mu, nu, mu_plus, nu_plus, c_mu, c_nu, scale):
+def _check_residual(batch, w, wt, mu_plus, nu_plus, c_mu, c_nu, scale):
     # (A^T A + scale I) theta_+ - (A^T b + scale theta), matrix-free
     a_theta = wt * (batch.X @ mu_plus) + w * (batch.Z @ nu_plus)
     res_mu = batch.X.T @ (wt * a_theta) + scale * mu_plus - c_mu
@@ -150,12 +150,12 @@ class EmpiricalTrajectory:
 
 def run_empirical(mu0, nu0, gt, config, seed):
     """Run config.T prox-linear steps from (mu0, nu0), drawing a fresh batch
-    per step with lambda from the schedule. Returns T + 1 records. Overflow
-    raises no numpy warning: the step's checks stop it with a typed error."""
+    per step from that step's child of the SeedSequence seed, with lambda
+    from the schedule. Returns T + 1 records. Overflow raises no numpy
+    warning: the step's checks stop it with a typed error."""
     if mu0.shape[0] != gt.d:
         raise ValidationError("initialization dimension does not match gt")
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    batch_seeds = ss.spawn(config.T) if config.T > 0 else []
+    batch_seeds = seed.spawn(config.T)
     mu = np.array(mu0, dtype=float, copy=True)
     nu = np.array(nu0, dtype=float, copy=True)
     states = [state_of(mu, nu, gt)]

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -498,11 +499,19 @@ class TestTuneCommand:
         assert col(columns, rows, "samples")[0] is None
 
 
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH; pytest's
+    pythonpath setting reaches this process, not a child interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
 def test_console_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "proxtune.cli", "predict", "--iters", "2",
          "--out", str(tmp_path / "run")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert "wrote" in result.stdout
@@ -523,5 +532,6 @@ def test_predict_and_tune_do_not_import_scipy(tmp_path):
         f" '--target-err', '0.5', '--out', {str(tmp_path / 't')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'run'",
     ])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
     assert result.returncode == 0, result.stderr

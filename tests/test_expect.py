@@ -41,6 +41,12 @@ def rational_family(r1, r2):
     }
 
 
+def kernels_at(engine, ctx, r1, r2):
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx: v_pair, then finish."""
+    engine.v_pair(ctx, r1, r2)
+    return engine.finish(ctx, r1, r2)
+
+
 def engine_values(engine, r1, r2, L, Lt):
     ctx = point_grid(engine, L, Lt, r1, r2)
     V, V1, V2 = engine.first_order(ctx, r1, r2)
@@ -253,10 +259,11 @@ class TestExpectationEngine:
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
             ctx = engine.context(L, Lt, min(r1, r2), max(r1, r2))
-            V, V1, V2, kernels = engine.map_kernels(ctx, r1, r2)
+            pair = engine.v_pair(ctx, r1, r2)
+            V, V1, V2, kernels = engine.finish(ctx, r1, r2)
+            assert pair == (V1, V2)
             assert engine.first_order(ctx, r1, r2) == (V, V1, V2)
             assert engine.second_order(ctx, r1, r2) == kernels
-            assert engine.v_pair(ctx, r1, r2) == (V1, V2)
 
     def test_results_survive_later_calls_on_the_grid(self):
         # kernels write into the grid's scratch rows, shared by every grid
@@ -264,18 +271,18 @@ class TestExpectationEngine:
         # those rows leave alone, and the rows carry nothing between calls
         engine = get_engine()
         grid = engine.context(1.1, 0.9, 2.0, 4.0)
-        first, pair = engine.map_kernels(grid, 3.0, 2.5), engine.v_pair(grid, 3.0, 2.5)
+        first, pair = kernels_at(engine, grid, 3.0, 2.5), engine.v_pair(grid, 3.0, 2.5)
         assert all(type(x) is float for x in (*first[:3], *first[3], *pair))
         rebound = engine.context_for(grid, 1.2, 0.8, 2.0, 4.0)
         assert rebound.rows is grid.rows
         for ctx, r1, r2 in [(grid, 2.2, 3.7), (rebound, 3.9, 2.1), (grid, 3.0, 2.5)]:
-            engine.map_kernels(ctx, r1, r2)
+            kernels_at(engine, ctx, r1, r2)
             engine.v_pair(ctx, r2, r1)
-        assert engine.map_kernels(grid, 3.0, 2.5) == first
+        assert kernels_at(engine, grid, 3.0, 2.5) == first
         assert engine.v_pair(grid, 3.0, 2.5) == pair == first[1:3]
         fresh = engine.context(1.1, 0.9, 2.0, 4.0)
         assert fresh.rows is not grid.rows
-        assert engine.map_kernels(fresh, 3.0, 2.5) == first
+        assert kernels_at(engine, fresh, 3.0, 2.5) == first
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(-1.5, 2.5),
@@ -287,30 +294,32 @@ class TestExpectationEngine:
         r1, r2 = 10 ** lg1, 10 ** lg2
         ctx = point_grid(engine, L, Lt, r1, r2)
         r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
-        V, V1, V2, kernels = engine.map_kernels(ctx, r1, r2)
+        pair = engine.v_pair(ctx, r1, r2)
+        V, V1, V2, kernels = engine.finish(ctx, r1, r2)
         ref = reference_kernels(ctx, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*ref[:3], *ref[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
-        assert engine.v_pair(ctx, r1, r2) == (V1, V2)
+        assert pair == (V1, V2)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(-1.5, 2.5),
            st.floats(-1.5, 2.5), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     def test_finish_after_v_pair_is_the_fused_pass(self, L, Lt, lg1, lg2, u1, u2):
         # finish completes the expectations from the rows the v_pair just
-        # before it filled: the same 11 values as map_kernels, bit for bit,
-        # at points on (u = 0) and off the (r1, r2) the grid was built for
+        # before it filled, whatever an earlier call left there: the same 11
+        # values, bit for bit, as on rows no other point has touched, at
+        # points on (u = 0) and off the (r1, r2) the grid was built for
         engine = get_engine()
-        r1, r2 = 10 ** lg1, 10 ** lg2
-        ctx = point_grid(engine, L, Lt, r1, r2)
-        r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
-        engine.map_kernels(ctx, r2, r1)  # leave other values in the rows
+        p1, p2 = 10 ** lg1, 10 ** lg2
+        ctx = point_grid(engine, L, Lt, p1, p2)
+        r1, r2 = p1 * 1.5 ** u1, p2 * 1.5 ** u2
+        kernels_at(engine, ctx, r2, r1)  # leave other values in the rows
         V1, V2 = engine.v_pair(ctx, r1, r2)
         V, fV1, fV2, kernels = engine.finish(ctx, r1, r2)
-        fused = engine.map_kernels(ctx, r1, r2)
+        fresh = kernels_at(engine, point_grid(engine, L, Lt, p1, p2), r1, r2)
         assert (fV1, fV2) == (V1, V2)
         assert [x.hex() for x in (V, V1, V2, *kernels)] == [
-            x.hex() for x in (*fused[:3], *fused[3])]
+            x.hex() for x in (*fresh[:3], *fresh[3])]
 
 
 def _bracket(L, Lt, lam, ratio):
@@ -336,9 +345,9 @@ class TestGridReuse:
         reused = engine.context_for(grid, L2, Lt2, r_lo, r_hi)
         assert reused.t is grid.t and (reused.Lsq, reused.Ltsq) == (L2 * L2, Lt2 * Lt2)
         r1, r2 = r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo)
-        V, V1, V2, kernels = engine.map_kernels(reused, r1, r2)
+        V, V1, V2, kernels = kernels_at(engine, reused, r1, r2)
         point = point_grid(engine, L2, Lt2, r1, r2)
-        fresh = engine.map_kernels(point, r1, r2)
+        fresh = kernels_at(engine, point, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*fresh[:3], *fresh[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
         for x, y in zip(engine.v_pair(reused, r1, r2), engine.v_pair(point, r1, r2)):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proxtune import predict
 from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
 from proxtune.cli import RunConfig
 from proxtune.expect import ExpectationEngine, get_engine
@@ -61,7 +62,7 @@ class TestSolveR:
 
     def test_self_consistency_with_V(self):
         lam, ratio = 100.0, 32 / 200
-        r = solve_r(1.0, 1.0, lam, ratio, tol=1e-13)
+        r = solve_r(1.0, 1.0, lam, ratio)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         assert lam + V1 == pytest.approx(r.r1 / ratio, rel=1e-12)
         assert lam + V2 == pytest.approx(r.r2 / ratio, rel=1e-12)
@@ -135,9 +136,10 @@ class TestSolveR:
             assert r.residual == defect
             assert r.expectations[1:3] == (v1, v2)
 
-    def test_max_iter_exhaustion(self):
+    def test_max_iter_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(predict, "FP_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as err:
-            solve_r(1.0, 1.0, 100.0, 0.16, tol=1e-12, max_iter=2)
+            solve_r(1.0, 1.0, 100.0, 0.16)
         assert err.value.iterations == 2
         assert err.value.residual is not None
 

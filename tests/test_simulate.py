@@ -211,14 +211,15 @@ class TestRunEmpirical:
     def test_empty_run(self):
         gt = generate_ground_truth(30, seed=21)
         mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=22)
-        tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), seed=23)
+        tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), np.random.SeedSequence(23))
         assert len(tr.states) == 1
         assert tr.err[0] == pytest.approx(err_of(tr.states[0]), abs=1e-15)
 
     def test_record_count_and_err_consistency(self):
         gt = generate_ground_truth(30, seed=24)
         mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=25)
-        tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20), seed=26)
+        tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20),
+                           np.random.SeedSequence(26))
         assert len(tr.states) == 21
         for t in range(21):
             assert tr.err[t] == pytest.approx(err_of(tr.states[t]), abs=1e-12)
@@ -226,15 +227,15 @@ class TestRunEmpirical:
     def test_seeded_determinism(self):
         gt = generate_ground_truth(30, seed=27)
         mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=28)
-        a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
-        b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), seed=29)
+        a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
+        b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
         assert np.array_equal(a.err, b.err)
 
     def test_failure_carries_iteration_index(self):
         gt = generate_ground_truth(10, seed=30)
         bad = np.full(10, np.nan)
         with pytest.raises(SimulationError) as err:
-            run_empirical(bad, gt.nu_star, gt, config(10, 3, T=3), seed=31)
+            run_empirical(bad, gt.nu_star, gt, config(10, 3, T=3), np.random.SeedSequence(31))
         assert err.value.iteration == 0
 
     def test_noiseless_monotone_decay(self):
