@@ -383,6 +383,15 @@ def cmd_tune(config):
     return [path], rec
 
 
+# each subcommand once, in --help order: the function main runs, its help line
+COMMANDS = {
+    "simulate": (cmd_simulate, "run empirical trials and emit trajectories + aggregate"),
+    "predict": (cmd_predict, "emit the deterministic trajectory prediction"),
+    "compare": (cmd_compare, "run both engines and emit per-iteration deviations"),
+    "tune": (cmd_tune, "sweep an (m, lambda) grid offline and recommend"),
+}
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -405,14 +414,8 @@ def _build_parser():
                     "prox-linear method for rank-one matrix sensing.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    sub.add_parser("simulate", parents=[common],
-                   help="run empirical trials and emit trajectories + aggregate")
-    sub.add_parser("predict", parents=[common],
-                   help="emit the deterministic trajectory prediction")
-    sub.add_parser("compare", parents=[common],
-                   help="run both engines and emit per-iteration deviations")
-    sub.add_parser("tune", parents=[common],
-                   help="sweep an (m, lambda) grid offline and recommend")
+    for mode, (_, help) in COMMANDS.items():
+        sub.add_parser(mode, parents=[common], help=help)
     return parser
 
 
@@ -427,20 +430,12 @@ def config_from_args(args):
     return _validate_config(replace(config, **overrides))
 
 
-_DISPATCH = {
-    "simulate": cmd_simulate,
-    "predict": cmd_predict,
-    "compare": cmd_compare,
-    "tune": cmd_tune,
-}
-
-
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        paths, _ = _DISPATCH[config.mode](config)
+        paths, _ = COMMANDS[config.mode][0](config)
         for path in paths:
             print(f"wrote {path}")
         return EXIT_OK

@@ -69,21 +69,21 @@ class SecondOrderKernels(NamedTuple):
     s1_u1u2: float
 
 
-def bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max):
+def bracket_span(L, Lt, r_lo, r_hi):
     """The t-span [lo, hi] a grid must cover to be valid at every (r1, r2)
-    with r1_min <= r1 <= r1_max and r2_min <= r2 <= r2_max."""
-    if min(L, Lt, r1_min, r2_min) <= 0:
+    with r_lo <= r1, r2 <= r_hi."""
+    if min(L, Lt, r_lo) <= 0:
         raise ValidationError("L, Lt and the r bracket must be positive")
     lo = LEAD * min(
-        1.0 / (2.0 * r1_max * L * L),
-        1.0 / (2.0 * r2_max * Lt * Lt),
-        1.0 / (r1_max * r2_max),
+        1.0 / (2.0 * r_hi * L * L),
+        1.0 / (2.0 * r_hi * Lt * Lt),
+        1.0 / (r_hi * r_hi),
     )
-    hi = TAIL / (r1_min * r2_min) if r1_min * r2_min > 0 else math.inf
+    hi = TAIL / (r_lo * r_lo) if r_lo * r_lo > 0 else math.inf
     # a grid spans [lo / SLACK, SLACK * hi], with panels per decade of hi/lo
     if not (lo / SLACK > 0.0 and SLACK * hi / (lo / SLACK) < math.inf):
         raise NumericalInputError(f"grid t-span [{lo:g}, {hi:g}] leaves the float range at "
-                                  f"L={L:g}, Lt={Lt:g}, r1 >= {r1_min:g}, r2 >= {r2_min:g}")
+                                  f"L={L:g}, Lt={Lt:g}, r1 >= {r_lo:g}, r2 >= {r_lo:g}")
     return lo, hi
 
 
@@ -148,12 +148,10 @@ class ExpectationEngine:
         self._w01 = 0.5 * w
         self.panels_per_decade = panels_per_decade
 
-    def context(self, L, Lt, r1_min, r1_max, r2_min=None, r2_max=None):
-        """Build a grid valid for all (r1, r2) inside the given bracket, SLACK
-        times wider than its t-span at each end."""
-        r2_min = r1_min if r2_min is None else r2_min
-        r2_max = r1_max if r2_max is None else r2_max
-        lo, hi = bracket_span(L, Lt, r1_min, r1_max, r2_min, r2_max)
+    def context(self, L, Lt, r_lo, r_hi):
+        """Build a grid valid for all r1, r2 in [r_lo, r_hi], SLACK times
+        wider than the bracket's t-span at each end."""
+        lo, hi = bracket_span(L, Lt, r_lo, r_hi)
         lo, hi = lo / SLACK, hi * SLACK
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
         edges = np.concatenate(([0.0], panel_edges(lo, hi, n_panels)))
@@ -166,7 +164,7 @@ class ExpectationEngine:
         """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
         previous step's, or None) at the new (L, Lt) when it covers the
         bracket's t-span, otherwise a new one."""
-        lo, hi = bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi)
+        lo, hi = bracket_span(L, Lt, r_lo, r_hi)
         if grid is not None and grid.covers(lo, hi):
             return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi, grid.rows)
         return self.context(L, Lt, r_lo, r_hi)
@@ -223,13 +221,13 @@ class ExpectationEngine:
 
     def first_order(self, ctx, r1, r2):
         """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D: v_pair, then finish.
-        Kept for the benchmark's tracer and the tests."""
+        Kept only because the benchmark's tracer wraps it by name."""
         self.v_pair(ctx, r1, r2)
         return self.finish(ctx, r1, r2)[:3]
 
     def second_order(self, ctx, r1, r2):
-        """The SecondOrderKernels: v_pair, then finish. Kept for the
-        benchmark's tracer and the tests."""
+        """The SecondOrderKernels: v_pair, then finish. Kept only because
+        the benchmark's tracer wraps it by name."""
         self.v_pair(ctx, r1, r2)
         return self.finish(ctx, r1, r2)[3]
 

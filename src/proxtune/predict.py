@@ -262,7 +262,6 @@ class DetTrajectory:
 
     states: tuple
     err_seq: np.ndarray
-    lambdas: np.ndarray
     theory_region: np.ndarray
     fp_iterations: np.ndarray
     fp_residual: np.ndarray
@@ -287,7 +286,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     ratio = m / d
     states = [s0]
     errs = [err_of(s0)]
-    lambdas, flags, iterations, residuals = [], [], [], []
+    flags, iterations, residuals = [], [], []
     s = s0
     start = grid = None
     g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
@@ -297,7 +296,6 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
             s_next, r = det_map(s, d, m, sigma, lam, start, grid)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
-        lambdas.append(lam)
         flags.append(in_theory_region(s.L, s.Lt, lam, ratio))
         s = s_next
         _, v1, v2, _ = r.expectations
@@ -309,12 +307,10 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         residuals.append(r.residual)
         states.append(s)
         errs.append(err_of(s))
-    lambdas.append(schedule.value(T))
-    flags.append(in_theory_region(s.L, s.Lt, lambdas[T], ratio))
+    flags.append(in_theory_region(s.L, s.Lt, schedule.value(T), ratio))
     return DetTrajectory(
         states=tuple(states),
         err_seq=np.array(errs),
-        lambdas=np.array(lambdas),
         theory_region=np.array(flags),
         fp_iterations=np.array(iterations, dtype=int),
         fp_residual=np.array(residuals, dtype=float),

@@ -214,10 +214,12 @@ class TrialsResult:
 
 
 def run_trials(config, n_trials, master_seed, n_jobs=1):
-    """Run independent trials with derived seeds and aggregate Err per t."""
+    """Run independent trials with derived seeds and aggregate Err per t, on
+    at most n_trials workers (in this process when that is one)."""
     if n_trials < 1:
         raise ValidationError("n_trials must be >= 1")
     seeds = np.random.SeedSequence(master_seed).spawn(n_trials)
+    n_jobs = min(n_jobs, n_trials)  # a forked pool starts all its workers at once
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
 

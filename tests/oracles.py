@@ -6,8 +6,9 @@ cho_factor/cho_solve is the reference it must match bit for bit, and the prox
 subproblem's objective is what every step must not increase. The folded
 Gauss-Hermite rule is a second quadrature for the expectation engine where
 both converge (moderate r), and plain Monte Carlo is the oracle for every
-expectation. A point grid is the engine's grid built for one (r1, r2), the
-reference a reused trajectory grid must match, and ``reference_kernels`` is
+expectation. A point grid is the engine's grid built for the square bracket
+spanned by one (r1, r2), the reference a reused trajectory grid must match; ``kernels_at`` is how the
+tests take the expectations on a grid, and ``reference_kernels`` is
 the engine's kernel pass written out one sum at a time, the reference the
 fused pass must match. ``reference_parallel``, ``reference_H`` and
 ``reference_V34`` write the map's scalar formulas out with nothing shared
@@ -134,15 +135,22 @@ def mc_expect2(f, L, Lt, n_samples, seed=0):
 
 
 def point_grid(engine, L, Lt, r1, r2):
-    """The engine's grid built for the single point (r1, r2)."""
-    return engine.context(L, Lt, r1, r1, r2, r2)
+    """The engine's grid built for the square bracket spanned by (r1, r2)."""
+    return engine.context(L, Lt, min(r1, r2), max(r1, r2))
+
+
+def kernels_at(engine, ctx, r1, r2):
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx: v_pair, then
+    finish, the package's one route to the expectations."""
+    engine.v_pair(ctx, r1, r2)
+    return engine.finish(ctx, r1, r2)
 
 
 def compute_V(r, L, Lt):
     """The first-order expectations (V, V1, V2) at a solved fixed point,
     on a point grid."""
     engine = get_engine()
-    return engine.first_order(point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)
+    return kernels_at(engine, point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)[:3]
 
 
 def reference_kernels(ctx, r1, r2):

@@ -20,7 +20,7 @@ from proxtune.simulate import (
 )
 from proxtune.state import StateVec
 from proxtune.tune import iteration_complexity
-from oracles import dense_oracle, point_grid, sandwich_check, state_frob_err
+from oracles import dense_oracle, kernels_at, point_grid, sandwich_check, state_frob_err
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 
@@ -137,9 +137,7 @@ def test_criterion_03_quadrature_vs_monte_carlo():
     for point in range(50):
         L, Lt = rng.uniform(0.3, 2.5, size=2)
         r1, r2 = 10 ** rng.uniform(-1.0, 1.6, size=2)
-        ctx = point_grid(engine, L, Lt, r1, r2)
-        V, V1, V2 = engine.first_order(ctx, r1, r2)
-        k = engine.second_order(ctx, r1, r2)
+        V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
         quad = np.array([V, V1, V2, *k])
         mc, se = _mc_kernel_suite(r1, r2, L, Lt, 10 ** 7, seed=1000 + point)
         z = np.abs(quad - mc) / np.where(se > 0, se, np.inf)

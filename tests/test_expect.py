@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from proxtune.errors import ValidationError
 from proxtune.expect import ExpectationEngine, bracket_span, get_engine, panel_edges
 from proxtune.predict import solve_r
-from oracles import QuadratureRule, gauss_expect2, mc_expect2, point_grid, reference_kernels
+from oracles import (
+    QuadratureRule,
+    gauss_expect2,
+    kernels_at,
+    mc_expect2,
+    point_grid,
+    reference_kernels,
+)
 
 
 def double_factorial(k):
@@ -41,16 +48,8 @@ def rational_family(r1, r2):
     }
 
 
-def kernels_at(engine, ctx, r1, r2):
-    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx: v_pair, then finish."""
-    engine.v_pair(ctx, r1, r2)
-    return engine.finish(ctx, r1, r2)
-
-
 def engine_values(engine, r1, r2, L, Lt):
-    ctx = point_grid(engine, L, Lt, r1, r2)
-    V, V1, V2 = engine.first_order(ctx, r1, r2)
-    k = engine.second_order(ctx, r1, r2)
+    V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
     return {"V": V, "V1": V1, "V2": V2, **k._asdict()}
 
 
@@ -183,8 +182,7 @@ class TestExpectationEngine:
                 row = []
                 prev = None
                 for r2 in grid:
-                    ctx = point_grid(engine, L, Lt, r1, r2)
-                    V, _, _ = engine.first_order(ctx, r1, r2)
+                    V, _, _, _ = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
                     row.append(V)
                     if prev is not None:
                         assert V >= prev - 1e-14
@@ -200,12 +198,11 @@ class TestExpectationEngine:
         for _ in range(50):
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
-            ctx = point_grid(engine, L, Lt, r1, r2)
-            V, V1, V2 = engine.first_order(ctx, r1, r2)
+            V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
             assert 0.0 <= V <= L ** 2 * Lt ** 2 * (1 + 1e-12)
             assert 0.0 <= V1 <= Lt ** 2 * (1 + 1e-12)
             assert 0.0 <= V2 <= L ** 2 * (1 + 1e-12)
-            assert all(v >= 0.0 for v in engine.second_order(ctx, r1, r2))
+            assert all(v >= 0.0 for v in k)
 
     def test_rejects_bad_bracket(self):
         engine = get_engine()
@@ -246,19 +243,19 @@ class TestExpectationEngine:
         for L, Lt, lam, ratio in cases:
             r = solve_r(L, Lt, lam, ratio)
             point = point_grid(engine, L, Lt, r.r1, r.r2)
-            for kernel in (engine.first_order, engine.second_order):
-                a = kernel(r.ctx, r.r1, r.r2)
-                b = kernel(point, r.r1, r.r2)
-                for x, y in zip(a, b):
-                    assert abs(x - y) <= 1e-13 * abs(y), (L, Lt, lam, ratio)
+            a = kernels_at(engine, r.ctx, r.r1, r.r2)
+            b = kernels_at(engine, point, r.r1, r.r2)
+            for x, y in zip((*a[:3], *a[3]), (*b[:3], *b[3])):
+                assert abs(x - y) <= 1e-13 * abs(y), (L, Lt, lam, ratio)
 
     def test_first_and_second_order_are_views_of_the_fused_pass(self):
+        # the two views exist only for the benchmark's tracer
         engine = get_engine()
         rng = np.random.default_rng(13)
         for _ in range(50):
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
-            ctx = engine.context(L, Lt, min(r1, r2), max(r1, r2))
+            ctx = point_grid(engine, L, Lt, r1, r2)
             pair = engine.v_pair(ctx, r1, r2)
             V, V1, V2, kernels = engine.finish(ctx, r1, r2)
             assert pair == (V1, V2)
@@ -341,7 +338,7 @@ class TestGridReuse:
         grid = engine.context(L, Lt, *_bracket(L, Lt, lam, ratio))
         r_lo, r_hi = _bracket(L, Lt, lam, ratio)
         L2, Lt2, r_lo, r_hi = L * fL, Lt * fLt, r_lo * f_lo, r_hi * f_hi
-        assume(r_lo <= r_hi and grid.covers(*bracket_span(L2, Lt2, r_lo, r_hi, r_lo, r_hi)))
+        assume(r_lo <= r_hi and grid.covers(*bracket_span(L2, Lt2, r_lo, r_hi)))
         reused = engine.context_for(grid, L2, Lt2, r_lo, r_hi)
         assert reused.t is grid.t and (reused.Lsq, reused.Ltsq) == (L2 * L2, Lt2 * Lt2)
         r1, r2 = r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo)
@@ -364,7 +361,7 @@ class TestGridReuse:
         r_lo, r_hi = _bracket(L, Lt, lam, ratio)
         grid = engine.context(L, Lt, r_lo, r_hi)
         f = 10 ** (decades if up else -decades)
-        span = bracket_span(L, Lt, r_lo * f, r_hi * f, r_lo * f, r_hi * f)
+        span = bracket_span(L, Lt, r_lo * f, r_hi * f)
         assert not grid.covers(*span)
         rebuilt = engine.context_for(grid, L, Lt, r_lo * f, r_hi * f)
         assert rebuilt.t is not grid.t and rebuilt.covers(*span)
@@ -374,4 +371,4 @@ class TestGridReuse:
         for L, Lt, lam, ratio in [(1.0, 1.0, 100.0, 0.16), (3.0, 0.2, 9.5, 1e-3)]:
             r_lo, r_hi = _bracket(L, Lt, lam, ratio)
             grid = engine.context_for(None, L, Lt, r_lo, r_hi)
-            assert grid.covers(*bracket_span(L, Lt, r_lo, r_hi, r_lo, r_hi))
+            assert grid.covers(*bracket_span(L, Lt, r_lo, r_hi))

@@ -27,6 +27,7 @@ from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec, err_of
 from oracles import (
     compute_V,
+    kernels_at,
     mc_expect2,
     point_grid,
     reference_H,
@@ -42,9 +43,10 @@ def local_state():
     return StateVec(0.99, b, 0.99, b)
 
 
-def kernels_at(r, L, Lt):
+def point_kernels(r, L, Lt):
+    """The SecondOrderKernels at a solved fixed point, on a point grid."""
     engine = get_engine()
-    return engine.second_order(point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)
+    return kernels_at(engine, point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)[3]
 
 
 class TestSolveR:
@@ -289,7 +291,7 @@ class TestComputeV34:
     def test_structural_zeros_at_truth_noiseless(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
-        V3, V4 = compute_V34(TRUTH, 0.0, 100.0, V, V1, V2, kernels_at(r, 1.0, 1.0),
+        V3, V4 = compute_V34(TRUTH, 0.0, 100.0, V, V1, V2, point_kernels(r, 1.0, 1.0),
                              squares(TRUTH))
         assert V3 == 0.0
         assert V4 == 0.0
@@ -299,7 +301,7 @@ class TestComputeV34:
         sigma, lam = 0.3, 100.0
         r = solve_r(1.0, 1.0, lam, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
-        k = kernels_at(r, 1.0, 1.0)
+        k = point_kernels(r, 1.0, 1.0)
         V3, V4 = compute_V34(TRUTH, sigma, lam, V, V1, V2, k, squares(TRUTH))
         assert V3 == pytest.approx(sigma ** 2 * k.s2_u2, rel=1e-12)
         assert V4 == pytest.approx(sigma ** 2 * k.s1_u1, rel=1e-12)
@@ -309,7 +311,7 @@ class TestComputeV34:
         s = local_state()
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels_at(r, s.L, s.Lt), squares(s))
+        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, point_kernels(r, s.L, s.Lt), squares(s))
 
         # assemble V3, V4 from Monte-Carlo kernel estimates
         Lsq, Ltsq = s.L ** 2, s.Lt ** 2
@@ -354,7 +356,7 @@ class TestComputeV34:
         sigma, lam = 0.1, 50.0
         r = solve_r(s.L, s.Lt, lam, 0.16)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        k = kernels_at(r, s.L, s.Lt)
+        k = point_kernels(r, s.L, s.Lt)
         _, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))
         L, Lt = s.L, s.Lt
         noise_w = sigma ** 2 + (s.beta * s.tbeta) ** 2 / (L ** 2 * Lt ** 2)
@@ -372,13 +374,13 @@ class TestComputeV34:
 class TestSolveEta:
     def test_zero_sources_give_zero(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
-        eta_sq, teta_sq = solve_eta(200, 32, 0.0, 0.0, kernels_at(r, 1.0, 1.0))
+        eta_sq, teta_sq = solve_eta(200, 32, 0.0, 0.0, point_kernels(r, 1.0, 1.0))
         assert eta_sq == 0.0
         assert teta_sq == 0.0
 
     def test_symmetric_case(self):
         r = solve_r(1.0, 1.0, 80.0, 0.1)
-        eta_sq, teta_sq = solve_eta(200, 20, 0.004, 0.004, kernels_at(r, 1.0, 1.0))
+        eta_sq, teta_sq = solve_eta(200, 20, 0.004, 0.004, point_kernels(r, 1.0, 1.0))
         assert eta_sq == pytest.approx(teta_sq, rel=1e-12)
         assert eta_sq > 0.0
 
@@ -388,7 +390,7 @@ class TestSolveEta:
         lam = 100.0
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        k = kernels_at(r, s.L, s.Lt)
+        k = point_kernels(r, s.L, s.Lt)
         V3, V4 = compute_V34(s, 0.1, lam, V, V1, V2, k, squares(s))
         eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
         kappa = (d - 2) * m / d ** 2
@@ -450,7 +452,7 @@ class TestDetMap:
         s, d, m, sigma, lam = local_state(), 200, 32, 0.1, 100.0
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        k = kernels_at(r, s.L, s.Lt)
+        k = point_kernels(r, s.L, s.Lt)
         V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))
         eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
         for val in (V, V1, V2, V3, V4, eta_sq, teta_sq):
@@ -490,23 +492,27 @@ class TestPredictTrajectory:
            st.integers(0, 8), st.floats(0.1, 20.0), st.sampled_from(["offset", "absolute"]),
            st.integers(0, 12), st.sampled_from([8, 16, 32]))
     def test_recorded_schedule_and_certificate(self, kind, lam0, t0, slope, convention, T, m):
-        # the loop records lambda_t and the certificate at state t as it goes
+        # the loop records the certificate at state t with lambda_t as it goes
         d = 200
         sched = LambdaSchedule(kind=kind, lambda0=lam0, t0=t0, slope=slope,
                                convention=convention)
         traj = predict_trajectory(local_state(), T, d, m, 0.1, sched)
-        assert traj.lambdas.dtype == float
-        assert traj.lambdas.tolist() == [sched.value(t) for t in range(T + 1)]
         assert traj.theory_region.dtype == bool
         assert traj.theory_region.tolist() == [
-            in_theory_region(s.L, s.Lt, traj.lambdas[t], m / d)
+            in_theory_region(s.L, s.Lt, sched.value(t), m / d)
             for t, s in enumerate(traj.states)]
 
     def test_schedule_values_recorded(self):
+        # step t maps with lambda_t: a delayed-linear schedule's states are
+        # the constant schedule's through step t0 = 10 (state 11) and leave
+        # them once lambda_11 = 51
         sched = LambdaSchedule("delayed-linear", 50.0, t0=10)
         traj = predict_trajectory(local_state(), 15, 200, 32, 0.01, sched)
-        assert traj.lambdas[0] == 50.0
-        assert traj.lambdas[12] == 52.0
+        const = predict_trajectory(local_state(), 15, 200, 32, 0.01, LambdaSchedule(lambda0=50.0))
+        assert traj.states[:12] == const.states[:12]
+        assert traj.states[12] != const.states[12]
+        s, r = det_map(traj.states[11], 200, 32, 0.01, 51.0)
+        assert abs(err_of(s) - traj.err_seq[12]) <= 1e-12 * traj.err_seq[12]
 
     def test_in_theory_region_helper(self):
         assert in_theory_region(1.0, 1.0, 100.0, 0.16)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -284,6 +286,36 @@ class TestRunTrials:
         serial = run_trials(config, n_trials=4, master_seed=35, n_jobs=1)
         parallel = run_trials(config, n_trials=4, master_seed=35, n_jobs=2)
         assert np.array_equal(serial.median, parallel.median)
+
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
+        # a fork-started pool forks all max_workers at its first submit, so
+        # run_trials asks for at most one worker per trial, and for no pool
+        # at all for one trial; the stand-in pool forks nothing
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        config = ExperimentConfig(d=20, m=4, sigma=0.05,
+                                  schedule=LambdaSchedule(lambda0=20.0),
+                                  init=InitSpec(0.95), T=5)
+        pooled = run_trials(config, n_trials=2, master_seed=38, n_jobs=8)
+        assert sizes == [2]
+        single = run_trials(config, n_trials=1, master_seed=38, n_jobs=8)
+        assert sizes == [2]
+        assert np.array_equal(pooled.median, run_trials(config, 2, 38).median)
+        assert np.array_equal(single.median, run_trials(config, 1, 38).median)
 
     def test_iqr_band_shrinks_with_batch_size(self):
         # fixed lam and t: trial-to-trial spread decreases from m=8 to m=32
