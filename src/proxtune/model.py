@@ -60,9 +60,7 @@ class Batch:
 
 
 def generate_ground_truth(d, seed):
-    """Two independent uniformly random unit vectors in R^d."""
-    if d < 2:
-        raise InvalidDimensionError("d must be at least 2")
+    """Two independent uniformly random unit vectors in R^d (check_problem checks d)."""
     rng = np.random.default_rng(seed)
     return GroundTruth(
         mu_star=_unit(rng.standard_normal(d)),

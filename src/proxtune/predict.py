@@ -72,16 +72,18 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
-    ratio is the batch-to-dimension ratio m/d. Every iterate lies in the
+    ratio is the batch-to-dimension ratio m/d. g maps every r into the
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
     and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
-    that bracket, or at 1.5*lam*ratio, the midpoint of [lam*ratio,
-    2*lam*ratio], when start is None; predict_trajectory passes the quintic
-    extrapolation of the last six steps' g(r), which leaves about one sweep
-    per step. Inside the certified region the map contracts (by ~1e-3 per
-    sweep on the tuning grids) and plain iteration converges geometrically,
-    so the start's error decides the sweep count. Outside it a 0.5 damping
-    kicks in after 200 sweeps as a safety net.
+    that bracket, or at 1.5*lam*ratio when start is None (above the bracket
+    when lam > 2 max(L^2, Lt^2), so only that first point lies outside);
+    predict_trajectory passes the quintic extrapolation of the last six
+    steps' g(r), which leaves about one sweep per step. g is isotone, since
+    dV1/dr1 = E r2^2 U2^2 / D^2, dV1/dr2 = E r1^2 U1 U2 / D^2 and likewise
+    for V2, so the iterates stay between those started from the bracket's
+    two corners and need no averaging with the previous point. Inside the
+    certified region g contracts (by ~1e-3 per sweep on the tuning grids),
+    so the start's error decides the sweep count.
 
     Each sweep takes v_pair at the current point r and its relative defect
     max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= FP_TOL is
@@ -106,7 +108,7 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     v_pair = engine.v_pair
     tol, max_iter = FP_TOL, FP_MAX_ITER
 
-    # iterates stay inside [lam*ratio, ratio*(lam + max(L^2, Lt^2))]
+    # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
     r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
     ctx = engine.context_for(grid, L, Lt, r_lo, r_hi)
 
@@ -115,7 +117,6 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     else:
         r1 = min(max(start[0], r_lo), r_hi)
         r2 = min(max(start[1], r_lo), r_hi)
-    damping = 1.0
     residual = math.inf
     for it in range(1, max_iter + 1):
         v1, v2 = v_pair(ctx, r1, r2)
@@ -124,13 +125,7 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
         residual = max(abs(g1 - r1) / r1, abs(g2 - r2) / r2)
         if residual <= tol:
             break
-        if damping == 1.0:
-            r1, r2 = g1, g2
-        else:
-            r1 += damping * (g1 - r1)
-            r2 += damping * (g2 - r2)
-        if it == 200:
-            damping = 0.5
+        r1, r2 = g1, g2
     else:
         raise NonConvergenceError(
             f"(r1, r2) fixed point did not reach tol={tol:g} in {max_iter} iterations",

@@ -8,6 +8,7 @@ from proxtune.errors import (
 )
 from proxtune.model import (
     InitSpec,
+    check_problem,
     generate_ground_truth,
     init_iterates,
     sample_batch,
@@ -33,10 +34,6 @@ class TestGroundTruth:
         assert np.array_equal(a.mu_star, b.mu_star)
         assert np.array_equal(a.nu_star, b.nu_star)
 
-    def test_rejects_small_dimension(self):
-        with pytest.raises(InvalidDimensionError):
-            generate_ground_truth(1, seed=0)
-
     def test_independent_seeds_nearly_orthogonal(self):
         # mean |<mu(seed a), mu(seed b)>| should be O(1/sqrt(d))
         d = 200
@@ -49,6 +46,12 @@ class TestGroundTruth:
 
 
 class TestExperimentConfig:
+    def test_rejects_small_dimension(self):
+        with pytest.raises(InvalidDimensionError):
+            check_problem(1, 1, 0.0)
+        with pytest.raises(InvalidDimensionError):
+            config(d=1, m=1)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             config(m=0)

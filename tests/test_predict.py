@@ -138,6 +138,40 @@ class TestSolveR:
             assert r.residual == defect
             assert r.expectations[1:3] == (v1, v2)
 
+    @pytest.mark.parametrize("L, Lt, lam, ratio, start", [
+        (77.14612893707567, 0.014077810702599993, 0.013351336823889838, 0.974396335386149, None),
+        (0.02843712759411528, 21.446752963656895, 0.00037537599456655493, 0.9701876231279118,
+         (2.8034631797696896, 16513.895337631348)),
+        (0.0464808797110257, 76.20696952210461, 0.03399082714185809, 0.992299454368054,
+         (0.0511071965489222, 1254.9357371426545)),
+        (0.0673797273407078, 20.176736061824894, 0.00033496599500362745, 0.9998803533611775,
+         (0.0016002628615567852, 0.0005229869151157361)),
+    ], ids=["cold", "warm-1", "warm-2", "warm-3"])
+    def test_slow_asymmetric_fixed_points_converge(self, L, Lt, lam, ratio, start):
+        # far-apart L, Lt and lam far below max(L^2, Lt^2): plain iteration needs
+        # ~700-800 sweeps here, within FP_MAX_ITER
+        r = solve_r(L, Lt, lam, ratio, start=start)
+        assert r.residual <= predict.FP_TOL
+        r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
+        assert r_lo <= r.r1 <= r_hi and r_lo <= r.r2 <= r_hi
+        cold = solve_r(L, Lt, lam, ratio)
+        assert r.r1 == pytest.approx(cold.r1, rel=1e-11)
+        assert r.r2 == pytest.approx(cold.r2, rel=1e-11)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_v_pair_is_isotone(self, log_L, log_Lt, log_r1, log_r2):
+        # g(r) = ratio * (lam + V1, lam + V2) is isotone, which is why plain
+        # iteration converges; allow a 1e-14 relative rounding margin
+        L, Lt, r1, r2 = 10 ** log_L, 10 ** log_Lt, 10 ** log_r1, 10 ** log_r2
+        up = 1.0 + 1e-3
+        engine = get_engine()
+        ctx = engine.context(L, Lt, min(r1, r2), up * max(r1, r2))
+        base = engine.v_pair(ctx, r1, r2)
+        for moved in (engine.v_pair(ctx, up * r1, r2), engine.v_pair(ctx, r1, up * r2)):
+            for v_new, v_old in zip(moved, base):
+                assert v_new >= v_old * (1.0 - 1e-14)
+
     def test_max_iter_exhaustion(self, monkeypatch):
         monkeypatch.setattr(predict, "FP_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as err:
