@@ -45,7 +45,7 @@ EXTRAPOLATION = ((1.0,), (2.0, -1.0), (3.0, -3.0, 1.0), (4.0, -6.0, 4.0, -1.0),
 
 # solve_r's bound on the relative defect, and its cap on sweeps
 FP_TOL = 3e-14
-FP_MAX_ITER = 1000
+FP_MAX_ITER = 4000
 
 
 class FixedPointR:

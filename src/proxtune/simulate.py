@@ -6,21 +6,18 @@ diag(w) Z] the stacked m x 2d linearization matrix, the update is
 
     theta_+ = (A^T A + lam m I)^(-1) (A^T (y + w * wt) + lam m theta).
 
-The inverse is applied through the Woodbury identity, costing one m x m
-solve per step for every batch size m <= d. lam m I keeps that system
-strictly positive definite, so it is solved by LAPACK's dpotrf and dpotrs,
-called as scipy's cho_factor and cho_solve call them, with their checks and
-messages. The system is exactly symmetric, so dpotrf factors its transpose,
-a Fortran-ordered view, in place. scipy is imported at the first step or
-before a trial pool forks, so predict and tune never load it. Every step
-checks that lambda is positive, that the iterate, batch, system and factor
+A theta = 2 w * wt, so through the Woodbury identity this is theta_+ =
+theta + A^T K^(-1) (y - w * wt) with K = A A^T + lam m I, one m x m solve
+per step for every batch size m <= d. lam m I keeps K strictly positive
+definite, and numpy's Cholesky factorization is the check that it is;
+numpy's solve then gives K^(-1) (y - w * wt). Every step checks that lambda
+is positive, that the iterate, batch, system, right-hand side and factor
 are finite, that the factorization succeeds, and that the normal-equation
 residual is finite and within RESIDUAL_TOL of the right-hand side.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -92,50 +89,38 @@ def prox_linear_step(mu, nu, batch, lam):
     scale = lam * m
     w = batch.X @ mu
     wt = batch.Z @ nu
-    b = batch.y + w * wt
-    c_mu = batch.X.T @ (wt * b) + scale * mu
-    c_nu = batch.Z.T @ (w * b) + scale * nu
-
-    Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
-    K = wt[:, None] * wt * (batch.X @ batch.X.T) + w[:, None] * w * (batch.Z @ batch.Z.T)
+    A = np.hstack((wt[:, None] * batch.X, w[:, None] * batch.Z))
+    theta = np.concatenate((mu, nu))
+    r = batch.y - w * wt
+    K = A @ A.T
     K.flat[::m + 1] += scale
-    potrf, potrs = _lapack_cholesky()
     finite = np.isfinite(K).all()
     if finite:
-        U, info = potrf(K.T, lower=0, overwrite_a=1, clean=0)
-        if info > 0:
-            raise SingularSystemError(f"Woodbury system solve failed: {info}-th leading "
-                                      "minor of the array is not positive definite")
-        finite = np.isfinite(Ac).all() and np.isfinite(U).all()
+        try:
+            factor = np.linalg.cholesky(K)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Woodbury system solve failed: {exc}") from exc
+        finite = np.isfinite(r).all() and np.isfinite(factor).all()
     if not finite:
         raise SingularSystemError(
             "Woodbury system solve failed: array must not contain infs or NaNs")
-    s = potrs(U, Ac, lower=0, overwrite_b=1)[0]
-    mu_plus = (c_mu - batch.X.T @ (wt * s)) / scale
-    nu_plus = (c_nu - batch.Z.T @ (w * s)) / scale
+    theta_plus = theta + A.T @ np.linalg.solve(K, r)
 
-    _check_residual(batch, w, wt, mu_plus, nu_plus, c_mu, c_nu, scale)
-    return mu_plus, nu_plus
-
-
-@cache
-def _lapack_cholesky():
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    return dpotrf, dpotrs
+    _check_residual(A, theta_plus, A.T @ (batch.y + w * wt) + scale * theta, scale)
+    d = mu.size
+    return theta_plus[:d], theta_plus[d:]
 
 
-def _check_residual(batch, w, wt, mu_plus, nu_plus, c_mu, c_nu, scale):
-    # (A^T A + scale I) theta_+ - (A^T b + scale theta), matrix-free
-    a_theta = wt * (batch.X @ mu_plus) + w * (batch.Z @ nu_plus)
-    res_mu = batch.X.T @ (wt * a_theta) + scale * mu_plus - c_mu
-    res_nu = batch.Z.T @ (w * a_theta) + scale * nu_plus - c_nu
-    res = math.sqrt(res_mu @ res_mu + res_nu @ res_nu)
-    rhs = math.sqrt(c_mu @ c_mu + c_nu @ c_nu)
-    if not (math.isfinite(res) and math.isfinite(rhs)):
+def _check_residual(A, theta_plus, rhs, scale):
+    # (A^T A + scale I) theta_+ - (A^T b + scale theta)
+    res = A.T @ (A @ theta_plus) + scale * theta_plus - rhs
+    res_norm = math.sqrt(res @ res)
+    rhs_norm = math.sqrt(rhs @ rhs)
+    if not (math.isfinite(res_norm) and math.isfinite(rhs_norm)):
         raise SingularSystemError("normal-equation residual is not finite")
-    if res > RESIDUAL_TOL * rhs:
+    if res_norm > RESIDUAL_TOL * rhs_norm:
         raise SingularSystemError(
-            f"normal-equation residual {res / rhs:.3e} exceeds {RESIDUAL_TOL:g}"
+            f"normal-equation residual {res_norm / rhs_norm:.3e} exceeds {RESIDUAL_TOL:g}"
         )
 
 
@@ -222,8 +207,6 @@ def run_trials(config, n_trials, master_seed, n_jobs=1):
     n_jobs = min(n_jobs, n_trials)  # a forked pool starts all its workers at once
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
-
-        _lapack_cholesky()  # forked workers inherit scipy rather than each importing it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             trajectories = tuple(pool.map(_run_one_trial, repeat(config), seeds))
     else:

@@ -1,9 +1,10 @@
 """Independent reference implementations the tests compare the package with.
 
 The package uses none of them: the dense solve is the reference the
-Woodbury prox-linear step must match, the same Woodbury step through scipy's
-cho_factor/cho_solve is the reference it must match bit for bit, and the prox
-subproblem's objective is what every step must not increase. The folded
+Woodbury prox-linear step must match, the same Woodbury step in residual
+form through numpy's cholesky and solve, written with diagonal matrices, is
+the reference it must match bit for bit, and the prox subproblem's
+objective is what every step must not increase. The folded
 Gauss-Hermite rule is a second quadrature for the expectation engine where
 both converge (moderate r), and plain Monte Carlo is the oracle for every
 expectation. A point grid is the engine's grid built for the square bracket
@@ -23,7 +24,6 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.linalg import cho_factor, cho_solve
 
 from proxtune.errors import ValidationError
 from proxtune.expect import SecondOrderKernels, get_engine
@@ -45,21 +45,18 @@ def dense_oracle(mu, nu, batch, lam):
 
 
 def woodbury_oracle(mu, nu, batch, lam):
-    """The Woodbury prox-linear step solved through scipy's cho_factor and
-    cho_solve, with no residual check."""
+    """The Woodbury prox-linear step in residual form, theta + A^T K^(-1)
+    (y - w * wt) with K = A A^T + lam m I, where np.linalg.cholesky checks K
+    and np.linalg.solve solves it; no residual check."""
     m = batch.y.size
-    scale = lam * m
     w = batch.X @ mu
     wt = batch.Z @ nu
-    b = batch.y + w * wt
-    c_mu = batch.X.T @ (wt * b) + scale * mu
-    c_nu = batch.Z.T @ (w * b) + scale * nu
-    Ac = wt * (batch.X @ c_mu) + w * (batch.Z @ c_nu)
-    K = np.outer(wt, wt) * (batch.X @ batch.X.T) \
-        + np.outer(w, w) * (batch.Z @ batch.Z.T)
-    K[np.diag_indices_from(K)] += scale
-    s = cho_solve(cho_factor(K), Ac)
-    return (c_mu - batch.X.T @ (wt * s)) / scale, (c_nu - batch.Z.T @ (w * s)) / scale
+    A = np.concatenate([np.diag(wt) @ batch.X, np.diag(w) @ batch.Z], axis=1)
+    K = A @ A.T
+    K[np.diag_indices_from(K)] += lam * m
+    np.linalg.cholesky(K)
+    theta = np.concatenate([mu, nu]) + A.T @ np.linalg.solve(K, batch.y - w * wt)
+    return theta[:mu.size], theta[mu.size:]
 
 
 def subproblem_objective(mu, nu, batch, lam, mu_at, nu_at):

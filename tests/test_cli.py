@@ -535,3 +535,17 @@ def test_predict_and_tune_do_not_import_scipy(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env())
     assert result.returncode == 0, result.stderr
+
+
+def test_simulate_and_compare_do_not_import_scipy(tmp_path):
+    # the prox-linear step solves with numpy's linalg alone, so neither a
+    # serial run nor a trial pool loads scipy
+    runs = [f"assert cli.main([{command!r}, '--d', '20', '--m', '4', '--iters', '3',"
+            f" '--trials', '2', '--parallelism', '{jobs}',"
+            f" '--out', {str(tmp_path / f'{command}{jobs}')!r}]) == 0"
+            for command in ("simulate", "compare") for jobs in (1, 2)]
+    code = "\n".join(["import sys", "import proxtune.cli as cli", *runs,
+                      "assert 'scipy' not in sys.modules"])
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
+    assert result.returncode == 0, result.stderr

@@ -158,6 +158,18 @@ class TestSolveR:
         assert r.r1 == pytest.approx(cold.r1, rel=1e-11)
         assert r.r2 == pytest.approx(cold.r2, rel=1e-11)
 
+    @pytest.mark.parametrize("L, Lt, lam, ratio, start", [
+        (50.82612351544256, 0.027368375781141565, 0.00048418876846625795, 0.9814872810778928,
+         None),
+        (0.012052340263774965, 39.71863402310011, 0.00020836603531943778, 0.993383532061006,
+         (25.971890603196904, 2327.703343100179)),
+    ], ids=["cold-1039", "warm-2049"])
+    def test_slowest_asymmetric_fixed_points_converge(self, L, Lt, lam, ratio, start):
+        # plain iteration needs 1,039 and 2,049 sweeps here, within FP_MAX_ITER
+        r = solve_r(L, Lt, lam, ratio, start=start)
+        assert r.residual <= predict.FP_TOL
+        assert r.iterations_used > 1000
+
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     def test_v_pair_is_isotone(self, log_L, log_Lt, log_r1, log_r2):

@@ -139,7 +139,7 @@ class TestProxLinearStep:
         b = dense_oracle(mu, nu, batch, lam)
         assert np.max(np.abs(a[0] - b[0])) <= 1e-8
         assert np.max(np.abs(a[1] - b[1])) <= 1e-8
-        # the LAPACK calls are the ones scipy's cho_factor/cho_solve make
+        # the same numpy calls on the same operands give the same bits
         c = woodbury_oracle(mu, nu, batch, lam)
         assert np.array_equal(a[0], c[0]) and np.array_equal(a[1], c[1])
 
@@ -183,6 +183,19 @@ class TestProxLinearStep:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SingularSystemError, match="Woodbury system solve failed"):
             prox_linear_step(np.full(20, 1e160), gt.nu_star, batch, 100.0)
+
+    def test_rejects_failed_factorization(self):
+        # two identical rows of X and of Z give two identical rows of A, and
+        # lam m = 2e-300 vanishes against A A^T's entries, so K = [[a, a],
+        # [a, a]] in floating point and its Cholesky factorization fails
+        from proxtune.model import Batch
+        rng = np.random.default_rng(42)
+        x, z = rng.standard_normal(5), rng.standard_normal(5)
+        batch = Batch(X=np.vstack([x, x]), Z=np.vstack([z, z]), y=np.ones(2))
+        mu, nu = rng.standard_normal(5), rng.standard_normal(5)
+        with pytest.raises(SingularSystemError,
+                           match="Woodbury system solve failed: .*not positive definite"):
+            prox_linear_step(mu, nu, batch, 1e-300)
 
     def test_rejects_overflowing_residual(self):
         # at sigma = 1e200 the right-hand side norm overflows to inf, so the
