@@ -280,9 +280,9 @@ def cmd_simulate(config):
 
     trial_rows = []
     for k, tr in enumerate(result.trajectories):
-        for t, s in enumerate(tr.states):
-            trial_rows.append([t, k, s.alpha, s.beta, s.talpha, s.tbeta,
-                               tr.err[t], tr.frob[t]])
+        for t, (state, err, frob) in enumerate(zip(tr.states.tolist(), tr.err.tolist(),
+                                                   tr.frob.tolist())):
+            trial_rows.append([t, k, *state, err, frob])
     trials_path = _out_path(config, "trials")
     write_table(trials_path,
                 ["t", "trial", "alpha", "beta", "talpha", "tbeta", "err", "frob_err"],
@@ -300,9 +300,10 @@ def cmd_predict(config):
     """Deterministic trajectory; no randomness consumed."""
     traj = predict_trajectory(config.initial_state(), config.iters, config.d,
                               config.m, config.sigma, config.lambda_schedule())
-    rows = [[t, s.alpha, s.beta, s.talpha, s.tbeta, traj.err_seq[t],
-             bool(traj.theory_region[t])]
-            for t, s in enumerate(traj.states)]
+    rows = [[t, *state, err, flag]
+            for t, (state, err, flag) in enumerate(zip(traj.states.tolist(),
+                                                       traj.err_seq.tolist(),
+                                                       traj.theory_region.tolist()))]
     path = _out_path(config, "predict")
     write_table(path,
                 ["t", "alpha", "beta", "talpha", "tbeta", "err_seq", "theory_region"],

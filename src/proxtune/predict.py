@@ -63,9 +63,17 @@ class FixedPointR:
 
 def in_theory_region(L, Lt, lam, ratio):
     """Sufficient (conservative) certificate that the fixed-point map is a
-    contraction and the bracket r <= 2 lam m / d applies."""
+    contraction and the bracket r <= 2 lam m / d applies. The Jacobian bound
+    (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) is taken only where
+    lam >= L^2, Lt^2, and there on (L / 2^k, Lt / 2^k, lam / 4^k), which
+    leaves it unchanged: k = 0 up to lam = 2^501, and above that k brings
+    lam below it, so no power leaves the float range."""
+    if not lam >= max(1.0, L * L, Lt * Lt):
+        return False
+    k = max(0, math.frexp(lam)[1] // 2 - 250)
+    L, Lt, lam = math.ldexp(L, -k), math.ldexp(Lt, -k), math.ldexp(lam, -2 * k)
     jac_bound = (3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4) / (lam * lam * ratio)
-    return lam >= max(1.0, L * L, Lt * Lt) and jac_bound <= 0.5
+    return jac_bound <= 0.5
 
 
 def solve_r(L, Lt, lam, ratio, start=None, grid=None):
@@ -247,7 +255,8 @@ def det_map(s, d, m, sigma, lam, start=None, grid=None):
 
 @dataclass(frozen=True)
 class DetTrajectory:
-    """Predicted states and error sequence over a horizon.
+    """Predicted states, one (alpha, beta, talpha, tbeta) row for each
+    t = 0..T, and the error sequence over a horizon.
 
     theory_region[t] is the contraction certificate evaluated at state t
     with the schedule value at t. fp_iterations[t] and fp_residual[t] are
@@ -255,7 +264,7 @@ class DetTrajectory:
     point (length T, like the steps).
     """
 
-    states: tuple
+    states: np.ndarray
     err_seq: np.ndarray
     theory_region: np.ndarray
     fp_iterations: np.ndarray
@@ -279,10 +288,14 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     if T < 0:
         raise ValidationError("T must be nonnegative")
     ratio = m / d
-    states = [s0]
-    errs = [err_of(s0)]
-    flags, iterations, residuals = [], [], []
+    states = np.empty((T + 1, 4))
+    errs = np.empty(T + 1)
+    flags = np.empty(T + 1, dtype=bool)
+    iterations = np.empty(T, dtype=int)
+    residuals = np.empty(T)
     s = s0
+    states[0] = s.alpha, s.beta, s.talpha, s.tbeta
+    errs[0] = err_of(s)
     start = grid = None
     g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
     for t in range(T):
@@ -291,22 +304,22 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
             s_next, r = det_map(s, d, m, sigma, lam, start, grid)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
-        flags.append(in_theory_region(s.L, s.Lt, lam, ratio))
+        flags[t] = in_theory_region(s.L, s.Lt, lam, ratio)
         s = s_next
         _, v1, v2, _ = r.expectations
         g1s, g2s = [ratio * (lam + v1), *g1s[:5]], [ratio * (lam + v2), *g2s[:5]]
         coefs = EXTRAPOLATION[len(g1s) - 1]
         start = (sum(map(mul, coefs, g1s)), sum(map(mul, coefs, g2s)))
         grid = r.ctx
-        iterations.append(r.iterations_used)
-        residuals.append(r.residual)
-        states.append(s)
-        errs.append(err_of(s))
-    flags.append(in_theory_region(s.L, s.Lt, schedule.value(T), ratio))
+        iterations[t] = r.iterations_used
+        residuals[t] = r.residual
+        states[t + 1] = s.alpha, s.beta, s.talpha, s.tbeta
+        errs[t + 1] = err_of(s)
+    flags[T] = in_theory_region(s.L, s.Lt, schedule.value(T), ratio)
     return DetTrajectory(
-        states=tuple(states),
-        err_seq=np.array(errs),
-        theory_region=np.array(flags),
-        fp_iterations=np.array(iterations, dtype=int),
-        fp_residual=np.array(residuals, dtype=float),
+        states=states,
+        err_seq=errs,
+        theory_region=flags,
+        fp_iterations=iterations,
+        fp_residual=residuals,
     )

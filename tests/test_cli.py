@@ -316,19 +316,30 @@ def test_problem_check_exit_code(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("argv, code, tables", [
-    (["predict", "--d", "2", "--m", "1"], EXIT_OK, ["predict"]),
-    (["predict", "--d", "2", "--m", "2"], EXIT_OK, ["predict"]),
-    (["predict", "--d", "200", "--m", "1"], EXIT_OK, ["predict"]),
+@pytest.mark.parametrize("argv, code, tables, region", [
+    (["predict", "--d", "2", "--m", "1"], EXIT_OK, ["predict"], None),
+    (["predict", "--d", "2", "--m", "2"], EXIT_OK, ["predict"], None),
+    (["predict", "--d", "200", "--m", "1"], EXIT_OK, ["predict"], None),
     (["simulate", "--d", "2", "--m", "1", "--trials", "3", "--iters", "200",
-      "--parallelism", "1"], EXIT_OK, ["trials", "aggregate"]),
-    (["predict", "--lambda", "0.5", "--m", "200", "--iters", "20"], EXIT_OK, ["predict"]),
-    (["tune", "--d", "2", "--m-grid", "1,2", "--iters", "5"], EXIT_NO_FEASIBLE, ["tune"]),
-    (["predict", "--sigma", "1e100", "--iters", "3"], EXIT_NUMERICAL, []),
+      "--parallelism", "1"], EXIT_OK, ["trials", "aggregate"], None),
+    (["predict", "--lambda", "0.5", "--m", "200", "--iters", "20"], EXIT_OK, ["predict"], 0),
+    (["tune", "--d", "2", "--m-grid", "1,2", "--iters", "5"], EXIT_NO_FEASIBLE, ["tune"], None),
+    (["predict", "--sigma", "1e100", "--iters", "3"], EXIT_NUMERICAL, [], None),
+    # L = 1e80: the certificate's L^4 leaves the float range, the state does not
+    (["predict", "--alpha0", "0.5", "--init-norm", "1e80", "--iters", "0"],
+     EXIT_OK, ["predict"], 0),
+    (["tune", "--alpha0", "0.5", "--init-norm", "1e80", "--iters", "0"],
+     EXIT_NO_FEASIBLE, ["tune"], None),
+    # L^2 / lambda = 1e-2 certifies although L^4 and lambda^2 overflow
+    (["predict", "--alpha0", "0.5", "--init-norm", "1e79", "--lambda", "1e160",
+      "--iters", "0"], EXIT_OK, ["predict"], 1),
 ], ids=["predict-d2-m1", "predict-d2-m2", "predict-d200-m1", "simulate-d2-m1",
-        "predict-m-equals-d-small-lambda", "tune-d2-no-feasible", "predict-grid-span-overflow"])
-def test_boundary_runs(tmp_path, capsys, argv, code, tables):
+        "predict-m-equals-d-small-lambda", "tune-d2-no-feasible", "predict-grid-span-overflow",
+        "predict-certificate-overflow", "tune-certificate-overflow",
+        "predict-certificate-huge-lambda"])
+def test_boundary_runs(tmp_path, capsys, argv, code, tables, region):
     # the edges of the problem check: exit code, files written, finite rows
+    # and, where given, the theory_region flag of every row
     assert run_cli(tmp_path, *argv) == code
     err = capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"run.{k}.csv" for k in tables)
@@ -341,8 +352,8 @@ def test_boundary_runs(tmp_path, capsys, argv, code, tables):
         _, columns, rows = read_table(str(tmp_path / f"run.{kind}.csv"))
         assert len(rows) == (iters + 1) * (3 if kind == "trials" else 1)
         assert all(math.isfinite(v) for row in rows for v in row)
-        if "--lambda" in argv:
-            assert not any(col(columns, rows, "theory_region"))
+        if region is not None:
+            assert col(columns, rows, "theory_region") == [region] * len(rows)
 
 
 class TestPredictCommand:
@@ -518,8 +529,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_predict_and_tune_do_not_import_scipy(tmp_path):
-    # only the stochastic step solves a linear system; scipy.linalg is
-    # imported on its first call
+    # no route imports scipy: only the stochastic step solves a linear
+    # system, and it does so with numpy's linalg
     code = "\n".join([
         "import sys",
         "import proxtune.cli as cli",
@@ -539,13 +550,15 @@ def test_predict_and_tune_do_not_import_scipy(tmp_path):
 
 def test_simulate_and_compare_do_not_import_scipy(tmp_path):
     # the prox-linear step solves with numpy's linalg alone, so neither a
-    # serial run nor a trial pool loads scipy
+    # serial run nor a trial pool loads scipy; the quartiles come from one
+    # sort, not np.percentile, whose np.unique loads numpy.ma
     runs = [f"assert cli.main([{command!r}, '--d', '20', '--m', '4', '--iters', '3',"
             f" '--trials', '2', '--parallelism', '{jobs}',"
             f" '--out', {str(tmp_path / f'{command}{jobs}')!r}]) == 0"
             for command in ("simulate", "compare") for jobs in (1, 2)]
     code = "\n".join(["import sys", "import proxtune.cli as cli", *runs,
-                      "assert 'scipy' not in sys.modules"])
+                      "assert 'scipy' not in sys.modules",
+                      "assert 'numpy.ma' not in sys.modules"])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env())
     assert result.returncode == 0, result.stderr

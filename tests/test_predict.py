@@ -509,14 +509,14 @@ class TestPredictTrajectory:
     def test_empty_horizon(self):
         s = local_state()
         traj = predict_trajectory(s, 0, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
-        assert len(traj.states) == 1
-        assert traj.states[0] == s
+        assert traj.states.shape == (1, 4)
+        assert tuple(traj.states[0]) == astuple(s)
         assert traj.err_seq[0] == pytest.approx(err_of(s), abs=1e-15)
 
     def test_err_seq_matches_states(self):
         traj = predict_trajectory(local_state(), 40, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
-        for t, s in enumerate(traj.states):
-            assert traj.err_seq[t] == pytest.approx(err_of(s), abs=1e-15)
+        for t, row in enumerate(traj.states):
+            assert traj.err_seq[t] == pytest.approx(err_of(StateVec(*row)), abs=1e-15)
 
     def test_floor_order_anchor(self):
         # sigma=0.1, m=32, lam=100: floor within 5x of sigma^2 d/(lam m)
@@ -546,7 +546,7 @@ class TestPredictTrajectory:
         assert traj.theory_region.dtype == bool
         assert traj.theory_region.tolist() == [
             in_theory_region(s.L, s.Lt, sched.value(t), m / d)
-            for t, s in enumerate(traj.states)]
+            for t, s in enumerate(StateVec(*row) for row in traj.states)]
 
     def test_schedule_values_recorded(self):
         # step t maps with lambda_t: a delayed-linear schedule's states are
@@ -555,9 +555,9 @@ class TestPredictTrajectory:
         sched = LambdaSchedule("delayed-linear", 50.0, t0=10)
         traj = predict_trajectory(local_state(), 15, 200, 32, 0.01, sched)
         const = predict_trajectory(local_state(), 15, 200, 32, 0.01, LambdaSchedule(lambda0=50.0))
-        assert traj.states[:12] == const.states[:12]
-        assert traj.states[12] != const.states[12]
-        s, r = det_map(traj.states[11], 200, 32, 0.01, 51.0)
+        assert np.array_equal(traj.states[:12], const.states[:12])
+        assert not np.array_equal(traj.states[12], const.states[12])
+        s, r = det_map(StateVec(*traj.states[11]), 200, 32, 0.01, 51.0)
         assert abs(err_of(s) - traj.err_seq[12]) <= 1e-12 * traj.err_seq[12]
 
     def test_in_theory_region_helper(self):
@@ -588,7 +588,7 @@ class TestPredictTrajectory:
         s = local_state()
         for t in range(T):
             s, _ = det_map(s, d, m, sigma, schedule.value(t))
-            for a, b in zip(astuple(warm.states[t + 1]), astuple(s)):
+            for a, b in zip(warm.states[t + 1], astuple(s)):
                 assert abs(a - b) <= 1e-12 * abs(b), t
 
     @settings(derandomize=True, max_examples=200, deadline=None)

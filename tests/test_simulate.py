@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from proxtune import simulate
 from proxtune.errors import (
     NumericalInputError,
     SimulationError,
@@ -21,10 +23,11 @@ from proxtune.simulate import (
     ExperimentConfig,
     LambdaSchedule,
     prox_linear_step,
+    quartiles,
     run_empirical,
     run_trials,
 )
-from proxtune.state import err_of
+from proxtune.state import StateVec, err_of
 from oracles import dense_oracle, subproblem_objective, woodbury_oracle
 
 
@@ -227,17 +230,17 @@ class TestRunEmpirical:
         gt = generate_ground_truth(30, seed=21)
         mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=22)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), np.random.SeedSequence(23))
-        assert len(tr.states) == 1
-        assert tr.err[0] == pytest.approx(err_of(tr.states[0]), abs=1e-15)
+        assert tr.states.shape == (1, 4)
+        assert tr.err[0] == pytest.approx(err_of(StateVec(*tr.states[0])), abs=1e-15)
 
     def test_record_count_and_err_consistency(self):
         gt = generate_ground_truth(30, seed=24)
         mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=25)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20),
                            np.random.SeedSequence(26))
-        assert len(tr.states) == 21
+        assert tr.states.shape == (21, 4)
         for t in range(21):
-            assert tr.err[t] == pytest.approx(err_of(tr.states[t]), abs=1e-12)
+            assert tr.err[t] == pytest.approx(err_of(StateVec(*tr.states[t])), abs=1e-12)
 
     def test_seeded_determinism(self):
         gt = generate_ground_truth(30, seed=27)
@@ -245,6 +248,22 @@ class TestRunEmpirical:
         a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
         b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
         assert np.array_equal(a.err, b.err)
+
+    def test_step_t_draws_from_spawn_key_t(self, monkeypatch):
+        # step t's batch comes from the child with spawn key
+        # run_ss.spawn_key + (t,), each child used once
+        keys = []
+
+        def recording_sample_batch(gt, m, sigma, seed):
+            keys.append((seed.entropy, seed.spawn_key))
+            return sample_batch(gt, m, sigma, seed)
+
+        monkeypatch.setattr(simulate, "sample_batch", recording_sample_batch)
+        gt = generate_ground_truth(30, seed=39)
+        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=40)
+        run_ss = np.random.SeedSequence(41, spawn_key=(3, 2))
+        run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=7), run_ss)
+        assert keys == [(41, run_ss.spawn_key + (t,)) for t in range(7)]
 
     def test_failure_carries_iteration_index(self):
         gt = generate_ground_truth(10, seed=30)
@@ -341,6 +360,13 @@ class TestRunTrials:
             return np.mean(result.q75[window] - result.q25[window])
 
         assert iqr_mean(32) < iqr_mean(8)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(1, 64).flatmap(lambda n: hnp.arrays(
+        np.float64, (n, 3), elements=st.floats(1e-300, 1e300))))
+    def test_quartiles_equal_percentile(self, errs):
+        # one sort and numpy's linear rule give np.percentile's values bit for bit
+        assert np.array_equal(quartiles(errs), np.percentile(errs, [25, 50, 75], axis=0))
 
     def test_rejects_zero_trials(self):
         config = ExperimentConfig(d=20, m=4, sigma=0.0,
