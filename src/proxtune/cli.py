@@ -11,7 +11,6 @@ digits for lossless double round-trips.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -20,6 +19,14 @@ from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin
 
 import numpy as np
+
+try:  # CPython's builtin SHA-256, as stdlib random takes sha512; hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .errors import NoFeasiblePointError, NonConvergenceError, ProxtuneError, ValidationError
@@ -105,7 +112,7 @@ class RunConfig:
         # hash what is computed, not where it is written
         lines = [line for line in self.to_text().splitlines()
                  if not line.startswith(("out ", "format "))]
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+        return sha256("\n".join(lines).encode()).hexdigest()[:12]
 
     def lambda_schedule(self):
         return LambdaSchedule(kind=self.schedule, lambda0=self.lambda0,

@@ -7,9 +7,11 @@ integrand family has denominators D = r1 r2 + r1 G1^2 + r2 G2^2 (or D^2),
 and writing 1/D^s = int_0^inf t^(s-1)/(s-1)! exp(-D t) dt factors each
 member into closed-form Gaussian moments times a one-dimensional integral.
 Composite Gauss-Legendre panels on a geometric grid evaluate that integral
-to machine precision uniformly in (r1, r2). Fixed Gauss-Hermite grids lose
-accuracy once r1, r2 are small because the integrand develops features on
-the scale sqrt(r), far below the Gaussian scale.
+to machine precision uniformly in (r1, r2). Each panel takes ``LEGENDRE_16``,
+numpy's leggauss(16) mapped to [0, 1] and kept as a table, so no prediction
+imports numpy.polynomial. Fixed Gauss-Hermite grids lose accuracy once r1, r2
+are small because the integrand develops features on the scale sqrt(r), far
+below the Gaussian scale.
 
 A grid (``EngineContext``) is valid at every (r1, r2) of a bracket whose
 t-span ``bracket_span`` it covers: one panel [0, lo], where lo is LEAD
@@ -47,6 +49,17 @@ LEAD = 1e-5
 TAIL = 46.0
 # a new grid spans SLACK times its bracket's t-span beyond each end
 SLACK = 2.0
+# the panel rule on [0, 1], float for float (0.5 * (x + 1), 0.5 * w) of leggauss(16)
+LEGENDRE_16 = (
+    np.array([0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+              0.19106187779867811, 0.2709916111713863, 0.35919822461037054, 0.4524937450811813,
+              0.5475062549188188, 0.6408017753896295, 0.7290083888286136, 0.8089381222013219,
+              0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825]),
+    np.array([0.013576229705877088, 0.031126761969323728, 0.0475792558412463, 0.062314485627767036,
+              0.07479799440828835, 0.08457825969750132, 0.09130170752246182, 0.09472530522753432,
+              0.09472530522753432, 0.09130170752246182, 0.08457825969750132, 0.07479799440828835,
+              0.062314485627767036, 0.0475792558412463, 0.031126761969323728, 0.013576229705877088]),
+)
 
 
 def panel_edges(lo, hi, n):
@@ -135,17 +148,12 @@ class ExpectationEngine:
     * prod_i m_i(t) dt where the m_i are closed-form Gaussian moment factors
     (1 + 2 r_i Lsq t)^(-k/2). The integral runs over composite Gauss-Legendre
     panels: one panel [0, t_lo], then geometrically growing panels up to
-    where the exponential has decayed below working precision.
+    where the exponential has decayed below working precision. Each panel
+    takes rule, a (nodes, weights) pair on [0, 1]: LEGENDRE_16 by default.
     """
 
-    def __init__(self, points_per_panel=16, panels_per_decade=3):
-        if points_per_panel < 2:
-            raise ValidationError("points_per_panel must be >= 2")
-        from numpy.polynomial.legendre import leggauss  # loaded with the first engine
-
-        x, w = leggauss(points_per_panel)
-        self._x01 = 0.5 * (x + 1.0)
-        self._w01 = 0.5 * w
+    def __init__(self, rule=LEGENDRE_16, panels_per_decade=3):
+        self._x01, self._w01 = rule
         self.panels_per_decade = panels_per_decade
 
     def context(self, L, Lt, r_lo, r_hi):

@@ -295,13 +295,17 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     residuals = np.empty(T)
     s = s0
     states[0] = s.alpha, s.beta, s.talpha, s.tbeta
-    errs[0] = err_of(s)
+    try:
+        errs[0] = err_of(s)
+    except NumericalInputError as exc:
+        raise PredictionError(0, str(exc)) from exc
     start = grid = None
     g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
     for t in range(T):
         lam = schedule.value(t)
         try:
             s_next, r = det_map(s, d, m, sigma, lam, start, grid)
+            errs[t + 1] = err_of(s_next)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
         flags[t] = in_theory_region(s.L, s.Lt, lam, ratio)
@@ -314,7 +318,6 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         iterations[t] = r.iterations_used
         residuals[t] = r.residual
         states[t + 1] = s.alpha, s.beta, s.talpha, s.tbeta
-        errs[t + 1] = err_of(s)
     flags[T] = in_theory_region(s.L, s.Lt, schedule.value(T), ratio)
     return DetTrajectory(
         states=states,

@@ -153,16 +153,19 @@ def run_empirical(mu0, nu0, gt, config, seed):
         err[t] = err_of(s)
         frob[t] = frob_err(mu, nu, gt)
 
-    record(0)
+    try:
+        record(0)
+    except NumericalInputError as exc:
+        raise SimulationError(0, str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(config.T):
             lam = config.schedule.value(t)
             try:
                 batch = sample_batch(gt, config.m, config.sigma, seed.spawn(1)[0])
                 mu, nu = prox_linear_step(mu, nu, batch, lam)
+                record(t + 1)
             except ProxtuneError as exc:
                 raise SimulationError(t, str(exc)) from exc
-            record(t + 1)
     return EmpiricalTrajectory(states=states, err=err, frob=frob)
 
 

@@ -9,7 +9,7 @@ are functions of this state alone.
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import NumericalInputError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -42,15 +42,22 @@ def state_of(mu, nu, gt):
     return StateVec(alpha, math.sqrt(r @ r), talpha, math.sqrt(rt @ rt))
 
 
+def _finite(name, value):
+    if not math.isfinite(value):
+        raise NumericalInputError(f"error metric {name} = {value} overflows the float range")
+    return value
+
+
 def err_of(s):
-    """(alpha*talpha - 1)^2 + beta^2 + tbeta^2."""
-    return (s.alpha * s.talpha - 1.0) ** 2 + s.beta ** 2 + s.tbeta ** 2
+    """(alpha*talpha - 1)^2 + beta^2 + tbeta^2, checked finite."""
+    try:
+        err = (s.alpha * s.talpha - 1.0) ** 2 + s.beta ** 2 + s.tbeta ** 2
+    except OverflowError:
+        err = math.inf
+    return _finite("err", err)
 
 
 def frob_err(mu, nu, gt):
-    """||mu nu^T - mu* nu*^T||_F^2 without forming d x d matrices."""
-    return (
-        float(mu @ mu) * float(nu @ nu)
-        - 2.0 * float(mu @ gt.mu_star) * float(nu @ gt.nu_star)
-        + 1.0
-    )
+    """||mu nu^T - mu* nu*^T||_F^2 without forming d x d matrices, checked finite."""
+    return _finite("frob_err", float(mu @ mu) * float(nu @ nu)
+                   - 2.0 * float(mu @ gt.mu_star) * float(nu @ gt.nu_star) + 1.0)

@@ -14,9 +14,11 @@ the engine's kernel pass written out one sum at a time, the reference the
 fused pass must match. ``reference_parallel``, ``reference_H`` and
 ``reference_V34`` write the map's scalar formulas out with nothing shared
 between them (each evaluates its own phi prefactors and squared lengths), the
-reference the package's shared-scalar versions must match bit for bit. The
-Frobenius error written from the state and the sandwich check relating it to
-``err_of`` are checks on the state summary.
+reference the package's shared-scalar versions must match bit for bit.
+``legendre_rule`` is numpy's Gauss-Legendre rule mapped to [0, 1], the
+reference for the engine's stored panel rule and the finer rules the
+refinement tests pass. The Frobenius error written from the state and the
+sandwich check relating it to ``err_of`` are checks on the state summary.
 """
 
 import math
@@ -24,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 
 from proxtune.errors import ValidationError
 from proxtune.expect import SecondOrderKernels, get_engine
@@ -129,6 +132,13 @@ def mc_expect2(f, L, Lt, n_samples, seed=0):
         return mean, float("inf")
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     return mean, math.sqrt(var / n_samples)
+
+
+def legendre_rule(n):
+    """The n-point Gauss-Legendre (nodes, weights) mapped to [0, 1], as an
+    ExpectationEngine rule."""
+    x, w = leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def point_grid(engine, L, Lt, r1, r2):

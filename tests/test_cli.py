@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -53,6 +54,20 @@ class TestRunConfig:
 
     def test_hash_changes_with_config(self):
         assert RunConfig().config_hash() != RunConfig(d=100).config_hash()
+
+    def test_default_hash_is_pinned(self):
+        # the value every earlier artifact of a default run carries
+        assert RunConfig().config_hash() == "4d23f5685f56"
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_hash_is_hashlib_sha256(self, data):
+        # the builtin SHA-256 digests the same text as hashlib's
+        cfg = RunConfig(**{f.name: data.draw(_field_values(f), label=f.name)
+                           for f in fields(RunConfig)})
+        text = "\n".join(line for line in cfg.to_text().splitlines()
+                         if not line.startswith(("out ", "format ")))
+        assert cfg.config_hash() == hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def test_end_of_options_marker_is_no_output_base(self, tmp_path):
         path = tmp_path / "dash.cfg"
@@ -356,6 +371,23 @@ def test_boundary_runs(tmp_path, capsys, argv, code, tables, region):
             assert col(columns, rows, "theory_region") == [region] * len(rows)
 
 
+@pytest.mark.parametrize("argv, metric", [
+    (["predict", "--alpha0", "1e80", "--init-norm", "1e80", "--iters", "0"], "err"),
+    (["tune", "--alpha0", "1e80", "--init-norm", "1e80", "--iters", "0"], "err"),
+    (["simulate", "--alpha0", "1e80", "--init-norm", "1e80", "--iters", "0", "--d", "10",
+      "--m", "2", "--trials", "1", "--parallelism", "1"], "err"),
+    (["simulate", "--alpha0", "0.5", "--init-norm", "1e80", "--iters", "0", "--d", "10",
+      "--m", "2", "--trials", "1", "--parallelism", "1"], "frob_err"),
+], ids=["predict-err", "tune-err", "simulate-err", "simulate-frob-err"])
+def test_overflowing_error_metric_exit_code(tmp_path, capsys, argv, metric):
+    # a finite initial state whose error metric leaves the float range is a
+    # typed numerical failure at step 0 that names the metric; no table is written
+    assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"0: error metric {metric} = inf overflows" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestPredictCommand:
     def test_zero_iters_single_row(self, tmp_path):
         code = run_cli(tmp_path, "predict", "--iters", "0")
@@ -535,13 +567,16 @@ def test_predict_and_tune_do_not_import_scipy(tmp_path):
         "import sys",
         "import proxtune.cli as cli",
         "assert 'scipy' not in sys.modules, 'import'",
-        # the trial pool and the Legendre rule load where they are first used
+        # the trial pool loads where it is first used
         "assert 'multiprocessing' not in sys.modules, 'pool'",
-        "assert 'numpy.polynomial' not in sys.modules, 'legendre'",
         f"assert cli.main(['predict', '--iters', '3', '--out', {str(tmp_path / 'p')!r}]) == 0",
         f"assert cli.main(['tune', '--d', '40', '--m-grid', '4,8', '--iters', '3',"
         f" '--target-err', '0.5', '--out', {str(tmp_path / 't')!r}]) == 0",
         "assert 'scipy' not in sys.modules, 'run'",
+        # the config hash takes the builtin SHA-256, not hashlib's OpenSSL
+        # binding, and the Legendre rule is a stored table
+        "assert '_hashlib' not in sys.modules, 'openssl'",
+        "assert 'numpy.polynomial' not in sys.modules, 'legendre'",
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=child_env())

@@ -6,12 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxtune.errors import ValidationError
-from proxtune.expect import ExpectationEngine, bracket_span, get_engine, panel_edges
+from proxtune.expect import LEGENDRE_16, ExpectationEngine, bracket_span, get_engine, panel_edges
 from proxtune.predict import solve_r
 from oracles import (
     QuadratureRule,
     gauss_expect2,
     kernels_at,
+    legendre_rule,
     mc_expect2,
     point_grid,
     reference_kernels,
@@ -134,11 +135,21 @@ class TestExpectationEngine:
                 gh = gauss_expect2(f, L, Lt, rule)
                 assert vals[name] == pytest.approx(gh, rel=1e-12), name
 
+    def test_stored_rule_is_leggauss_16(self):
+        # the engine's table holds, float for float, the rule numpy builds,
+        # so the shared engine's grids are those of numpy's rule
+        nodes, weights = legendre_rule(16)
+        assert np.array_equal(LEGENDRE_16[0], nodes)
+        assert np.array_equal(LEGENDRE_16[1], weights)
+        ctx = get_engine().context(1.0, 0.7, 0.1, 3.0)
+        ref = ExpectationEngine(rule=(nodes, weights)).context(1.0, 0.7, 0.1, 3.0)
+        assert np.array_equal(ctx.t, ref.t) and np.array_equal(ctx.w, ref.w)
+
     def test_refinement_stability(self):
         # halving panel size and doubling points changes nothing measurable,
         # including at small r where fixed Gauss-Hermite grids fail
-        coarse = ExpectationEngine(points_per_panel=16, panels_per_decade=3)
-        fine = ExpectationEngine(points_per_panel=32, panels_per_decade=6)
+        coarse = ExpectationEngine(rule=legendre_rule(16), panels_per_decade=3)
+        fine = ExpectationEngine(rule=legendre_rule(32), panels_per_decade=6)
         for (r1, r2, L, Lt) in [(0.171, 0.171, 1.0, 1.0), (0.05, 0.8, 0.2, 3.0),
                                 (16.0, 16.0, 1.0, 1.0), (1e7, 2e7, 0.5, 2.9)]:
             a = engine_values(coarse, r1, r2, L, Lt)
@@ -158,7 +169,7 @@ class TestExpectationEngine:
     def test_node_doubling_invariance_at_experiment_ranges(self):
         # doubling the points per panel moves predictor expectations < 1e-10
         base = get_engine()
-        double = ExpectationEngine(points_per_panel=32)
+        double = ExpectationEngine(rule=legendre_rule(32))
         experiment_points = [
             (16.0, 16.0, 1.0, 1.0),     # lam=100, m=32, d=200
             (0.16, 0.16, 1.0, 1.0),     # lam=1, m=32, d=200

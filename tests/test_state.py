@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from proxtune.errors import ValidationError
+from proxtune.errors import NumericalInputError, ValidationError
 from proxtune.model import GroundTruth
 from proxtune.state import StateVec, err_of, frob_err, state_of
 from oracles import sandwich_check, state_frob_err
@@ -79,8 +79,19 @@ class TestErrOf:
             b, tb = np.abs(rng.normal(size=2))
             assert err_of(StateVec(a, b, ta, tb)) == err_of(StateVec(-a, b, -ta, tb))
 
+    @pytest.mark.parametrize("s", [StateVec(1e80, 0.0, 1e80, 0.0),  # ** 2 raises
+                                   StateVec(0.0, 1e154, 0.0, 1e154)])  # the sum is inf
+    def test_overflow_is_typed(self, s):
+        with pytest.raises(NumericalInputError, match="error metric err = inf"):
+            err_of(s)
+
 
 class TestFrobErr:
+    def test_overflow_is_typed(self):
+        gt = make_gt(10, 11)
+        with pytest.raises(NumericalInputError, match="error metric frob_err = inf"):
+            frob_err(1e80 * gt.mu_star, 1e80 * gt.nu_star, gt)
+
     def test_zero_at_truth(self):
         gt = make_gt(10, 7)
         assert frob_err(gt.mu_star, gt.nu_star, gt) == pytest.approx(0.0, abs=1e-12)
