@@ -13,7 +13,6 @@ digits for lossless double round-trips.
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin
@@ -32,9 +31,9 @@ from . import __version__
 from .errors import NoFeasiblePointError, NonConvergenceError, ProxtuneError, ValidationError
 from .model import InitSpec
 from .predict import predict_trajectory
-from .simulate import CONVENTIONS, SCHEDULES, ExperimentConfig, LambdaSchedule, run_trials
+from .simulate import CONVENTIONS, SCHEDULES, LambdaSchedule, run_trials
 from .state import StateVec
-from .tune import POLICIES, TuneGrid, build_report, recommend, sweep
+from .tune import POLICIES, build_report, recommend, sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,7 +50,8 @@ def _setting(default, help=None, choices=None, flag=None):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting of a run; the one declaration of each flag and key."""
+    """Every setting of a run; the one declaration of each flag and key.
+    simulate.run_trials and tune.sweep read it as it is."""
 
     mode: str = "predict"
     d: int = 200
@@ -72,7 +72,8 @@ class RunConfig:
     init_norm: float = 1.0
     out: str = _setting("run", "output base path")
     format: str = _setting("csv", choices=("csv", "json"))
-    parallelism: int = _setting(0, "trial worker count (default 0 = all cores)")
+    parallelism: int = _setting(
+        0, "trial workers, at most the CPU count (default 0 = all cores)")
     target_err: float = 1e-8
     policy: str = _setting("min-iterations-to-target", choices=POLICIES)
     budget: int | None = _setting(None, "iteration budget for the floor policy")
@@ -129,14 +130,6 @@ class RunConfig:
     def initial_state(self):
         a0, b0 = self.init_spec().state_targets()
         return StateVec(a0, b0, a0, b0)
-
-    def experiment(self):
-        return ExperimentConfig(d=self.d, m=self.m, sigma=self.sigma,
-                                schedule=self.lambda_schedule(),
-                                init=self.init_spec(), T=self.iters)
-
-    def n_jobs(self):
-        return self.parallelism if self.parallelism > 0 else (os.cpu_count() or 1)
 
 
 def _format_value(v):
@@ -280,8 +273,7 @@ def _out_path(config, suffix):
 
 def cmd_simulate(config):
     """Multi-trial empirical run: per-trial records plus the aggregate."""
-    result = run_trials(config.experiment(), config.trials, config.seed,
-                        n_jobs=config.n_jobs())
+    result = run_trials(config)
     meta = _base_metadata(config)
     meta["trials"] = config.trials
 
@@ -359,15 +351,7 @@ def cmd_compare(config):
 
 def cmd_tune(config):
     """Sweep the grid with deterministic trajectories and recommend."""
-    grid = TuneGrid(
-        m_values=config.m_grid if config.m_grid else (config.m,),
-        d=config.d,
-        sigma=config.sigma,
-        s0=config.initial_state(),
-        horizon=config.iters,
-        lambda_values=config.lambda_grid if config.lambda_grid else None,
-    )
-    results, failures = sweep(grid)
+    results, failures = sweep(config)
     for point, exc in sorted(failures.items()):
         print(f"warning: grid point (m={point[0]}, lambda={point[1]:g}) "
               f"failed: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ def check_problem(d, m, sigma):
         raise InvalidDimensionError("d must be at least 2")
     if not 1 <= m <= d:
         raise ValidationError(f"batch size must satisfy 1 <= m <= d; got m={m}, d={d}")
-    if not sigma >= 0:
-        raise ValidationError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValidationError("sigma must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ class InitSpec:
         """The overlap that puts ||mu0 - mu*||^2 at dist_sq for the given norm."""
         if not dist_sq >= 0:
             raise InfeasibleInitializationError("squared distance must be >= 0")
-        _check_norm_sq(norm)
+        _check_norm(norm)
         # solve (alpha - 1)^2 + beta^2 = dist_sq with alpha^2 + beta^2 = norm^2
         alpha0 = 0.5 * (1.0 + norm ** 2 - dist_sq)
         if abs(alpha0) > norm * (1.0 + 1e-12):
@@ -101,9 +101,7 @@ class InitSpec:
 
     def state_targets(self):
         """Resolve to (alpha0, beta0); raises if geometrically infeasible."""
-        if not self.norm > 0:
-            raise InfeasibleInitializationError("target norm must be positive")
-        _check_norm_sq(self.norm)
+        _check_norm(self.norm)
         alpha0 = float(self.alpha0)
         if not abs(alpha0) <= self.norm * (1.0 + 1e-12):
             raise InfeasibleInitializationError(
@@ -113,7 +111,9 @@ class InitSpec:
         return alpha0, beta0
 
 
-def _check_norm_sq(norm):
+def _check_norm(norm):
+    if not 0 < norm < math.inf:
+        raise InfeasibleInitializationError("target norm must be positive and finite")
     if math.isinf(norm * norm):
         raise NumericalInputError(f"squared target norm overflows at norm={norm:g}")
 

@@ -17,6 +17,7 @@ residual is finite and within RESIDUAL_TOL of the right-hand side.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -29,7 +30,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .model import InitSpec, check_problem, generate_ground_truth, init_iterates, sample_batch
+from .model import check_problem, generate_ground_truth, init_iterates, sample_batch
 from .state import err_of, frob_err, state_of
 
 RESIDUAL_TOL = 1e-8
@@ -57,13 +58,13 @@ class LambdaSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULES:
             raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        if not self.lambda0 > 0:
-            raise ValidationError("lambda0 must be positive")
+        if not 0 < self.lambda0 < math.inf:
+            raise ValidationError("lambda0 must be positive and finite")
         if self.kind == "delayed-linear":
             if self.t0 < 0:
                 raise ValidationError("t0 must be nonnegative")
-            if not self.slope > 0:
-                raise ValidationError("slope must be positive")
+            if not 0 < self.slope < math.inf:
+                raise ValidationError("slope must be positive and finite")
         if self.convention not in CONVENTIONS:
             raise ValidationError(f"unknown convention {self.convention!r}")
 
@@ -135,17 +136,18 @@ class EmpiricalTrajectory:
 
 
 def run_empirical(mu0, nu0, gt, config, seed):
-    """Run config.T prox-linear steps from (mu0, nu0), drawing a fresh batch
-    per step from that step's child of the SeedSequence seed (spawn key
-    seed.spawn_key + (t,)), with lambda from the schedule. Returns T + 1
-    records. Overflow raises no numpy warning: the step's checks stop it
-    with a typed error."""
+    """Run config.iters prox-linear steps of the RunConfig config (its m,
+    sigma and lambda schedule) from (mu0, nu0), drawing a fresh batch per
+    step from that step's child of the SeedSequence seed (spawn key
+    seed.spawn_key + (t,)). Returns iters + 1 records. Overflow raises no
+    numpy warning: the step's checks stop it with a typed error."""
     if mu0.shape[0] != gt.d:
         raise ValidationError("initialization dimension does not match gt")
     mu = np.array(mu0, dtype=float, copy=True)
     nu = np.array(nu0, dtype=float, copy=True)
-    states = np.empty((config.T + 1, 4))
-    err, frob = np.empty(config.T + 1), np.empty(config.T + 1)
+    T, schedule = config.iters, config.lambda_schedule()
+    states = np.empty((T + 1, 4))
+    err, frob = np.empty(T + 1), np.empty(T + 1)
 
     def record(t):
         s = state_of(mu, nu, gt)
@@ -158,8 +160,8 @@ def run_empirical(mu0, nu0, gt, config, seed):
     except NumericalInputError as exc:
         raise SimulationError(0, str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(config.T):
-            lam = config.schedule.value(t)
+        for t in range(T):
+            lam = schedule.value(t)
             try:
                 batch = sample_batch(gt, config.m, config.sigma, seed.spawn(1)[0])
                 mu, nu = prox_linear_step(mu, nu, batch, lam)
@@ -169,29 +171,12 @@ def run_empirical(mu0, nu0, gt, config, seed):
     return EmpiricalTrajectory(states=states, err=err, frob=frob)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one trial needs: problem, schedule, init targets, horizon."""
-
-    d: int
-    m: int
-    sigma: float
-    schedule: LambdaSchedule
-    init: InitSpec
-    T: int
-
-    def __post_init__(self):
-        check_problem(self.d, self.m, self.sigma)
-        if self.T < 0:
-            raise ValidationError("T must be nonnegative")
-
-
 def _run_one_trial(config, trial_seed):
     # fresh ground truth and orthogonal directions per trial; the initial
     # state itself is deterministic by construction
     gt_ss, init_ss, run_ss = trial_seed.spawn(3)
     gt = generate_ground_truth(config.d, gt_ss)
-    mu0, nu0 = init_iterates(gt, config.init, init_ss)
+    mu0, nu0 = init_iterates(gt, config.init_spec(), init_ss)
     return run_empirical(mu0, nu0, gt, config, run_ss)
 
 
@@ -224,13 +209,21 @@ def quartiles(errs):
     return np.array(rows)
 
 
-def run_trials(config, n_trials, master_seed, n_jobs=1):
-    """Run independent trials with derived seeds and aggregate Err per t, on
-    at most n_trials workers (in this process when that is one)."""
-    if n_trials < 1:
-        raise ValidationError("n_trials must be >= 1")
-    seeds = np.random.SeedSequence(master_seed).spawn(n_trials)
-    n_jobs = min(n_jobs, n_trials)  # a forked pool starts all its workers at once
+def run_trials(config):
+    """Run config.trials independent trials of the RunConfig config, seeded
+    from config.seed, and aggregate Err per t. They run on config.parallelism
+    workers (0 = all cores), at most one per CPU and one per trial, and in
+    this process when that is one."""
+    config.lambda_schedule(), config.initial_state()  # their checks, before any trial
+    check_problem(config.d, config.m, config.sigma)
+    if config.iters < 0:
+        raise ValidationError("iters must be nonnegative")
+    if config.trials < 1:
+        raise ValidationError("trials must be >= 1")
+    seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
+    cpus = os.cpu_count() or 1
+    # a forked pool starts all its workers at once
+    n_jobs = min(config.parallelism or cpus, cpus, config.trials)
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:

@@ -6,20 +6,18 @@ per point, and recommends a point under a stated policy.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     NoFeasiblePointError,
     NumericalInputError,
-    ProxtuneError,
+    PredictionError,
     ValidationError,
 )
 from .model import check_problem
 from .predict import predict_trajectory
-from .simulate import LambdaSchedule
-from .state import StateVec
 
 POLICIES = (
     "min-samples-to-target",
@@ -28,56 +26,41 @@ POLICIES = (
 )
 
 
-@dataclass(frozen=True)
-class TuneGrid:
-    """Hyperparameter grid to sweep.
-
-    lambda_values = None selects the coupled rule lambda(m) = (1+sigma^2)d/m
-    (one point per m); otherwise the full m x lambda cross product is swept.
-    """
-
-    m_values: tuple
-    d: int
-    sigma: float
-    s0: StateVec
-    horizon: int
-    lambda_values: tuple | None = None
-
-    def __post_init__(self):
-        if len(self.m_values) == 0:
-            raise ValidationError("m_values must be nonempty")
-        for m in self.m_values:
-            check_problem(self.d, m, self.sigma)
-        if self.lambda_values is not None:
-            if len(self.lambda_values) == 0:
-                raise ValidationError("lambda_values must be nonempty when given")
-            for lam in self.lambda_values:
-                if not lam > 0:
-                    raise ValidationError("lambda values must be positive")
-        if self.horizon < 0:
-            raise ValidationError("horizon must be nonnegative")
-
-    def points(self):
-        if self.lambda_values is None:
-            if math.isinf(self.sigma * self.sigma):
-                raise NumericalInputError(
-                    "coupled rule lambda = (1 + sigma^2) d / m overflows "
-                    f"at sigma={self.sigma:g}"
-                )
-            return [(m, (1.0 + self.sigma ** 2) * self.d / m) for m in self.m_values]
-        return [(m, float(lam)) for m in self.m_values for lam in self.lambda_values]
+def points(config):
+    """The (m, lambda) grid of the RunConfig config: config.m_grid (config.m
+    when it is empty) crossed with config.lambda_grid, or, when that is
+    empty, the coupled rule lambda(m) = (1+sigma^2)d/m, one point per m.
+    Every m and lambda is checked here, before any point is swept."""
+    m_values = config.m_grid or (config.m,)
+    for m in m_values:
+        check_problem(config.d, m, config.sigma)
+    if not config.lambda_grid:
+        # where sigma * sigma * d is inf, sigma ** 2 raises or the rule's lambda is inf
+        if math.isinf(config.sigma * config.sigma * config.d):
+            raise NumericalInputError("coupled rule lambda = (1 + sigma^2) d / m "
+                                      f"overflows at sigma={config.sigma:g}")
+        return [(m, (1.0 + config.sigma ** 2) * config.d / m) for m in m_values]
+    for lam in config.lambda_grid:
+        if not 0 < lam < math.inf:
+            raise ValidationError("lambda values must be positive and finite")
+    return [(m, float(lam)) for m in m_values for lam in config.lambda_grid]
 
 
-def sweep(grid):
-    """One predicted trajectory per grid point; failures are collected per
-    point instead of aborting the sweep. Returns (results, failures)."""
-    results = {}
-    failures = {}
-    for m, lam in grid.points():
+def sweep(config):
+    """One predicted trajectory per grid point of points(config), each the
+    run config at the point's m and lambda0, schedule shape included. A
+    point whose prediction fails is collected with its PredictionError; a
+    bad setting, shared by every point, raises before the first step.
+    Returns (results, failures)."""
+    s0 = config.initial_state()
+    runs = {(m, lam): replace(config, lambda0=lam).lambda_schedule()
+            for m, lam in points(config)}
+    results, failures = {}, {}
+    for (m, lam), schedule in runs.items():
         try:
             results[(m, lam)] = predict_trajectory(
-                grid.s0, grid.horizon, grid.d, m, grid.sigma, LambdaSchedule(lambda0=lam))
-        except ProxtuneError as exc:
+                s0, config.iters, config.d, m, config.sigma, schedule)
+        except PredictionError as exc:
             failures[(m, lam)] = exc
     return results, failures
 

@@ -5,19 +5,16 @@ here; the heavy experiment reproductions take a few minutes total.
 """
 
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
+import pytest
 
+from proxtune.cli import RunConfig
 from proxtune.expect import get_engine
-from proxtune.model import InitSpec, generate_ground_truth, sample_batch
+from proxtune.model import generate_ground_truth, sample_batch
 from proxtune.predict import det_map, predict_trajectory, solve_r
-from proxtune.simulate import (
-    ExperimentConfig,
-    LambdaSchedule,
-    prox_linear_step,
-    run_trials,
-)
+from proxtune.simulate import LambdaSchedule, prox_linear_step, run_trials
 from proxtune.state import StateVec
 from proxtune.tune import iteration_complexity
 from oracles import dense_oracle, kernels_at, point_grid, sandwich_check, state_frob_err
@@ -36,10 +33,9 @@ def report(number, name, ok, detail):
     assert ok, f"criterion {number} [{name}] failed: {detail}"
 
 
-def median_errs(d, m, sigma, schedule, T, trials, seed):
-    config = ExperimentConfig(d=d, m=m, sigma=sigma, schedule=schedule,
-                              init=InitSpec(0.99), T=T)
-    return run_trials(config, trials, seed).median
+def median_errs(run, trials, seed):
+    # serial trials of the RunConfig run, from alpha0 = 0.99 (its default)
+    return run_trials(replace(run, trials=trials, seed=seed, parallelism=1)).median
 
 
 def test_criterion_01_truth_fixed_point():
@@ -127,6 +123,7 @@ def _mc_kernel_suite(r1, r2, L, Lt, n_samples, seed, chunk=2_000_000):
     return means, np.sqrt(var / n_samples)
 
 
+@pytest.mark.slow
 def test_criterion_03_quadrature_vs_monte_carlo():
     start = time.perf_counter()
     rng = np.random.default_rng(303)
@@ -194,6 +191,7 @@ def test_criterion_05_frobenius_sandwich():
            f"ratio range [{lo:.3f}, {hi:.3f}], {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_low_noise_batch_sweep():
     start = time.perf_counter()
     d, sigma, T, trials = 200, 1e-5, 3000, 10
@@ -201,10 +199,9 @@ def test_criterion_06_low_noise_batch_sweep():
     taus_pred = []
     taus_emp = []
     for m in (4, 8, 16, 32):
-        lam = (1.0 + sigma ** 2) * d / m
-        traj = predict_trajectory(local_s0(), T, d, m, sigma, LambdaSchedule(lambda0=lam))
-        med = median_errs(d, m, sigma, LambdaSchedule(lambda0=lam), T, trials,
-                          seed=(606, m))
+        run = RunConfig(d=d, m=m, sigma=sigma, lambda0=(1.0 + sigma ** 2) * d / m, iters=T)
+        traj = predict_trajectory(local_s0(), T, d, m, sigma, run.lambda_schedule())
+        med = median_errs(run, trials, seed=(606, m))
         cutoff = np.nonzero(traj.err_seq < 1e-9)[0]
         end = int(cutoff[0]) if cutoff.size else T + 1
         gap = np.max(np.abs(med[:end] - traj.err_seq[:end]) / traj.err_seq[:end])
@@ -225,6 +222,7 @@ def test_criterion_06_low_noise_batch_sweep():
            f"tau(1e-8) pred {taus_pred} emp {taus_emp}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_high_noise_lambda_sweep():
     start = time.perf_counter()
     d, sigma, m, T, trials = 200, 0.1, 32, 3000, 30
@@ -232,9 +230,9 @@ def test_criterion_07_high_noise_lambda_sweep():
     emp_floors = []
     pred_floors = {}
     for lam in (1.0, 10.0, 100.0, 200.0):
-        traj = predict_trajectory(local_s0(), T, d, m, sigma, LambdaSchedule(lambda0=lam))
-        med = median_errs(d, m, sigma, LambdaSchedule(lambda0=lam), T, trials,
-                          seed=(707, int(lam)))
+        run = RunConfig(d=d, m=m, sigma=sigma, lambda0=lam, iters=T)
+        traj = predict_trajectory(local_s0(), T, d, m, sigma, run.lambda_schedule())
+        med = median_errs(run, trials, seed=(707, int(lam)))
         floor = float(traj.err_seq.min())
         pred_floors[lam] = floor
         prefloor = traj.err_seq > 1.5 * floor
@@ -254,15 +252,17 @@ def test_criterion_07_high_noise_lambda_sweep():
            f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_delayed_decay_phases():
     start = time.perf_counter()
     d, sigma, T, trials, t0 = 200, 0.01, 3000, 30, 1500
-    schedule = LambdaSchedule("delayed-linear", 100.0, t0=t0, slope=1.0)
     worst_gap = 0.0
     phases_ok = True
     for m in (8, 16, 32):
-        traj = predict_trajectory(local_s0(), T, d, m, sigma, schedule)
-        med = median_errs(d, m, sigma, schedule, T, trials, seed=(808, m))
+        run = RunConfig(d=d, m=m, sigma=sigma, lambda0=100.0, schedule="delayed-linear",
+                        t0=t0, slope=1.0, iters=T)
+        traj = predict_trajectory(local_s0(), T, d, m, sigma, run.lambda_schedule())
+        med = median_errs(run, trials, seed=(808, m))
         floor = float(traj.err_seq.min())
         gap = np.max(np.abs(med - traj.err_seq) / np.maximum(traj.err_seq, floor))
         worst_gap = max(worst_gap, float(gap))

@@ -251,14 +251,14 @@ class TestSimulateCommand:
     def test_failing_trial_same_exit_in_pool(self, tmp_path, capsys):
         # the worker's SimulationError must come back through the pool intact
         args = ["simulate", "--d", "20", "--m", "4", "--trials", "2",
-                "--iters", "3", "--sigma", "inf"]
+                "--iters", "3", "--sigma", "1e200"]
         results = []
         for jobs in ("1", "2"):
             code = run_cli(tmp_path, *args, "--parallelism", jobs)
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
         assert results[0] == (EXIT_NUMERICAL, "numerical failure: iteration 0: "
-                                              "non-finite batch data\n")
+                                              "normal-equation residual is not finite\n")
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -318,12 +318,21 @@ def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
      "--trials", "1"],
     ["tune", "--d", "50", "--m-grid", "8", "--iters", "20",
      "--policy", "min-floor-subject-to-iteration-budget"],
+    ["predict", "--lambda", "inf", "--iters", "3"],
+    ["predict", "--sigma", "inf", "--iters", "3"],
+    ["simulate", "--sigma", "inf", "--d", "20", "--m", "4", "--trials", "1", "--iters", "2"],
+    ["predict", "--schedule", "delayed-linear", "--t0", "1", "--slope", "inf", "--iters", "3"],
+    ["predict", "--init-norm", "inf", "--iters", "3"],
+    ["tune", "--m-grid", "4", "--lambda-grid", "inf", "--iters", "3"],
+    ["simulate", "--init-norm", "inf", "--d", "20", "--m", "4", "--trials", "1", "--iters", "2"],
 ], ids=["predict-m-above-d", "predict-d-1", "predict-m-above-d-no-steps",
         "predict-negative-sigma", "tune-negative-sigma", "tune-d-1", "simulate-m-above-d",
         "predict-nan-sigma", "predict-nan-lambda", "tune-nan-lambda", "simulate-nan-sigma",
         "predict-nan-init-norm", "tune-nan-target", "tune-negative-target",
         "tune-negative-budget", "compare-nan-prefloor-margin", "simulate-negative-seed",
-        "compare-negative-seed", "simulate-negative-parallelism", "tune-budget-policy-no-budget"])
+        "compare-negative-seed", "simulate-negative-parallelism", "tune-budget-policy-no-budget",
+        "predict-inf-lambda", "predict-inf-sigma", "simulate-inf-sigma", "predict-inf-slope",
+        "predict-inf-init-norm", "tune-inf-lambda", "simulate-inf-init-norm"])
 def test_problem_check_exit_code(tmp_path, capsys, argv):
     # every mode rejects a bad setting (NaN included) before it computes or writes
     assert run_cli(tmp_path, *argv) == EXIT_VALIDATION
@@ -513,6 +522,27 @@ class TestTuneCommand:
         assert len(rows) == 1
         assert col(columns, rows, "m")[0] == 16
         assert col(columns, rows, "tau")[0] is not None
+
+    def test_rows_are_the_predict_runs_they_name(self, tmp_path):
+        # each row's tau, floor and theory_region are those of the predict
+        # table of the same flags at the row's m and lambda, schedule included
+        flags = ["--d", "50", "--sigma", "0.1", "--iters", "40",
+                 "--schedule", "delayed-linear", "--t0", "5", "--slope", "100"]
+        target = 0.035  # every point reaches it
+        assert run_cli(tmp_path, "tune", *flags, "--m-grid", "8,16", "--lambda-grid", "20,40",
+                       "--target-err", str(target)) == EXIT_OK
+        _, columns, rows = read_table(str(tmp_path / "run.tune.csv"))
+        assert len(rows) == 4
+        for row in rows:
+            point = dict(zip(columns, row))
+            out = str(tmp_path / "point")
+            assert main(["predict", *flags, "--m", str(point["m"]),
+                         "--lambda", str(point["lambda"]), "--out", out]) == EXIT_OK
+            _, pcolumns, prows = read_table(out + ".predict.csv")
+            err_seq = col(pcolumns, prows, "err_seq")
+            assert point["tau"] == next(t for t, err in enumerate(err_seq) if err <= target)
+            assert point["floor"] == min(err_seq)
+            assert point["theory_region"] == min(col(pcolumns, prows, "theory_region"))
 
     def test_coupled_grid_recommends_largest_m(self, tmp_path, capsys):
         code = run_cli(tmp_path, "tune", "--d", "200", "--sigma", "1e-5",

@@ -13,12 +13,14 @@ from proxtune.model import (
     init_iterates,
     sample_batch,
 )
-from proxtune.simulate import ExperimentConfig, LambdaSchedule
+from proxtune.cli import RunConfig
+from proxtune.simulate import run_trials
 
 
 def config(d=200, m=32, sigma=0.0, lam=100.0):
-    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule(lambda0=lam),
-                            init=InitSpec(1.0), T=0)
+    # run_trials checks the run before its one zero-step trial
+    return run_trials(RunConfig(d=d, m=m, sigma=sigma, lambda0=lam, alpha0=1.0, iters=0,
+                                trials=1, parallelism=1))
 
 
 class TestGroundTruth:
@@ -45,7 +47,7 @@ class TestGroundTruth:
         assert np.mean(overlaps) < 3.0 / np.sqrt(d)
 
 
-class TestExperimentConfig:
+class TestRunChecks:
     def test_rejects_small_dimension(self):
         with pytest.raises(InvalidDimensionError):
             check_problem(1, 1, 0.0)
@@ -66,6 +68,11 @@ class TestExperimentConfig:
             config(sigma=float("nan"))
         with pytest.raises(ValidationError):
             config(lam=float("nan"))
+        # and so is an infinite one
+        with pytest.raises(ValidationError):
+            config(sigma=float("inf"))
+        with pytest.raises(ValidationError):
+            config(lam=float("inf"))
 
 
 class TestSampleBatch:
@@ -131,12 +138,16 @@ class TestInitIterates:
             InitSpec(float("nan")).state_targets()
         with pytest.raises(InfeasibleInitializationError):
             InitSpec(0.5, norm=float("nan")).state_targets()
+        with pytest.raises(InfeasibleInitializationError):
+            InitSpec(0.5, norm=float("inf")).state_targets()
 
     def test_infeasible_distance(self):
         with pytest.raises(InfeasibleInitializationError):
             InitSpec.distance(5.0, norm=1.0).state_targets()
         with pytest.raises(InfeasibleInitializationError):
             InitSpec.distance(float("nan"))
+        with pytest.raises(InfeasibleInitializationError):
+            InitSpec.distance(0.5, norm=float("inf"))
 
     def test_nonunit_norm_overlap(self):
         spec = InitSpec(0.5, norm=1.3)

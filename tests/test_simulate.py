@@ -1,4 +1,6 @@
 import concurrent.futures
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from proxtune import simulate
+from proxtune.cli import RunConfig
 from proxtune.errors import (
     NumericalInputError,
     SimulationError,
@@ -20,7 +23,6 @@ from proxtune.model import (
     sample_batch,
 )
 from proxtune.simulate import (
-    ExperimentConfig,
     LambdaSchedule,
     prox_linear_step,
     quartiles,
@@ -64,9 +66,10 @@ def with_examples(cases):
     return decorate
 
 
-def config(d, m, sigma=0.0, T=0):
-    return ExperimentConfig(d=d, m=m, sigma=sigma, schedule=LambdaSchedule(lambda0=100.0),
-                            init=InitSpec(1.0), T=T)
+def config(d, m, sigma=0.0, T=0, lam=100.0, alpha0=1.0, trials=1, seed=0):
+    # a serial run unless a test asks for workers
+    return RunConfig(d=d, m=m, sigma=sigma, lambda0=lam, alpha0=alpha0, iters=T,
+                     trials=trials, seed=seed, parallelism=1)
 
 
 class TestLambdaSchedule:
@@ -100,6 +103,11 @@ class TestLambdaSchedule:
             LambdaSchedule(lambda0=float("nan"))
         with pytest.raises(ValidationError):
             LambdaSchedule("delayed-linear", 1.0, t0=0, slope=float("nan"))
+        # an infinite lambda0 or slope is a bad setting too, not a numerical failure
+        with pytest.raises(ValidationError):
+            LambdaSchedule(lambda0=float("inf"))
+        with pytest.raises(ValidationError):
+            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=float("inf"))
 
 
 class TestProxLinearStep:
@@ -276,10 +284,8 @@ class TestRunEmpirical:
         # sigma = 0, lam = 10 d / m: median error decays monotonically and
         # log-linearly until numerical noise
         d, m = 64, 16
-        config = ExperimentConfig(d=d, m=m, sigma=0.0,
-                                  schedule=LambdaSchedule(lambda0=10.0 * d / m),
-                                  init=InitSpec(0.99), T=150)
-        result = run_trials(config, n_trials=9, master_seed=32)
+        result = run_trials(config(d, m, lam=10.0 * d / m, alpha0=0.99, T=150,
+                                   trials=9, seed=32))
         med = result.median
         live = med > 1e-13
         assert np.all(np.diff(med[live]) < 0.0)
@@ -294,35 +300,28 @@ class TestRunEmpirical:
 
 class TestRunTrials:
     def test_single_trial_aggregate_is_trajectory(self):
-        config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule(lambda0=20.0),
-                                  init=InitSpec(0.95), T=10)
-        result = run_trials(config, n_trials=1, master_seed=33)
+        result = run_trials(config(20, 4, 0.05, T=10, lam=20.0, alpha0=0.95, seed=33))
         assert np.array_equal(result.median, result.trajectories[0].err)
         assert np.array_equal(result.q25, result.trajectories[0].err)
 
     def test_master_seed_determinism(self):
-        config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule(lambda0=20.0),
-                                  init=InitSpec(0.95), T=10)
-        a = run_trials(config, n_trials=3, master_seed=34)
-        b = run_trials(config, n_trials=3, master_seed=34)
+        run = config(20, 4, 0.05, T=10, lam=20.0, alpha0=0.95, trials=3, seed=34)
+        a = run_trials(run)
+        b = run_trials(run)
         assert np.array_equal(a.median, b.median)
         assert np.array_equal(a.q25, b.q25)
         assert np.array_equal(a.q75, b.q75)
 
     def test_parallel_matches_serial(self):
-        config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule(lambda0=20.0),
-                                  init=InitSpec(0.95), T=10)
-        serial = run_trials(config, n_trials=4, master_seed=35, n_jobs=1)
-        parallel = run_trials(config, n_trials=4, master_seed=35, n_jobs=2)
+        run = config(20, 4, 0.05, T=10, lam=20.0, alpha0=0.95, trials=4, seed=35)
+        serial = run_trials(run)
+        parallel = run_trials(replace(run, parallelism=2))
         assert np.array_equal(serial.median, parallel.median)
 
     def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
         # a fork-started pool forks all max_workers at its first submit, so
-        # run_trials asks for at most one worker per trial, and for no pool
-        # at all for one trial; the stand-in pool forks nothing
+        # run_trials asks for at most one worker per trial and per CPU, and
+        # for no pool at all for one trial; the stand-in pool forks nothing
         sizes = []
 
         class RecordingPool:
@@ -339,23 +338,25 @@ class TestRunTrials:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        config = ExperimentConfig(d=20, m=4, sigma=0.05,
-                                  schedule=LambdaSchedule(lambda0=20.0),
-                                  init=InitSpec(0.95), T=5)
-        pooled = run_trials(config, n_trials=2, master_seed=38, n_jobs=8)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        run = config(20, 4, 0.05, T=5, lam=20.0, alpha0=0.95, seed=38)
+        pooled = run_trials(replace(run, trials=2, parallelism=8))
         assert sizes == [2]
-        single = run_trials(config, n_trials=1, master_seed=38, n_jobs=8)
+        single = run_trials(replace(run, trials=1, parallelism=8))
         assert sizes == [2]
-        assert np.array_equal(pooled.median, run_trials(config, 2, 38).median)
-        assert np.array_equal(single.median, run_trials(config, 1, 38).median)
+        assert np.array_equal(pooled.median, run_trials(replace(run, trials=2)).median)
+        assert np.array_equal(single.median, run_trials(run).median)
+        # and no more than the CPU count, also when parallelism asks for all cores
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = run_trials(replace(run, trials=5, parallelism=8))
+        run_trials(replace(run, trials=5, parallelism=0))
+        assert sizes == [2, 2, 2]
+        assert np.array_equal(capped.median, run_trials(replace(run, trials=5)).median)
 
     def test_iqr_band_shrinks_with_batch_size(self):
         # fixed lam and t: trial-to-trial spread decreases from m=8 to m=32
         def iqr_mean(m):
-            config = ExperimentConfig(d=200, m=m, sigma=0.01,
-                                      schedule=LambdaSchedule(lambda0=100.0),
-                                      init=InitSpec(0.99), T=250)
-            result = run_trials(config, n_trials=15, master_seed=36)
+            result = run_trials(config(200, m, 0.01, T=250, alpha0=0.99, trials=15, seed=36))
             window = slice(50, 251)
             return np.mean(result.q75[window] - result.q25[window])
 
@@ -369,8 +370,5 @@ class TestRunTrials:
         assert np.array_equal(quartiles(errs), np.percentile(errs, [25, 50, 75], axis=0))
 
     def test_rejects_zero_trials(self):
-        config = ExperimentConfig(d=20, m=4, sigma=0.0,
-                                  schedule=LambdaSchedule(lambda0=20.0),
-                                  init=InitSpec(0.95), T=5)
         with pytest.raises(ValidationError):
-            run_trials(config, n_trials=0, master_seed=37)
+            run_trials(config(20, 4, T=5, lam=20.0, alpha0=0.95, trials=0, seed=37))

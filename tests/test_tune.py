@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from proxtune.errors import NoFeasiblePointError, ValidationError
+from proxtune.cli import RunConfig
+from proxtune.errors import NoFeasiblePointError, PredictionError, ValidationError
 from proxtune.predict import predict_trajectory
 from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec
 from proxtune.tune import (
-    TuneGrid,
     build_report,
     iteration_complexity,
+    points,
     recommend,
     sweep,
 )
@@ -22,8 +23,7 @@ def s0():
 @pytest.fixture(scope="module")
 def coupled_rule_results():
     # m in {4,8,16,32}, coupled rule lam(m) = (1+sigma^2)d/m, low noise
-    grid = TuneGrid(m_values=(4, 8, 16, 32), d=200, sigma=1e-5, s0=s0(),
-                    horizon=3000, lambda_values=None)
+    grid = RunConfig(mode="tune", d=200, sigma=1e-5, m_grid=(4, 8, 16, 32), iters=3000)
     results, failures = sweep(grid)
     assert not failures
     return results
@@ -32,8 +32,8 @@ def coupled_rule_results():
 @pytest.fixture(scope="module")
 def lambda_grid_results():
     # m = 32, lam in {1,10,100,200}, high noise
-    grid = TuneGrid(m_values=(32,), d=200, sigma=0.1, s0=s0(),
-                    horizon=3000, lambda_values=(1.0, 10.0, 100.0, 200.0))
+    grid = RunConfig(mode="tune", d=200, sigma=0.1, m_grid=(32,), iters=3000,
+                     lambda_grid=(1.0, 10.0, 100.0, 200.0))
     results, failures = sweep(grid)
     assert not failures
     return results
@@ -41,37 +41,37 @@ def lambda_grid_results():
 
 class TestSweep:
     def test_single_point_equals_predict(self):
-        grid = TuneGrid(m_values=(16,), d=100, sigma=0.05, s0=s0(),
-                        horizon=50, lambda_values=(40.0,))
+        grid = RunConfig(mode="tune", d=100, sigma=0.05, m_grid=(16,), iters=50,
+                         lambda_grid=(40.0,))
         results, failures = sweep(grid)
         assert not failures
         direct = predict_trajectory(s0(), 50, 100, 16, 0.05, LambdaSchedule(lambda0=40.0))
         assert np.array_equal(results[(16, 40.0)].err_seq, direct.err_seq)
 
     def test_coupled_rule_points(self):
-        grid = TuneGrid(m_values=(4, 8), d=200, sigma=0.5, s0=s0(),
-                        horizon=0, lambda_values=None)
-        assert grid.points() == [(4, 1.25 * 200 / 4), (8, 1.25 * 200 / 8)]
+        grid = RunConfig(mode="tune", d=200, sigma=0.5, m_grid=(4, 8), iters=0)
+        assert points(grid) == [(4, 1.25 * 200 / 4), (8, 1.25 * 200 / 8)]
 
     def test_failures_collected_not_fatal(self):
-        bad_state = StateVec(0.0, 0.0, 1.0, 0.0)
-        grid = TuneGrid(m_values=(16,), d=100, sigma=0.0, s0=bad_state,
-                        horizon=5, lambda_values=(40.0,))
+        # lambda = 5e154 overflows the V3/V4 weight denominators at step 0
+        grid = RunConfig(mode="tune", d=100, m=16, sigma=0.0, iters=5,
+                         lambda_grid=(40.0, 5e154))
         results, failures = sweep(grid)
-        assert not results
-        assert (16, 40.0) in failures
+        assert list(results) == [(16, 40.0)]
+        assert list(failures) == [(16, 5e154)]
+        assert isinstance(failures[(16, 5e154)], PredictionError)
 
     def test_grid_validation(self):
-        with pytest.raises(ValidationError):
-            TuneGrid(m_values=(), d=100, sigma=0.0, s0=s0(), horizon=5)
-        with pytest.raises(ValidationError):
-            TuneGrid(m_values=(200,), d=100, sigma=0.0, s0=s0(), horizon=5)
-        with pytest.raises(ValidationError):
-            TuneGrid(m_values=(8,), d=100, sigma=0.0, s0=s0(), horizon=5,
-                     lambda_values=(0.0,))
-        with pytest.raises(ValidationError):
-            TuneGrid(m_values=(8,), d=100, sigma=0.0, s0=s0(), horizon=5,
-                     lambda_values=(float("nan"),))
+        # a bad setting raises before any step instead of failing every point
+        def grid(**settings):
+            return RunConfig(**{"mode": "tune", "d": 100, "m": 8, "iters": 5, **settings})
+
+        for bad in (grid(m_grid=(200,)), grid(lambda_grid=(0.0,)),
+                    grid(lambda_grid=(float("nan"),)), grid(lambda_grid=(40.0, float("inf"))),
+                    grid(iters=-1), grid(sigma=float("inf"), lambda_grid=(40.0,)),
+                    grid(schedule="delayed-linear", slope=0.0)):
+            with pytest.raises(ValidationError):
+                sweep(bad)
 
     def test_coupled_rule_iteration_complexity_decreases_in_m(self, coupled_rule_results):
         taus = [iteration_complexity(coupled_rule_results[point], 1e-8)
