@@ -21,18 +21,18 @@ panels_per_decade per decade, up to hi = TAIL / (r1 r2) at the bracket's
 lower end. A grid is built SLACK times wider than its bracket's span at
 each end, so it also covers every nearby bracket with at least
 panels_per_decade panels per decade, at any (L, Lt). One grid serves a
-trajectory while it covers the bracket: ``context_for`` hands the previous
-step's grid on when it covers the new step's span and overshoots neither
-end by more than SLACK^2, and builds a new one otherwise.
+trajectory while it covers the bracket: ``context_for`` rebinds the previous
+step's grid when it covers the new step's span and overshoots neither end
+by more than SLACK^2, and builds a new one otherwise.
 
-``v_pair`` gives the fixed-point solver's pair (V1, V2) from the moment
-factors at (r1, r2), which it leaves in the grid's ``KernelRows``;
+The grid is one object per trajectory, rebound in place to each step's
+(L, Lt). ``v_pair`` gives the fixed-point solver's pair (V1, V2) from the
+moment factors at (r1, r2), which it leaves in the grid's scratch rows;
 ``finish`` then completes every expectation of a map step at that point
 from those rows, without building the factors again. Each kind of sum is
 one matrix-vector product: at a few hundred nodes a numpy call costs more
-in overhead than in arithmetic.
-For the same reason the kernels write into the grid's ``KernelRows``, not
-into new arrays.
+in overhead than in arithmetic. For the same reason the kernels write into
+the grid's rows, not into new arrays.
 """
 
 import math
@@ -100,40 +100,35 @@ def bracket_span(L, Lt, r_lo, r_hi):
     return lo, hi
 
 
-class KernelRows:
-    """A grid's scratch rows, overwritten by every kernel call (kernels
-    return Python floats, so no result aliases a row): the seven monomials
-    (i1, i2 hold e1, e2 until they are inverted in place), damp, sqrt(e1 e2)
-    and damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
+class EngineContext:
+    """Integration grid of one trajectory: geometric panels spanning
+    [lo, hi] with nodes t and weights w, bound to one (L, Lt) at a time as
+    Lsq = L * L and Ltsq = Lt * Lt (``at`` rebinds it in place), and its
+    scratch rows. Every kernel call overwrites the rows (kernels return
+    Python floats, so no result aliases a row): the seven monomials (i1, i2
+    hold e1, e2 until they are inverted in place), damp, sqrt(e1 e2) and
+    damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
     (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials.
 
-    Contract of ``ExpectationEngine.finish``: it reads the factors i1, i2
-    and damp that the last v_pair on these rows left at its (r1, r2), so no
-    kernel call on the same grid (or on any grid context_for rebound to
-    these rows) may run between that v_pair and the finish at the same
-    (r1, r2)."""
+    The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2
+    and damp that the last v_pair left at its (r1, r2), so between a v_pair
+    and its finish no kernel call and no rebind may run on the grid."""
 
-    __slots__ = ("mono", "inv", "i1", "i2", "i1i2", "damp", "root", "tdamp",
-                 "by_i1", "to_i1", "by_i2", "to_i2")
+    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "mono", "inv", "i1", "i2", "i1i2",
+                 "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2")
 
-    def __init__(self, n):
-        block = np.empty((10, n))
+    def __init__(self, L, Lt, t, w, lo, hi):
+        self.at(L, Lt)
+        self.t, self.w, self.lo, self.hi = t, w, lo, hi
+        block = np.empty((10, t.size))
         self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = block
         self.mono, self.inv, self.by_i1, self.to_i1, self.by_i2, self.to_i2 = (
             block[:7], block[:2], block[0:3:2], block[3:5], block[1:3], block[5:7])
 
-
-class EngineContext:
-    """Integration grid at one (L, Lt), kept as Lsq = L * L and
-    Ltsq = Lt * Lt; its geometric panels span [lo, hi], and rows is the
-    grid's KernelRows. A slotted record, since context_for rebinds a grid to
-    the new (L, Lt) on every map step."""
-
-    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "rows")
-
-    def __init__(self, L, Lt, t, w, lo, hi, rows):
-        self.Lsq, self.Ltsq = L * L, Lt * Lt
-        self.t, self.w, self.lo, self.hi, self.rows = t, w, lo, hi, rows
+    def at(self, L, Lt):
+        """This grid, bound to (L, Lt)."""
+        self.Lsq, self.Ltsq = float(L * L), float(Lt * Lt)
+        return self
 
     def covers(self, lo, hi):
         """Whether this grid serves a bracket of t-span [lo, hi]: it contains
@@ -166,24 +161,24 @@ class ExpectationEngine:
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()
-        return EngineContext(float(L), float(Lt), t, w, lo, hi, KernelRows(t.size))
+        return EngineContext(L, Lt, t, w, lo, hi)
 
     def context_for(self, grid, L, Lt, r_lo, r_hi):
         """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
-        previous step's, or None) at the new (L, Lt) when it covers the
+        previous step's, or None) rebound to (L, Lt) when it covers the
         bracket's t-span, otherwise a new one."""
         lo, hi = bracket_span(L, Lt, r_lo, r_hi)
         if grid is not None and grid.covers(lo, hi):
-            return EngineContext(float(L), float(Lt), grid.t, grid.w, grid.lo, grid.hi, grid.rows)
+            return grid.at(L, Lt)
         return self.context(L, Lt, r_lo, r_hi)
 
     def v_pair(self, ctx, r1, r2):
         """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
-        Leaves the factors at (r1, r2) in ctx.rows for finish: the
+        Leaves the factors at (r1, r2) in ctx's rows for finish: the
         reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv and the
         damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp."""
-        t, rows = ctx.t, ctx.rows
-        e, e1, e2, damp, root = rows.inv, rows.i1, rows.i2, rows.damp, rows.root
+        t = ctx.t
+        e, e1, e2, damp, root = ctx.inv, ctx.i1, ctx.i2, ctx.damp, ctx.root
         np.multiply(t, 2.0 * r1 * ctx.Lsq, out=e1)
         np.multiply(t, 2.0 * r2 * ctx.Ltsq, out=e2)
         e += 1.0
@@ -201,24 +196,23 @@ class ExpectationEngine:
     def finish(ctx, r1, r2):
         """(V, V1, V2, SecondOrderKernels) at (r1, r2): every expectation a
         map step needs, completed from the factors that the v_pair at
-        (r1, r2) just left in ctx.rows (see KernelRows for the contract).
+        (r1, r2) just left in ctx's rows (see EngineContext for the contract).
         V1 and V2 are v_pair's expressions, so they equal v_pair's values bit
         for bit. The seven monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2,
         i1 i2^2 of i_k = 1/e_k fill one block, summed against damp * t in
         one product."""
-        rows = ctx.rows
-        damp = rows.damp
-        np.multiply(rows.i1, rows.i2, out=rows.i1i2)
-        np.multiply(rows.by_i1, rows.i1, out=rows.to_i1)
-        np.multiply(rows.by_i2, rows.i2, out=rows.to_i2)
-        s1, s2 = (rows.inv @ damp).tolist()
-        np.multiply(damp, ctx.t, out=rows.tdamp)
-        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (rows.mono @ rows.tdamp).tolist()
+        damp = ctx.damp
+        np.multiply(ctx.i1, ctx.i2, out=ctx.i1i2)
+        np.multiply(ctx.by_i1, ctx.i1, out=ctx.to_i1)
+        np.multiply(ctx.by_i2, ctx.i2, out=ctx.to_i2)
+        s1, s2 = (ctx.inv @ damp).tolist()
+        np.multiply(damp, ctx.t, out=ctx.tdamp)
+        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (ctx.mono @ ctx.tdamp).tolist()
         Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
         coef = r1 * r2
         r1sq, r2sq = r1 * r1, r2 * r2
         return (
-            coef * Lsq * Ltsq * float(rows.i1i2 @ damp),
+            coef * Lsq * Ltsq * float(ctx.i1i2 @ damp),
             coef * Ltsq * s2, coef * Lsq * s1,
             SecondOrderKernels(  # the fields in order
                 r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,

@@ -51,8 +51,9 @@ FP_MAX_ITER = 4000
 class FixedPointR:
     """Solution (r1, r2) of the fixed point, its sweeps and relative defect
     max_i |g_i(r) - r_i| / r_i (the one the stopping test passed), the
-    EngineContext it was solved on (valid at (r1, r2) too) and the
-    expectations (V, V1, V2, SecondOrderKernels) there; a slotted record."""
+    EngineContext it was solved on (valid at (r1, r2) until the next step
+    rebinds it) and the expectations (V, V1, V2, SecondOrderKernels) there;
+    a slotted record."""
 
     __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations")
 
@@ -63,17 +64,14 @@ class FixedPointR:
 
 def in_theory_region(L, Lt, lam, ratio):
     """Sufficient (conservative) certificate that the fixed-point map is a
-    contraction and the bracket r <= 2 lam m / d applies. The Jacobian bound
-    (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) is taken only where
-    lam >= L^2, Lt^2, and there on (L / 2^k, Lt / 2^k, lam / 4^k), which
-    leaves it unchanged: k = 0 up to lam = 2^501, and above that k brings
-    lam below it, so no power leaves the float range."""
+    contraction and the bracket r <= 2 lam m / d applies: lam >= 1, L^2, Lt^2
+    and the Jacobian bound (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) is
+    at most 1/2. The bound is taken in x = L^2 / lam and y = Lt^2 / lam,
+    both at most 1 there, so no power overflows."""
     if not lam >= max(1.0, L * L, Lt * Lt):
         return False
-    k = max(0, math.frexp(lam)[1] // 2 - 250)
-    L, Lt, lam = math.ldexp(L, -k), math.ldexp(Lt, -k), math.ldexp(lam, -2 * k)
-    jac_bound = (3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4) / (lam * lam * ratio)
-    return jac_bound <= 0.5
+    x, y = L * L / lam, Lt * Lt / lam
+    return (3.0 * x * x + 2.0 * x * y + 3.0 * y * y) / ratio <= 0.5
 
 
 def solve_r(L, Lt, lam, ratio, start=None, grid=None):
@@ -100,16 +98,12 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     from the kernel rows that the accepted sweep filled, so a step that
     converges on its first sweep makes one pass over the grid.
 
-    grid is the previous step's grid, or None. It is reused at (L, Lt) when
-    it covers the bracket (see ExpectationEngine.context_for), and a new
+    grid is the previous step's grid, or None. It is rebound to (L, Lt)
+    when it covers the bracket (see ExpectationEngine.context_for), and a new
     grid is built otherwise; either way the grid is returned as ``ctx``.
+    Positive L, Lt and lam are checked by the bracket (bracket_span), and
+    0 < ratio <= 1 by check_problem; only their finiteness is checked here.
     """
-    if not (L > 0 and Lt > 0):
-        raise ValidationError("L and Lt must be positive")
-    if lam <= 0:
-        raise ValidationError("lambda must be positive")
-    if not 0 < ratio <= 1:
-        raise ValidationError("ratio m/d must lie in (0, 1]")
     if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
         raise NumericalInputError("non-finite fixed-point parameters")
     engine = get_engine()
@@ -232,9 +226,8 @@ def det_map(s, d, m, sigma, lam, start=None, grid=None):
     problem that predict_trajectory has checked. Returns the next state,
     checked finite, and the solved FixedPointR; start warm-starts solve_r
     and grid is the grid it may reuse (see there). squares(s) is computed
-    once, for the check and for steps 4-6."""
-    if not (isfinite(s.alpha) and isfinite(s.beta) and isfinite(s.talpha) and isfinite(s.tbeta)):
-        raise NumericalInputError("non-finite state")
+    once, for the check and for steps 4-6. A non-finite state has a
+    non-finite length L or Lt, which solve_r rejects."""
     L, Lt = s.L, s.Lt
     if L <= 0 or Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")

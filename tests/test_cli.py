@@ -28,6 +28,7 @@ from proxtune.cli import (
     write_table,
 )
 from proxtune.errors import ValidationError
+from proxtune.tune import POLICIES
 
 
 def run_cli(tmp_path, *args):
@@ -395,6 +396,80 @@ def test_overflowing_error_metric_exit_code(tmp_path, capsys, argv, metric):
     err = capsys.readouterr().err
     assert f"0: error metric {metric} = inf overflows" in err
     assert list(tmp_path.iterdir()) == []
+
+
+# the values the exit-contract test draws a quarter of its floats from
+_EXTREMES = st.sampled_from([0.0, 5e-324, 1e154, 1.7e308, -5e-324, -1e-3, -1.0, -1e154,
+                             -1.7e308, math.inf, -math.inf, math.nan])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def _drawn(usual):
+    return st.integers(0, 3).flatmap(lambda k: _EXTREMES if k == 0 else usual)
+
+
+@st.composite
+def _argvs(draw):
+    mode = draw(st.sampled_from(["simulate", "predict", "compare", "tune"]))
+    d = draw(st.integers(2, 40))
+    values = {"d": d, "m": draw(st.integers(1, d)), "iters": draw(st.integers(-1, 15)),
+              "sigma": draw(_drawn(_log_uniform(1e-4, 1.0))),
+              "lambda": draw(_drawn(_log_uniform(0.1, 1e3))),
+              "init-norm": draw(_drawn(_log_uniform(0.1, 10.0))),
+              "alpha0": draw(_drawn(st.floats(-1.0, 1.0))),
+              "format": draw(st.sampled_from(["csv", "json"]))}
+    if draw(st.booleans()):
+        values.update({"schedule": "delayed-linear", "t0": draw(st.integers(0, 15)),
+                          "slope": draw(_drawn(_log_uniform(0.01, 100.0)))})
+    if mode in ("simulate", "compare"):
+        values.update({"trials": draw(st.integers(0, 3)), "seed": draw(st.integers(0, 9))})
+    if mode == "tune":
+        values["m-grid"] = ",".join(map(str, draw(st.lists(st.integers(1, d), min_size=1,
+                                                              max_size=3))))
+        lams = draw(st.lists(_drawn(_log_uniform(0.1, 1e3)), max_size=3))
+        if lams:
+            values["lambda-grid"] = ",".join(map(repr, lams))
+        values["target-err"] = draw(_drawn(_log_uniform(1e-8, 1.0)))
+        values["policy"] = draw(st.sampled_from(POLICIES))
+        values["budget"] = draw(st.integers(0, 15))
+    texts = [(f"--{flag}", repr(value) if isinstance(value, float) else str(value))
+             for flag, value in values.items()]
+    # every value as --flag=value, then every value as its own token
+    return ([mode, *(f"{flag}={text}" for flag, text in texts)],
+            [mode, *(token for pair in texts for token in pair)])
+
+
+def _exit_code(argv, out):
+    try:
+        return main([*argv, "--out", out])
+    except SystemExit as exc:  # argparse rejects the argv
+        return exc.code
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_argvs())
+def test_exit_contract(spellings):
+    # exit 0, 2, 3 or 4 and no exception; exit 2 before any file; no NaN in
+    # a table of a run that succeeds; both spellings of the argv, and a
+    # trial pool, exit as the serial run
+    joined, split = spellings
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exit_code([*joined, "--parallelism", "1"], os.path.join(tmp, "run"))
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_NO_FEASIBLE)
+        written = sorted(os.listdir(tmp))
+        if code == EXIT_VALIDATION:
+            assert written == []
+        if code == EXIT_OK:
+            for name in written:
+                _, _, rows = read_table(os.path.join(tmp, name))
+                assert not any(isinstance(v, float) and math.isnan(v)
+                               for row in rows for v in row), name
+        jobs = ("1", "2") if joined[0] in ("simulate", "compare") else ("1",)
+        for n in jobs:
+            assert _exit_code([*split, "--parallelism", n], os.path.join(tmp, n)) == code
 
 
 class TestPredictCommand:

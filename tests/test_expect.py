@@ -274,22 +274,25 @@ class TestExpectationEngine:
             assert engine.second_order(ctx, r1, r2) == kernels
 
     def test_results_survive_later_calls_on_the_grid(self):
-        # kernels write into the grid's scratch rows, shared by every grid
-        # context_for rebinds; their results are floats that later calls on
-        # those rows leave alone, and the rows carry nothing between calls
+        # kernels write into the grid's scratch rows, and context_for rebinds
+        # that one grid in place; results are floats that later calls leave
+        # alone, a rebind to another (L, Lt) and back changes nothing, and
+        # the rows carry nothing between calls
         engine = get_engine()
         grid = engine.context(1.1, 0.9, 2.0, 4.0)
         first, pair = kernels_at(engine, grid, 3.0, 2.5), engine.v_pair(grid, 3.0, 2.5)
         assert all(type(x) is float for x in (*first[:3], *first[3], *pair))
-        rebound = engine.context_for(grid, 1.2, 0.8, 2.0, 4.0)
-        assert rebound.rows is grid.rows
-        for ctx, r1, r2 in [(grid, 2.2, 3.7), (rebound, 3.9, 2.1), (grid, 3.0, 2.5)]:
-            kernels_at(engine, ctx, r1, r2)
-            engine.v_pair(ctx, r2, r1)
+        assert engine.context_for(grid, 1.2, 0.8, 2.0, 4.0) is grid
+        assert (grid.Lsq, grid.Ltsq) == (1.2 * 1.2, 0.8 * 0.8)
+        for r1, r2 in [(2.2, 3.7), (3.9, 2.1), (3.0, 2.5)]:
+            kernels_at(engine, grid, r1, r2)
+            engine.v_pair(grid, r2, r1)
+        assert kernels_at(engine, grid, 3.0, 2.5) != first
+        assert engine.context_for(grid, 1.1, 0.9, 2.0, 4.0) is grid
         assert kernels_at(engine, grid, 3.0, 2.5) == first
         assert engine.v_pair(grid, 3.0, 2.5) == pair == first[1:3]
         fresh = engine.context(1.1, 0.9, 2.0, 4.0)
-        assert fresh.rows is not grid.rows
+        assert not np.shares_memory(fresh.mono, grid.mono)
         assert kernels_at(engine, fresh, 3.0, 2.5) == first
 
     @settings(derandomize=True, max_examples=200, deadline=None)

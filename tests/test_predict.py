@@ -1,9 +1,11 @@
+import math
 import zlib
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxtune import predict
@@ -91,10 +93,9 @@ class TestSolveR:
         assert 5.0 <= min(r.r1, r.r2) and max(r.r1, r.r2) <= 10.0
 
     def test_validation(self):
+        # the bracket's check: L, Lt and lam * ratio must be positive
         with pytest.raises(ValidationError):
             solve_r(0.0, 1.0, 10.0, 0.1)
-        with pytest.raises(ValidationError):
-            solve_r(1.0, 1.0, 10.0, 1.5)
         with pytest.raises(ValidationError):
             solve_r(1.0, 1.0, -1.0, 0.1)
 
@@ -488,8 +489,9 @@ class TestDetMap:
     def test_validation(self):
         with pytest.raises(ValidationError):
             det_map(StateVec(0.0, 0.0, 1.0, 0.0), 200, 32, 0.0, 100.0)
+        # m > d: predict_trajectory checks the problem det_map is given
         with pytest.raises(ValidationError):
-            det_map(TRUTH, 200, 300, 0.0, 100.0)
+            predict_trajectory(TRUTH, 2, 200, 300, 0.0, LambdaSchedule(lambda0=100.0))
         with pytest.raises(PredictionError):
             predict_trajectory(StateVec(0.0, 0.0, 1.0, 0.0), 2, 200, 32, 0.0,
                                LambdaSchedule(lambda0=100.0))
@@ -565,6 +567,26 @@ class TestPredictTrajectory:
         assert not in_theory_region(1.0, 1.0, 1.0, 0.16)
         # lam below max(1, L^2, Lt^2) fails regardless of the bound
         assert not in_theory_region(2.0, 1.0, 3.0, 1.0)
+
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308),
+           st.floats(5e-324, 1.7e308), st.none() | st.floats(-0.5, 2.5),
+           st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))
+    def test_in_theory_region_is_exact(self, L, Lt, lam, lift, m, d):
+        # against the certificate in exact rationals, lam >= 1, L^2, Lt^2 and
+        # (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) <= 1/2, over the whole
+        # positive float range; a lift puts lam that many decades above
+        # max(1, L^2, Lt^2), so both sides of the bound are met
+        ratio = min(m, d) / max(m, d)
+        if lift is not None:
+            lam = max(1.0, min(L, 1e154) ** 2, min(Lt, 1e154) ** 2) * 10 ** lift
+            assume(lam < math.inf)
+        Lsq, Ltsq, exact_lam = Fraction(L) ** 2, Fraction(Lt) ** 2, Fraction(lam)
+        gate = exact_lam / max(1, Lsq, Ltsq)
+        bound = (2 * (3 * Lsq ** 2 + 2 * Lsq * Ltsq + 3 * Ltsq ** 2)
+                 / (exact_lam ** 2 * Fraction(ratio)))
+        assume(abs(gate - 1) > Fraction(1, 10 ** 12) and abs(bound - 1) > Fraction(1, 10 ** 12))
+        assert in_theory_region(L, Lt, lam, ratio) == (gate >= 1 and bound <= 1)
 
     def test_fixed_point_health_per_step(self):
         # the README predict configuration, cut to 300 steps
