@@ -27,12 +27,12 @@ by more than SLACK^2, and builds a new one otherwise.
 
 The grid is one object per trajectory, rebound in place to each step's
 (L, Lt). ``v_pair`` gives the fixed-point solver's pair (V1, V2) from the
-moment factors at (r1, r2), which it leaves in the grid's scratch rows;
+moment factors and pair sums at (r1, r2), which it leaves on the grid;
 ``finish`` then completes every expectation of a map step at that point
-from those rows, without building the factors again. Each kind of sum is
-one matrix-vector product: at a few hundred nodes a numpy call costs more
-in overhead than in arithmetic. For the same reason the kernels write into
-the grid's rows, not into new arrays.
+from them, without building the factors or the pair sums again. Each kind
+of sum is one matrix-vector product: at a few hundred nodes a numpy call
+costs more in overhead than in arithmetic. For the same reason the
+kernels write into the grid's rows, not into new arrays.
 """
 
 import math
@@ -110,12 +110,12 @@ class EngineContext:
     damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
     (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials.
 
-    The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2
-    and damp that the last v_pair left at its (r1, r2), so between a v_pair
-    and its finish no kernel call and no rebind may run on the grid."""
+    The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2,
+    damp and the pair sums inv @ damp (``sums``) that the last v_pair left
+    at its (r1, r2), so between the two no kernel call or rebind may run."""
 
     __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "mono", "inv", "i1", "i2", "i1i2",
-                 "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2")
+                 "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2", "sums")
 
     def __init__(self, L, Lt, t, w, lo, hi):
         self.at(L, Lt)
@@ -175,8 +175,8 @@ class ExpectationEngine:
     def v_pair(self, ctx, r1, r2):
         """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
         Leaves the factors at (r1, r2) in ctx's rows for finish: the
-        reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv and the
-        damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp."""
+        reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv, the
+        damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp, inv @ damp in sums."""
         t = ctx.t
         e, e1, e2, damp, root = ctx.inv, ctx.i1, ctx.i2, ctx.damp, ctx.root
         np.multiply(t, 2.0 * r1 * ctx.Lsq, out=e1)
@@ -188,7 +188,7 @@ class ExpectationEngine:
         np.multiply(e1, e2, out=root)
         damp /= np.sqrt(root, out=root)
         np.divide(1.0, e, out=e)
-        s1, s2 = (e @ damp).tolist()
+        s1, s2 = ctx.sums = (e @ damp).tolist()
         coef = r1 * r2
         return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
 
@@ -197,15 +197,15 @@ class ExpectationEngine:
         """(V, V1, V2, SecondOrderKernels) at (r1, r2): every expectation a
         map step needs, completed from the factors that the v_pair at
         (r1, r2) just left in ctx's rows (see EngineContext for the contract).
-        V1 and V2 are v_pair's expressions, so they equal v_pair's values bit
-        for bit. The seven monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2,
-        i1 i2^2 of i_k = 1/e_k fill one block, summed against damp * t in
-        one product."""
+        V1 and V2 are v_pair's expressions of its sums, so they equal its
+        values bit for bit. The seven monomials i1, i2, i1 i2, i1^2, i1^2 i2,
+        i2^2, i1 i2^2 of i_k = 1/e_k fill one block, summed against damp * t
+        in one product."""
         damp = ctx.damp
         np.multiply(ctx.i1, ctx.i2, out=ctx.i1i2)
         np.multiply(ctx.by_i1, ctx.i1, out=ctx.to_i1)
         np.multiply(ctx.by_i2, ctx.i2, out=ctx.to_i2)
-        s1, s2 = (ctx.inv @ damp).tolist()
+        s1, s2 = ctx.sums
         np.multiply(damp, ctx.t, out=ctx.tdamp)
         u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (ctx.mono @ ctx.tdamp).tolist()
         Lsq, Ltsq = ctx.Lsq, ctx.Ltsq

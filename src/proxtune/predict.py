@@ -16,6 +16,7 @@ Iterating the map yields the predicted error sequence used for offline
 hyperparameter tuning. predict_trajectory checks (d, m, sigma) once, before
 its first step. Everything here is pure and deterministic; all
 expectations go through a shared, machine-precision expectation engine.
+A step's L^2 = L * L serves its kernels, steps 3-5 and its certificate.
 """
 
 import math
@@ -52,25 +53,25 @@ class FixedPointR:
     """Solution (r1, r2) of the fixed point, its sweeps and relative defect
     max_i |g_i(r) - r_i| / r_i (the one the stopping test passed), the
     EngineContext it was solved on (valid at (r1, r2) until the next step
-    rebinds it) and the expectations (V, V1, V2, SecondOrderKernels) there;
-    a slotted record."""
+    rebinds it), the expectations (V, V1, V2, SecondOrderKernels) and g(r)
+    there, as g = (g1, g2); a slotted record."""
 
-    __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations")
+    __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations", "g")
 
-    def __init__(self, r1, r2, iterations_used, residual, ctx, expectations):
+    def __init__(self, r1, r2, iterations_used, residual, ctx, expectations, g):
         self.r1, self.r2, self.iterations_used, self.residual = r1, r2, iterations_used, residual
-        self.ctx, self.expectations = ctx, expectations
+        self.ctx, self.expectations, self.g = ctx, expectations, g
 
 
-def in_theory_region(L, Lt, lam, ratio):
+def in_theory_region(Lsq, Ltsq, lam, ratio):
     """Sufficient (conservative) certificate that the fixed-point map is a
-    contraction and the bracket r <= 2 lam m / d applies: lam >= 1, L^2, Lt^2
+    contraction and the bracket r <= 2 lam m / d applies: lam >= 1, Lsq, Ltsq
     and the Jacobian bound (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) is
     at most 1/2. The bound is taken in x = L^2 / lam and y = Lt^2 / lam,
     both at most 1 there, so no power overflows."""
-    if not lam >= max(1.0, L * L, Lt * Lt):
+    if not lam >= max(1.0, Lsq, Ltsq):
         return False
-    x, y = L * L / lam, Lt * Lt / lam
+    x, y = Lsq / lam, Ltsq / lam
     return (3.0 * x * x + 2.0 * x * y + 3.0 * y * y) / ratio <= 0.5
 
 
@@ -93,8 +94,8 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
 
     Each sweep takes v_pair at the current point r and its relative defect
     max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= FP_TOL is
-    returned, with that defect as ``residual``; its expectations
-    (V, V1, V2, SecondOrderKernels) are completed by ExpectationEngine.finish
+    returned, with that defect as ``residual`` and its g(r) as ``g``; its
+    expectations (V, V1, V2, SecondOrderKernels) are completed by finish
     from the kernel rows that the accepted sweep filled, so a step that
     converges on its first sweep makes one pass over the grid.
 
@@ -133,19 +134,13 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
             f"(r1, r2) fixed point did not reach tol={tol:g} in {max_iter} iterations",
             residual=residual, iterations=max_iter)
     # no kernel call on ctx between the accepted v_pair and finish
-    return FixedPointR(r1, r2, it, residual, ctx, engine.finish(ctx, r1, r2))
-
-
-def squares(s):
-    """(alpha^2 + beta^2, talpha^2 + tbeta^2, alpha talpha): the squared
-    lengths L^2, Lt^2 and the cross term, shared by the map functions."""
-    return s.alpha ** 2 + s.beta ** 2, s.talpha ** 2 + s.tbeta ** 2, s.alpha * s.talpha
+    return FixedPointR(r1, r2, it, residual, ctx, engine.finish(ctx, r1, r2), (g1, g2))
 
 
 def compute_parallel_H(s, V, V1, V2, lam, sq):
     """Predicted overlaps and in-span orthogonal components
     (alpha', talpha', H, Ht) of the next iterate pair, which share the
-    prefactors phi1, phi2; sq is squares(s)."""
+    prefactors phi1, phi2; sq is det_map's (L^2, Lt^2, alpha talpha)."""
     Lsq, Ltsq, cross = sq
     lam_LL = lam * Lsq * Ltsq
     denom = V * (Lsq + Ltsq) + lam_LL
@@ -162,7 +157,8 @@ def compute_parallel_H(s, V, V1, V2, lam, sq):
 
 def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq):
     """The source terms (V3, V4) feeding the orthogonal-variance system,
-    from the second-order kernels at the solved fixed point; sq is squares(s).
+    from the second-order kernels at the solved fixed point; sq is det_map's
+    (L^2, Lt^2, alpha talpha).
 
     The own term of V4 has denominator L^4 Lt^2, the form implied by
     swapping the two sides in V3.
@@ -225,13 +221,13 @@ def det_map(s, d, m, sigma, lam, start=None, grid=None):
     """One application of the deterministic state map (steps 1-6 above) to a
     problem that predict_trajectory has checked. Returns the next state,
     checked finite, and the solved FixedPointR; start warm-starts solve_r
-    and grid is the grid it may reuse (see there). squares(s) is computed
-    once, for the check and for steps 4-6. A non-finite state has a
-    non-finite length L or Lt, which solve_r rejects."""
+    and grid is the grid it may reuse (see there). L * L and Lt * Lt, the
+    grid's Lsq and Ltsq bit for bit, serve the check and steps 3-5. A
+    non-finite state has a non-finite length L or Lt, which solve_r rejects."""
     L, Lt = s.L, s.Lt
     if L <= 0 or Lt <= 0:
         raise ValidationError("state must have positive lengths L, Lt")
-    sq = squares(s)
+    sq = L * L, Lt * Lt, s.alpha * s.talpha
     if sq[0] * sq[1] == 0.0:
         raise NumericalInputError(f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
     r = solve_r(L, Lt, lam, m / d, start=start, grid=grid)
@@ -274,9 +270,10 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     randomness is consumed. Step t + 1's fixed point starts from 6 g_t
     - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3) + 6 g_(t-4) - g_(t-5), the
     quintic extrapolation of the last six g_t = g(r_t) = ratio * (lam + V1,
-    lam + V2), taken from each step's expectations (the quartic to constant
-    one while fewer exist, so step 1 starts from g_0), on step t's grid while
-    that grid covers the bracket."""
+    lam + V2), each step's FixedPointR.g (the quartic to constant one while
+    fewer exist, so step 1 starts from g_0), on step t's grid while that
+    grid covers the bracket. Step t's certificate reads that grid's Lsq and
+    Ltsq, so only state T's lengths are taken here."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
@@ -301,17 +298,17 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
             errs[t + 1] = err_of(s_next)
         except (ProxtuneError, ArithmeticError) as exc:
             raise PredictionError(t, str(exc)) from exc
-        flags[t] = in_theory_region(s.L, s.Lt, lam, ratio)
+        flags[t] = in_theory_region(r.ctx.Lsq, r.ctx.Ltsq, lam, ratio)
         s = s_next
-        _, v1, v2, _ = r.expectations
-        g1s, g2s = [ratio * (lam + v1), *g1s[:5]], [ratio * (lam + v2), *g2s[:5]]
+        g1s, g2s = [r.g[0], *g1s[:5]], [r.g[1], *g2s[:5]]
         coefs = EXTRAPOLATION[len(g1s) - 1]
         start = (sum(map(mul, coefs, g1s)), sum(map(mul, coefs, g2s)))
         grid = r.ctx
         iterations[t] = r.iterations_used
         residuals[t] = r.residual
         states[t + 1] = s.alpha, s.beta, s.talpha, s.tbeta
-    flags[T] = in_theory_region(s.L, s.Lt, schedule.value(T), ratio)
+    L, Lt = s.L, s.Lt
+    flags[T] = in_theory_region(L * L, Lt * Lt, schedule.value(T), ratio)
     return DetTrajectory(
         states=states,
         err_seq=errs,

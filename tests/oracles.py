@@ -13,7 +13,8 @@ tests take the expectations on a grid, and ``reference_kernels`` is
 the engine's kernel pass written out one sum at a time, the reference the
 fused pass must match. ``reference_parallel``, ``reference_H`` and
 ``reference_V34`` write the map's scalar formulas out with nothing shared
-between them (each evaluates its own phi prefactors and squared lengths), the
+between them (each evaluates its own phi prefactors and takes its own
+``squared_lengths``, det_map's L * L, Lt * Lt and cross term), the
 reference the package's shared-scalar versions must match bit for bit.
 ``legendre_rule`` is numpy's Gauss-Legendre rule mapped to [0, 1], the
 reference for the engine's stored panel rule and the finer rules the
@@ -190,12 +191,16 @@ def reference_kernels(ctx, r1, r2):
     )
 
 
+def squared_lengths(s):
+    """(L * L, Lt * Lt, alpha talpha): the squared lengths and cross term
+    det_map gives the map functions."""
+    return s.L * s.L, s.Lt * s.Lt, s.alpha * s.talpha
+
+
 def reference_phi(s, V, lam):
     """Shared prefactors (Lsq, Ltsq, cross, phi1, phi2) of the parallel and
     in-span maps, evaluated once per map function."""
-    Lsq = s.alpha ** 2 + s.beta ** 2
-    Ltsq = s.talpha ** 2 + s.tbeta ** 2
-    cross = s.alpha * s.talpha
+    Lsq, Ltsq, cross = squared_lengths(s)
     denom = V * (Lsq + Ltsq) + lam * Lsq * Ltsq
     phi1 = (V * (cross / Lsq + Lsq) + lam * Lsq * Ltsq) / denom
     phi2 = (V * (cross / Ltsq + Ltsq) + lam * Lsq * Ltsq) / denom
@@ -221,9 +226,7 @@ def reference_H(s, V, V1, V2, lam):
 
 def reference_V34(s, sigma, lam, V, V1, V2, kernels):
     """(V3, V4) with every weight written out in full, no term shared."""
-    Lsq = s.alpha ** 2 + s.beta ** 2
-    Ltsq = s.talpha ** 2 + s.tbeta ** 2
-    cross = s.alpha * s.talpha
+    Lsq, Ltsq, cross = squared_lengths(s)
     lamsq = lam * lam
     noise_w = sigma ** 2 + (s.beta ** 2 * s.tbeta ** 2) / (Lsq * Ltsq)
     mis_w = lamsq * (cross / (Lsq * Ltsq) - 1.0) ** 2 \

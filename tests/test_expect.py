@@ -328,9 +328,15 @@ class TestExpectationEngine:
         V1, V2 = engine.v_pair(ctx, r1, r2)
         V, fV1, fV2, kernels = engine.finish(ctx, r1, r2)
         fresh = kernels_at(engine, point_grid(engine, L, Lt, p1, p2), r1, r2)
-        assert (fV1, fV2) == (V1, V2)
+        assert (fV1.hex(), fV2.hex()) == (V1.hex(), V2.hex())
         assert [x.hex() for x in (V, V1, V2, *kernels)] == [
             x.hex() for x in (*fresh[:3], *fresh[3])]
+        # solve_r's g is g(r) of the (V1, V2) finish gives at its point, bit for bit
+        lam, ratio = max(1.0, L * L, Lt * Lt) * 10 ** (lg1 + 1.5), 10 ** (lg2 - 2.5)
+        r = solve_r(L, Lt, lam, ratio)
+        _, V1, V2, _ = r.expectations
+        assert [g.hex() for g in r.g] == [
+            (ratio * (lam + V1)).hex(), (ratio * (lam + V2)).hex()]
 
 
 def _bracket(L, Lt, lam, ratio):

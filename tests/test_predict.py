@@ -23,7 +23,6 @@ from proxtune.predict import (
     predict_trajectory,
     solve_eta,
     solve_r,
-    squares,
 )
 from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec, err_of
@@ -35,6 +34,7 @@ from oracles import (
     reference_H,
     reference_parallel,
     reference_V34,
+    squared_lengths,
 )
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
@@ -107,7 +107,7 @@ class TestSolveR:
         # 1.5 decades; the start anywhere in the bracket solve_r clamps into
         jac = 3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4
         lam = max(1.0, L * L, Lt * Lt, (2.0 * jac / ratio) ** 0.5) * 1.0001 * 10 ** lift
-        assert in_theory_region(L, Lt, lam, ratio)
+        assert in_theory_region(L * L, Lt * Lt, lam, ratio)
         r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
         start = (r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo))
         cold = solve_r(L, Lt, lam, ratio)
@@ -197,14 +197,14 @@ class TestComputeV:
     def test_large_r_limits(self):
         # r -> inf: V -> L^2 Lt^2, V1 -> Lt^2, V2 -> L^2
         for L, Lt in [(1.0, 1.0), (1.3, 0.8)]:
-            r = FixedPointR(1e9, 1e9, 0, 0.0, None, None)
+            r = FixedPointR(1e9, 1e9, 0, 0.0, None, None, None)
             V, V1, V2 = compute_V(r, L, Lt)
             assert V == pytest.approx(L ** 2 * Lt ** 2, rel=1e-6)
             assert V1 == pytest.approx(Lt ** 2, rel=1e-6)
             assert V2 == pytest.approx(L ** 2, rel=1e-6)
 
     def test_against_mc(self):
-        r = FixedPointR(16.0, 16.0, 0, 0.0, None, None)
+        r = FixedPointR(16.0, 16.0, 0, 0.0, None, None, None)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         fam = {
             "V": (lambda g1, g2: 256.0 * g1 * g2 / (256.0 + 16.0 * g1 + 16.0 * g2), V),
@@ -232,11 +232,11 @@ def theta_route(s, V, V1, V2, lam):
 
 
 def compute_parallel(s, V, V1, V2, lam):
-    return compute_parallel_H(s, V, V1, V2, lam, squares(s))[:2]
+    return compute_parallel_H(s, V, V1, V2, lam, squared_lengths(s))[:2]
 
 
 def compute_H(s, V, V1, V2, lam):
-    return compute_parallel_H(s, V, V1, V2, lam, squares(s))[2:]
+    return compute_parallel_H(s, V, V1, V2, lam, squared_lengths(s))[2:]
 
 
 def bits(values):
@@ -258,7 +258,7 @@ class TestParallelAndH:
         # one phi evaluation for both pairs gives the values of the separate
         # parallel and H maps that each evaluated phi, bit for bit
         expected = (*reference_parallel(s, V, V1, V2, lam), *reference_H(s, V, V1, V2, lam))
-        assert bits(compute_parallel_H(s, V, V1, V2, lam, squares(s))) == bits(expected)
+        assert bits(compute_parallel_H(s, V, V1, V2, lam, squared_lengths(s))) == bits(expected)
 
     def test_truth_is_fixed(self):
         alpha_det, talpha_det = compute_parallel(TRUTH, 0.8, 0.8, 0.8, 12.5)
@@ -329,17 +329,17 @@ class TestComputeV34:
     @given(_state, st.floats(0.0, 1.0), st.floats(1e-3, 1e4),
            st.lists(st.floats(0.0, 10.0), min_size=11, max_size=11))
     def test_shared_scalars_match_reference(self, s, sigma, lam, values):
-        # squares(s) and the weights' shared terms leave (V3, V4) bit for bit
+        # the shared squared lengths and weight terms leave (V3, V4) bit for bit
         V, V1, V2, *rest = values
         k = SecondOrderKernels(*rest)
         expected = reference_V34(s, sigma, lam, V, V1, V2, k)
-        assert bits(compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))) == bits(expected)
+        assert bits(compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))) == bits(expected)
 
     def test_structural_zeros_at_truth_noiseless(self):
         r = solve_r(1.0, 1.0, 100.0, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         V3, V4 = compute_V34(TRUTH, 0.0, 100.0, V, V1, V2, point_kernels(r, 1.0, 1.0),
-                             squares(TRUTH))
+                             squared_lengths(TRUTH))
         assert V3 == 0.0
         assert V4 == 0.0
 
@@ -349,7 +349,7 @@ class TestComputeV34:
         r = solve_r(1.0, 1.0, lam, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         k = point_kernels(r, 1.0, 1.0)
-        V3, V4 = compute_V34(TRUTH, sigma, lam, V, V1, V2, k, squares(TRUTH))
+        V3, V4 = compute_V34(TRUTH, sigma, lam, V, V1, V2, k, squared_lengths(TRUTH))
         assert V3 == pytest.approx(sigma ** 2 * k.s2_u2, rel=1e-12)
         assert V4 == pytest.approx(sigma ** 2 * k.s1_u1, rel=1e-12)
 
@@ -358,7 +358,8 @@ class TestComputeV34:
         s = local_state()
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, point_kernels(r, s.L, s.Lt), squares(s))
+        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, point_kernels(r, s.L, s.Lt),
+                             squared_lengths(s))
 
         # assemble V3, V4 from Monte-Carlo kernel estimates
         Lsq, Ltsq = s.L ** 2, s.Lt ** 2
@@ -404,7 +405,7 @@ class TestComputeV34:
         r = solve_r(s.L, s.Lt, lam, 0.16)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
-        _, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))
+        _, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))
         L, Lt = s.L, s.Lt
         noise_w = sigma ** 2 + (s.beta * s.tbeta) ** 2 / (L ** 2 * Lt ** 2)
         mis_w = lam ** 2 * (s.alpha * s.talpha / (L ** 2 * Lt ** 2) - 1.0) ** 2 \
@@ -438,7 +439,7 @@ class TestSolveEta:
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, 0.1, lam, V, V1, V2, k, squares(s))
+        V3, V4 = compute_V34(s, 0.1, lam, V, V1, V2, k, squared_lengths(s))
         eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
         kappa = (d - 2) * m / d ** 2
         rhs1 = kappa * (eta_sq * k.s2_u2sq + teta_sq * k.s2_u1u2 + V3)
@@ -501,10 +502,29 @@ class TestDetMap:
         r = solve_r(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
-        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squares(s))
+        V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))
         eta_sq, teta_sq = solve_eta(d, m, V3, V4, k)
         for val in (V, V1, V2, V3, V4, eta_sq, teta_sq):
             assert val >= 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_state, st.integers(2, 1000), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 2.0))
+    def test_map_step_takes_one_squared_length_per_side(self, s, d, u, sigma, lift):
+        # det_map against its parts fed L * L and Lt * Lt, the values the grid
+        # binds for the kernels, bit for bit: steps 3-5 see the kernels' L^2
+        m = max(1, round(u * d))
+        L, Lt = s.L, s.Lt
+        jac = 3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4
+        lam = max(1.0, L * L, Lt * Lt, (2.0 * jac * d / m) ** 0.5) * 1.0001 * 10 ** lift
+        sq = (L * L, Lt * Lt, s.alpha * s.talpha)
+        V, V1, V2, k = solve_r(L, Lt, lam, m / d).expectations
+        eta_sq, teta_sq = solve_eta(d, m, *compute_V34(s, sigma, lam, V, V1, V2, k, sq), k)
+        a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
+        out, r = det_map(s, d, m, sigma, lam)
+        assert (r.ctx.Lsq, r.ctx.Ltsq) == (L * L, Lt * Lt)
+        assert bits(astuple(out)) == bits(
+            (a, math.sqrt(h * h + eta_sq), ta, math.sqrt(ht * ht + teta_sq)))
 
 
 class TestPredictTrajectory:
@@ -547,7 +567,7 @@ class TestPredictTrajectory:
         traj = predict_trajectory(local_state(), T, d, m, 0.1, sched)
         assert traj.theory_region.dtype == bool
         assert traj.theory_region.tolist() == [
-            in_theory_region(s.L, s.Lt, sched.value(t), m / d)
+            in_theory_region(s.L * s.L, s.Lt * s.Lt, sched.value(t), m / d)
             for t, s in enumerate(StateVec(*row) for row in traj.states)]
 
     def test_schedule_values_recorded(self):
@@ -566,27 +586,26 @@ class TestPredictTrajectory:
         assert in_theory_region(1.0, 1.0, 100.0, 0.16)
         assert not in_theory_region(1.0, 1.0, 1.0, 0.16)
         # lam below max(1, L^2, Lt^2) fails regardless of the bound
-        assert not in_theory_region(2.0, 1.0, 3.0, 1.0)
+        assert not in_theory_region(4.0, 1.0, 3.0, 1.0)
 
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(st.floats(5e-324, 1.7e308), st.floats(5e-324, 1.7e308),
            st.floats(5e-324, 1.7e308), st.none() | st.floats(-0.5, 2.5),
            st.integers(1, 10 ** 9), st.integers(1, 10 ** 9))
-    def test_in_theory_region_is_exact(self, L, Lt, lam, lift, m, d):
-        # against the certificate in exact rationals, lam >= 1, L^2, Lt^2 and
-        # (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio) <= 1/2, over the whole
-        # positive float range; a lift puts lam that many decades above
-        # max(1, L^2, Lt^2), so both sides of the bound are met
+    def test_in_theory_region_is_exact(self, Lsq, Ltsq, lam, lift, m, d):
+        # against the certificate in exact rationals of the squared lengths,
+        # lam >= 1, L^2, Lt^2 and (3 L^4 + 2 L^2 Lt^2 + 3 Lt^4) / (lam^2 ratio)
+        # <= 1/2, over the whole positive float range; a lift puts lam that
+        # many decades above max(1, L^2, Lt^2), so both sides of the bound are met
         ratio = min(m, d) / max(m, d)
         if lift is not None:
-            lam = max(1.0, min(L, 1e154) ** 2, min(Lt, 1e154) ** 2) * 10 ** lift
+            lam = max(1.0, Lsq, Ltsq) * 10 ** lift
             assume(lam < math.inf)
-        Lsq, Ltsq, exact_lam = Fraction(L) ** 2, Fraction(Lt) ** 2, Fraction(lam)
-        gate = exact_lam / max(1, Lsq, Ltsq)
-        bound = (2 * (3 * Lsq ** 2 + 2 * Lsq * Ltsq + 3 * Ltsq ** 2)
-                 / (exact_lam ** 2 * Fraction(ratio)))
+        x, y, exact_lam = Fraction(Lsq), Fraction(Ltsq), Fraction(lam)
+        gate = exact_lam / max(1, x, y)
+        bound = 2 * (3 * x ** 2 + 2 * x * y + 3 * y ** 2) / (exact_lam ** 2 * Fraction(ratio))
         assume(abs(gate - 1) > Fraction(1, 10 ** 12) and abs(bound - 1) > Fraction(1, 10 ** 12))
-        assert in_theory_region(L, Lt, lam, ratio) == (gate >= 1 and bound <= 1)
+        assert in_theory_region(Lsq, Ltsq, lam, ratio) == (gate >= 1 and bound <= 1)
 
     def test_fixed_point_health_per_step(self):
         # the README predict configuration, cut to 300 steps
