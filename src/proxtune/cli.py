@@ -254,17 +254,17 @@ def read_table(path):
     return metadata, columns or [], rows
 
 
-def _base_metadata(config):
-    return {
-        "version": __version__,
-        "mode": config.mode,
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-    }
-
-
-def _out_path(config, suffix):
-    return f"{config.out}.{suffix}.{config.format}"
+def _emit(config, kind, columns, rows, **extra):
+    """Write one table of the run to ``<out>.<kind>.<format>`` under the run's
+    metadata block (version, mode, config hash, seed) and the extra entries
+    that are not None, then name it on stdout: a run that fails later still
+    names every file it leaves."""
+    path = f"{config.out}.{kind}.{config.format}"
+    metadata = {"version": __version__, "mode": config.mode,
+                "config_hash": config.config_hash(), "seed": config.seed}
+    metadata.update((key, value) for key, value in extra.items() if value is not None)
+    write_table(path, columns, rows, metadata, config.format)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +273,17 @@ def _out_path(config, suffix):
 def cmd_simulate(config):
     """Multi-trial empirical run: per-trial records plus the aggregate."""
     result = run_trials(config)
-    meta = _base_metadata(config)
-    meta["trials"] = config.trials
-
-    trial_rows = []
-    for k, tr in enumerate(result.trajectories):
-        for t, (state, err, frob) in enumerate(zip(tr.states.tolist(), tr.err.tolist(),
-                                                   tr.frob.tolist())):
-            trial_rows.append([t, k, *state, err, frob])
-    trials_path = _out_path(config, "trials")
-    write_table(trials_path,
-                ["t", "trial", "alpha", "beta", "talpha", "tbeta", "err", "frob_err"],
-                trial_rows, meta, config.format)
-
-    agg_rows = [[int(t), result.median[t], result.q25[t], result.q75[t]]
+    trial_rows = [[t, k, *state, err, frob] for k, tr in enumerate(result.trajectories)
+                  for t, (state, err, frob) in enumerate(zip(
+                      tr.states.tolist(), tr.err.tolist(), tr.frob.tolist()))]
+    _emit(config, "trials",
+          ["t", "trial", "alpha", "beta", "talpha", "tbeta", "err", "frob_err"],
+          trial_rows, trials=config.trials)
+    agg_rows = [[t, result.median[t], result.q25[t], result.q75[t]]
                 for t in range(config.iters + 1)]
-    agg_path = _out_path(config, "aggregate")
-    write_table(agg_path, ["t", "median_err", "q25_err", "q75_err"],
-                agg_rows, meta, config.format)
-    return [trials_path, agg_path], result
+    _emit(config, "aggregate", ["t", "median_err", "q25_err", "q75_err"], agg_rows,
+          trials=config.trials)
+    return result
 
 
 def cmd_predict(config):
@@ -302,21 +294,17 @@ def cmd_predict(config):
             for t, (state, err, flag) in enumerate(zip(traj.states.tolist(),
                                                        traj.err_seq.tolist(),
                                                        traj.theory_region.tolist()))]
-    path = _out_path(config, "predict")
-    write_table(path,
-                ["t", "alpha", "beta", "talpha", "tbeta", "err_seq", "theory_region"],
-                rows, _base_metadata(config), config.format)
-    return [path], traj
+    _emit(config, "predict",
+          ["t", "alpha", "beta", "talpha", "tbeta", "err_seq", "theory_region"], rows)
+    return traj
 
 
 def compare_series(median, err_seq):
-    """Gap statistics between the empirical median and the prediction.
+    """Gap statistics between the empirical median and the prediction (float arrays).
 
     rel_gap_t = |median_t - err_seq_t| / err_seq_t, read as 0 where both are
     0 and inf where only err_seq_t is. floor is the minimum predicted error
     over the horizon; compare uses it to mark the pre-floor phase."""
-    median = np.asarray(median, dtype=float)
-    err_seq = np.asarray(err_seq, dtype=float)
     abs_gap = np.abs(median - err_seq)
     floor = float(err_seq.min())
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -327,25 +315,19 @@ def compare_series(median, err_seq):
 
 def cmd_compare(config):
     """Run both engines on one config and report per-iteration deviations."""
-    emp_paths, trials = cmd_simulate(replace(config, out=config.out + ".emp"))
-    det_paths, traj = cmd_predict(replace(config, out=config.out + ".det"))
+    trials = cmd_simulate(replace(config, out=config.out + ".emp"))
+    traj = cmd_predict(replace(config, out=config.out + ".det"))
     abs_gap, rel_gap, floor = compare_series(trials.median, traj.err_seq)
     prefloor = traj.err_seq > config.prefloor_margin * floor
     max_rel_prefloor = float(rel_gap[prefloor].max()) if prefloor.any() else 0.0
-
-    meta = _base_metadata(config)
-    meta["predicted_floor"] = _cell(floor)
-    meta["max_abs_gap"] = _cell(float(abs_gap.max()))
-    meta["max_rel_gap_prefloor"] = _cell(max_rel_prefloor)
-    meta["prefloor_margin"] = _cell(config.prefloor_margin)
     rows = [[t, trials.median[t], traj.err_seq[t], abs_gap[t], rel_gap[t]]
             for t in range(config.iters + 1)]
-    path = _out_path(config, "compare")
-    write_table(path, ["t", "median_emp", "err_seq", "abs_gap", "rel_gap"],
-                rows, meta, config.format)
+    _emit(config, "compare", ["t", "median_emp", "err_seq", "abs_gap", "rel_gap"], rows,
+          predicted_floor=_cell(floor), max_abs_gap=_cell(float(abs_gap.max())),
+          max_rel_gap_prefloor=_cell(max_rel_prefloor),
+          prefloor_margin=_cell(config.prefloor_margin))
     print(f"max relative gap before the floor (margin {config.prefloor_margin:g}x): "
           f"{max_rel_prefloor:.4g}")
-    return [*emp_paths, *det_paths, path], (trials, traj, max_rel_prefloor)
 
 
 def cmd_tune(config):
@@ -358,20 +340,11 @@ def cmd_tune(config):
         raise NonConvergenceError("every grid point failed to predict")
 
     report = build_report(results, config.target_err)
-    meta = _base_metadata(config)
-    meta["target_err"] = _cell(config.target_err)
-    meta["policy"] = config.policy
-    if config.budget is not None:
-        meta["budget"] = config.budget
-    rows = [[row.m, row.lam, row.tau, row.floor, row.samples, row.theory_region]
-            for row in report.rows]
-    path = _out_path(config, "tune")
-    write_table(path, ["m", "lambda", "tau", "floor", "samples", "theory_region"],
-                rows, meta, config.format)
-
+    _emit(config, "tune", ["m", "lambda", "tau", "floor", "samples", "theory_region"],
+          report.rows, target_err=_cell(config.target_err), policy=config.policy,
+          budget=config.budget)
     rec = recommend(report, config.policy, budget=config.budget)
     print(f"recommendation: m={rec.m} lambda={rec.lam:g} ({rec.rationale})")
-    return [path], rec
 
 
 # each subcommand once, in --help order: the function main runs, its help line
@@ -426,9 +399,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-        paths, _ = COMMANDS[config.mode][0](config)
-        for path in paths:
-            print(f"wrote {path}")
+        COMMANDS[config.mode][0](config)
         return EXIT_OK
     except NoFeasiblePointError as exc:
         print(f"no feasible point: {exc}", file=sys.stderr)

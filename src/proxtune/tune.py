@@ -7,6 +7,7 @@ per point, and recommends a point under a stated policy.
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +74,9 @@ def iteration_complexity(traj, target):
     return int(hits[0]) if hits.size else None
 
 
-@dataclass(frozen=True)
-class TuneRow:
+class TuneRow(NamedTuple):
+    """One grid point; its fields are the tune table's columns, in order."""
+
     m: int
     lam: float
     tau: int | None

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from proxtune import __version__
 from proxtune.cli import (
     EXIT_NO_FEASIBLE,
     EXIT_NUMERICAL,
@@ -442,6 +445,11 @@ def _argvs(draw):
             [mode, *(token for pair in texts for token in pair)])
 
 
+def _wrote(stdout):
+    """The paths a run's stdout names in its ``wrote <path>`` lines."""
+    return {line[len("wrote "):] for line in stdout.splitlines() if line.startswith("wrote ")}
+
+
 def _exit_code(argv, out):
     try:
         return main([*argv, "--out", out])
@@ -452,14 +460,19 @@ def _exit_code(argv, out):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_argvs())
 def test_exit_contract(spellings):
-    # exit 0, 2, 3 or 4 and no exception; exit 2 before any file; no NaN in
-    # a table of a run that succeeds; both spellings of the argv, and a
-    # trial pool, exit as the serial run
+    # exit 0, 2, 3 or 4 and no exception; exit 2 before any file; every file
+    # the run leaves named on stdout; no NaN in a table of a run that
+    # succeeds; both spellings of the argv, and a trial pool, exit as the
+    # serial run. capsys is not reset between examples, so stdout is
+    # captured here
     joined, split = spellings
     with tempfile.TemporaryDirectory() as tmp:
-        code = _exit_code([*joined, "--parallelism", "1"], os.path.join(tmp, "run"))
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = _exit_code([*joined, "--parallelism", "1"], os.path.join(tmp, "run"))
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_NUMERICAL, EXIT_NO_FEASIBLE)
         written = sorted(os.listdir(tmp))
+        assert _wrote(stdout.getvalue()) == {os.path.join(tmp, name) for name in written}
         if code == EXIT_VALIDATION:
             assert written == []
         if code == EXIT_OK:
@@ -645,6 +658,74 @@ class TestTuneCommand:
         _, columns, rows = read_table(str(tmp_path / "run.tune.json"))
         assert col(columns, rows, "tau")[0] is None
         assert col(columns, rows, "samples")[0] is None
+
+
+_SMALL = ["--d", "20", "--m", "4", "--iters", "3", "--trials", "2", "--parallelism", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    *((["simulate", *_SMALL, "--format", fmt], EXIT_OK) for fmt in ("csv", "json")),
+    *((["predict", *_SMALL, "--format", fmt], EXIT_OK) for fmt in ("csv", "json")),
+    *((["compare", *_SMALL, "--format", fmt], EXIT_OK) for fmt in ("csv", "json")),
+    *((["tune", *_SMALL, "--m-grid", "4,8", "--target-err", "0.5", "--format", fmt], EXIT_OK)
+      for fmt in ("csv", "json")),
+    (["tune", "--d", "200", "--m", "32", "--sigma", "0.1", "--lambda-grid", "1",
+      "--iters", "50", "--target-err", "1e-12"], EXIT_NO_FEASIBLE),
+    (["compare", "--alpha0", "0", "--init-norm", "1e-160", "--iters", "2", "--d", "20",
+      "--m", "4", "--trials", "1", "--parallelism", "1"], EXIT_NUMERICAL),
+], ids=["simulate-csv", "simulate-json", "predict-csv", "predict-json", "compare-csv",
+        "compare-json", "tune-csv", "tune-json", "tune-no-feasible", "compare-underflow"])
+def test_every_file_left_is_named(tmp_path, capsys, argv, code):
+    # a run that fails after writing a table still names it on stdout
+    assert run_cli(tmp_path, *argv) == code
+    assert _wrote(capsys.readouterr().out) == {str(path) for path in tmp_path.iterdir()}
+
+
+_TRIALS_COLUMNS = ["t", "trial", "alpha", "beta", "talpha", "tbeta", "err", "frob_err"]
+_AGGREGATE_COLUMNS = ["t", "median_err", "q25_err", "q75_err"]
+_PREDICT_COLUMNS = ["t", "alpha", "beta", "talpha", "tbeta", "err_seq", "theory_region"]
+_BASE_KEYS = {"version", "mode", "config_hash", "seed"}
+_SETTINGS = ["--seed", "5", "--target-err", "0.5", "--prefloor-margin", "2",
+             "--policy", "min-samples-to-target"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("mode, extra, tables", [
+    ("simulate", [], {
+        "trials": (_TRIALS_COLUMNS, {"trials": "2"}),
+        "aggregate": (_AGGREGATE_COLUMNS, {"trials": "2"})}),
+    ("predict", [], {"predict": (_PREDICT_COLUMNS, {})}),
+    ("compare", [], {
+        "emp.trials": (_TRIALS_COLUMNS, {"trials": "2"}),
+        "emp.aggregate": (_AGGREGATE_COLUMNS, {"trials": "2"}),
+        "det.predict": (_PREDICT_COLUMNS, {}),
+        "compare": (["t", "median_emp", "err_seq", "abs_gap", "rel_gap"],
+                    {"prefloor_margin": "2", "predicted_floor": None, "max_abs_gap": None,
+                     "max_rel_gap_prefloor": None})}),
+    ("tune", ["--m-grid", "4,8"], {
+        "tune": (["m", "lambda", "tau", "floor", "samples", "theory_region"],
+                 {"target_err": "0.5", "policy": "min-samples-to-target"})}),
+    ("tune", ["--m-grid", "4,8", "--budget", "7"], {
+        "tune": (["m", "lambda", "tau", "floor", "samples", "theory_region"],
+                 {"target_err": "0.5", "policy": "min-samples-to-target", "budget": "7"})}),
+], ids=["simulate", "predict", "compare", "tune", "tune-budget"])
+def test_artifact_contract(tmp_path, mode, extra, tables, fmt):
+    # each table's name, columns and exact metadata keys; the values that
+    # come from settings (None: a computed value, not pinned here); and one
+    # config hash, the run config's, on every file of the run
+    argv = [mode, *_SMALL, *_SETTINGS, *extra, "--format", fmt]
+    assert run_cli(tmp_path, *argv) == EXIT_OK
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        f"run.{kind}.{fmt}" for kind in tables)
+    config_hash = config_from_args(_build_parser().parse_args(argv)).config_hash()
+    for kind, (columns, values) in tables.items():
+        meta, got_columns, _ = read_table(str(tmp_path / f"run.{kind}.{fmt}"))
+        assert got_columns == columns, kind
+        assert set(meta) == _BASE_KEYS | set(values), kind
+        assert {key: meta[key] for key in _BASE_KEYS} == {
+            "version": __version__, "mode": mode, "config_hash": config_hash, "seed": "5"}
+        assert {key: meta[key] for key, value in values.items() if value is not None} == {
+            key: value for key, value in values.items() if value is not None}, kind
 
 
 def child_env():
