@@ -29,10 +29,16 @@ except ImportError:
         from hashlib import sha256
 
 from . import __version__
-from .errors import NoFeasiblePointError, NonConvergenceError, ProxtuneError, ValidationError
-from .model import InitSpec
+from .errors import (
+    InfeasibleInitializationError,
+    NoFeasiblePointError,
+    NonConvergenceError,
+    NumericalInputError,
+    ProxtuneError,
+    ValidationError,
+)
 from .predict import predict_trajectory
-from .simulate import CONVENTIONS, SCHEDULES, LambdaSchedule, run_trials
+from .simulate import run_trials
 from .state import StateVec
 from .tune import POLICIES, build_report, recommend, sweep
 
@@ -42,6 +48,8 @@ EXIT_NUMERICAL = 3
 EXIT_NO_FEASIBLE = 4
 # tokens a subcommand reads as values: argparse's own pattern misses -1e-3, -inf, -5,20
 NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+SCHEDULES = ("constant", "delayed-linear")
+CONVENTIONS = ("offset", "absolute")
 
 
 def _setting(default, help=None, choices=None, flag=None):
@@ -119,19 +127,51 @@ class RunConfig:
         return sha256("\n".join(lines).encode()).hexdigest()[:12]
 
     def lambda_schedule(self):
-        return LambdaSchedule(kind=self.schedule, lambda0=self.lambda0,
-                              t0=self.t0, slope=self.slope,
-                              convention=self.convention)
+        """The run's schedule t -> lambda_t (lambda_at), once lambda0 and, for
+        a delayed-linear schedule, t0 and slope are checked."""
+        if not 0 < self.lambda0 < math.inf:
+            raise ValidationError("lambda0 must be positive and finite")
+        if self.schedule == "delayed-linear":
+            if self.t0 < 0:
+                raise ValidationError("t0 must be nonnegative")
+            if not 0 < self.slope < math.inf:
+                raise ValidationError("slope must be positive and finite")
+        return self.lambda_at
 
-    def init_spec(self):
-        if self.init_dist is not None:
-            return InitSpec.distance(self.init_dist, norm=self.init_norm)
-        if self.alpha0 is None:
-            raise ValidationError("either alpha0 or init_dist must be set")
-        return InitSpec(self.alpha0, self.init_norm)
+    def lambda_at(self, t):
+        """Inverse step size lambda_t. constant: lambda0 for all t.
+        delayed-linear: lambda0 up to and including t0, then growing with
+        slope: slope*(t - t0) under the "offset" convention (continuous at
+        t0) or slope*t under "absolute" (jumps at t0 + 1)."""
+        if self.schedule == "constant" or t <= self.t0:
+            return self.lambda0
+        growth = self.slope * ((t - self.t0) if self.convention == "offset" else t)
+        return self.lambda0 + growth
 
     def initial_state(self):
-        a0, b0 = self.init_spec().state_targets()
+        """The state (a0, b0, a0, b0) at norm init_norm, b0 >= 0: overlap
+        a0 = alpha0, or, when init_dist is set, the a0 that puts
+        ||mu0 - mu*||^2 at init_dist. Raises if it is geometrically infeasible."""
+        norm, dist_sq = self.init_norm, self.init_dist
+        if dist_sq is None and self.alpha0 is None:
+            raise ValidationError("either alpha0 or init_dist must be set")
+        if dist_sq is not None and not dist_sq >= 0:
+            raise InfeasibleInitializationError("squared distance must be >= 0")
+        if not 0 < norm < math.inf:
+            raise InfeasibleInitializationError("target norm must be positive and finite")
+        if math.isinf(norm * norm):
+            raise NumericalInputError(f"squared target norm overflows at norm={norm:g}")
+        if dist_sq is None:
+            a0 = float(self.alpha0)
+            why = f"|alpha0|={abs(a0):g} exceeds the target norm {norm:g}"
+        else:
+            # solve (a0 - 1)^2 + b0^2 = dist_sq with a0^2 + b0^2 = norm^2
+            a0 = 0.5 * (1.0 + norm ** 2 - dist_sq)
+            why = f"distance {dist_sq:g} unreachable at norm {norm:g}"
+        if not abs(a0) <= norm * (1.0 + 1e-12):
+            raise InfeasibleInitializationError(why)
+        # |a0| may pass norm by 1e-12, and a0 ** 2 then overflow at norm ~ 1.34e154
+        b0 = math.sqrt(max(0.0, norm ** 2 - min(abs(a0), norm) ** 2))
         return StateVec(a0, b0, a0, b0)
 
 

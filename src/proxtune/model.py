@@ -1,4 +1,4 @@
-"""Problem check, ground truth, data generation and controlled initialization.
+"""Problem check, ground truth, data generation and iterates in a given state.
 
 check_problem is the one check of a problem's dimension d, batch size m and
 noise level sigma. Observations follow y_i = <x_i, mu*> <z_i, nu*> + eps_i
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InfeasibleInitializationError,
-    InvalidDimensionError,
-    NumericalInputError,
-    ValidationError,
-)
+from .errors import InvalidDimensionError, ValidationError
 
 
 def check_problem(d, m, sigma):
@@ -77,57 +72,14 @@ def sample_batch(gt, m, sigma, seed):
     return Batch(X=X, Z=Z, y=y)
 
 
-@dataclass(frozen=True)
-class InitSpec:
-    """Target overlap alpha0 = <mu0, mu*> at the norm ||mu0||, applied
-    identically to both factor sides; the achieved state is exact."""
-
-    alpha0: float
-    norm: float = 1.0
-
-    @classmethod
-    def distance(cls, dist_sq, norm=1.0):
-        """The overlap that puts ||mu0 - mu*||^2 at dist_sq for the given norm."""
-        if not dist_sq >= 0:
-            raise InfeasibleInitializationError("squared distance must be >= 0")
-        _check_norm(norm)
-        # solve (alpha - 1)^2 + beta^2 = dist_sq with alpha^2 + beta^2 = norm^2
-        alpha0 = 0.5 * (1.0 + norm ** 2 - dist_sq)
-        if abs(alpha0) > norm * (1.0 + 1e-12):
-            raise InfeasibleInitializationError(
-                f"distance {dist_sq:g} unreachable at norm {norm:g}"
-            )
-        return cls(alpha0, norm)
-
-    def state_targets(self):
-        """Resolve to (alpha0, beta0); raises if geometrically infeasible."""
-        _check_norm(self.norm)
-        alpha0 = float(self.alpha0)
-        if not abs(alpha0) <= self.norm * (1.0 + 1e-12):
-            raise InfeasibleInitializationError(
-                f"|alpha0|={abs(alpha0):g} exceeds the target norm {self.norm:g}"
-            )
-        beta0 = float(np.sqrt(max(0.0, self.norm ** 2 - alpha0 ** 2)))
-        return alpha0, beta0
-
-
-def _check_norm(norm):
-    if not 0 < norm < math.inf:
-        raise InfeasibleInitializationError("target norm must be positive and finite")
-    if math.isinf(norm * norm):
-        raise NumericalInputError(f"squared target norm overflows at norm={norm:g}")
-
-
-def init_iterates(gt, spec, seed):
-    """Construct (mu0, nu0) hitting the requested state targets exactly.
-
-    mu0 = alpha0 mu* + beta0 u with u a uniformly random unit vector
-    orthogonal to mu*; same construction on the nu side.
+def init_iterates(gt, s0, seed):
+    """Construct (mu0, nu0) whose state against gt is exactly the StateVec s0:
+    mu0 = alpha mu* + beta u and nu0 = talpha nu* + tbeta v, with u, then v,
+    a uniformly random unit vector orthogonal to mu*, nu*.
     """
-    alpha0, beta0 = spec.state_targets()
     rng = np.random.default_rng(seed)
-    mu0 = alpha0 * gt.mu_star + beta0 * _orthogonal_unit(rng, gt.mu_star)
-    nu0 = alpha0 * gt.nu_star + beta0 * _orthogonal_unit(rng, gt.nu_star)
+    mu0 = s0.alpha * gt.mu_star + s0.beta * _orthogonal_unit(rng, gt.mu_star)
+    nu0 = s0.talpha * gt.nu_star + s0.tbeta * _orthogonal_unit(rng, gt.nu_star)
     return mu0, nu0
 
 

@@ -265,15 +265,16 @@ class DetTrajectory:
 
 
 def predict_trajectory(s0, T, d, m, sigma, schedule):
-    """Iterate the deterministic map T times from s0, lambda_t given by the
-    LambdaSchedule schedule, recording the predicted error sequence. No
-    randomness is consumed. Step t + 1's fixed point starts from 6 g_t
-    - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3) + 6 g_(t-4) - g_(t-5), the
-    quintic extrapolation of the last six g_t = g(r_t) = ratio * (lam + V1,
-    lam + V2), each step's FixedPointR.g (the quartic to constant one while
-    fewer exist, so step 1 starts from g_0), on step t's grid while that
-    grid covers the bracket. Step t's certificate reads that grid's Lsq and
-    Ltsq, so only state T's lengths are taken here."""
+    """Iterate the deterministic map T times from s0 with lambda_t =
+    schedule(t), schedule any callable such as RunConfig.lambda_schedule(),
+    recording the predicted error sequence. No randomness is consumed. Step
+    t + 1's fixed point starts from 6 g_t - 15 g_(t-1) + 20 g_(t-2)
+    - 15 g_(t-3) + 6 g_(t-4) - g_(t-5), the quintic extrapolation of the last
+    six g_t = g(r_t) = ratio * (lam + V1, lam + V2), each step's
+    FixedPointR.g (the quartic to constant one while fewer exist, so step 1
+    starts from g_0), on step t's grid while that grid covers the bracket.
+    Step t's certificate reads that grid's Lsq and Ltsq, so only state T's
+    lengths are taken here."""
     check_problem(d, m, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
@@ -292,7 +293,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     start = grid = None
     g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
     for t in range(T):
-        lam = schedule.value(t)
+        lam = schedule(t)
         try:
             s_next, r = det_map(s, d, m, sigma, lam, start, grid)
             errs[t + 1] = err_of(s_next)
@@ -308,7 +309,7 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
         residuals[t] = r.residual
         states[t + 1] = s.alpha, s.beta, s.talpha, s.tbeta
     L, Lt = s.L, s.Lt
-    flags[T] = in_theory_region(L * L, Lt * Lt, schedule.value(T), ratio)
+    flags[T] = in_theory_region(L * L, Lt * Lt, schedule(T), ratio)
     return DetTrajectory(
         states=states,
         err_seq=errs,

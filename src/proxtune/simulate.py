@@ -35,45 +35,6 @@ from .state import err_of, frob_err, state_of
 
 RESIDUAL_TOL = 1e-8
 
-SCHEDULES = ("constant", "delayed-linear")
-CONVENTIONS = ("offset", "absolute")
-
-
-@dataclass(frozen=True)
-class LambdaSchedule:
-    """Inverse step-size schedule lambda_t > 0.
-
-    constant: lambda_t = lambda0 for all t. delayed-linear: lambda0 up to
-    and including t0, then growing with the given slope. Growth is
-    slope*(t - t0) under the "offset" convention (continuous at t0) or
-    slope*t under "absolute" (jumps at t0 + 1).
-    """
-
-    kind: str = "constant"
-    lambda0: float = 100.0
-    t0: int = 0
-    slope: float = 1.0
-    convention: str = "offset"
-
-    def __post_init__(self):
-        if self.kind not in SCHEDULES:
-            raise ValidationError(f"unknown schedule kind {self.kind!r}")
-        if not 0 < self.lambda0 < math.inf:
-            raise ValidationError("lambda0 must be positive and finite")
-        if self.kind == "delayed-linear":
-            if self.t0 < 0:
-                raise ValidationError("t0 must be nonnegative")
-            if not 0 < self.slope < math.inf:
-                raise ValidationError("slope must be positive and finite")
-        if self.convention not in CONVENTIONS:
-            raise ValidationError(f"unknown convention {self.convention!r}")
-
-    def value(self, t):
-        if self.kind == "constant" or t <= self.t0:
-            return self.lambda0
-        growth = self.slope * ((t - self.t0) if self.convention == "offset" else t)
-        return self.lambda0 + growth
-
 
 def prox_linear_step(mu, nu, batch, lam):
     """One closed-form prox-linear update of (mu, nu) on the given batch,
@@ -137,7 +98,7 @@ class EmpiricalTrajectory:
 
 def run_empirical(mu0, nu0, gt, config, seed):
     """Run config.iters prox-linear steps of the RunConfig config (its m,
-    sigma and lambda schedule) from (mu0, nu0), drawing a fresh batch per
+    sigma and lambda_schedule()) from (mu0, nu0), drawing a fresh batch per
     step from that step's child of the SeedSequence seed (spawn key
     seed.spawn_key + (t,)). Returns iters + 1 records. Overflow raises no
     numpy warning: the step's checks stop it with a typed error."""
@@ -161,7 +122,7 @@ def run_empirical(mu0, nu0, gt, config, seed):
         raise SimulationError(0, str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
-            lam = schedule.value(t)
+            lam = schedule(t)
             try:
                 batch = sample_batch(gt, config.m, config.sigma, seed.spawn(1)[0])
                 mu, nu = prox_linear_step(mu, nu, batch, lam)
@@ -173,10 +134,10 @@ def run_empirical(mu0, nu0, gt, config, seed):
 
 def _run_one_trial(config, trial_seed):
     # fresh ground truth and orthogonal directions per trial; the initial
-    # state itself is deterministic by construction
+    # state itself is the config's initial_state()
     gt_ss, init_ss, run_ss = trial_seed.spawn(3)
     gt = generate_ground_truth(config.d, gt_ss)
-    mu0, nu0 = init_iterates(gt, config.init_spec(), init_ss)
+    mu0, nu0 = init_iterates(gt, config.initial_state(), init_ss)
     return run_empirical(mu0, nu0, gt, config, run_ss)
 
 

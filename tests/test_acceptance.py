@@ -14,7 +14,7 @@ from proxtune.cli import RunConfig
 from proxtune.expect import get_engine
 from proxtune.model import generate_ground_truth, sample_batch
 from proxtune.predict import det_map, predict_trajectory, solve_r
-from proxtune.simulate import LambdaSchedule, prox_linear_step, run_trials
+from proxtune.simulate import prox_linear_step, run_trials
 from proxtune.state import StateVec
 from proxtune.tune import iteration_complexity
 from oracles import dense_oracle, kernels_at, point_grid, sandwich_check, state_frob_err
@@ -284,7 +284,8 @@ def test_criterion_09_trajectory_speed():
     best = np.inf
     for _ in range(2):
         start = time.perf_counter()
-        traj = predict_trajectory(local_s0(), 1000, d, m, sigma, LambdaSchedule(lambda0=lam))
+        traj = predict_trajectory(local_s0(), 1000, d, m, sigma,
+                                  RunConfig(lambda0=lam).lambda_schedule())
         best = min(best, time.perf_counter() - start)
     assert len(traj.states) == 1001
     report(9, "trajectory speed", best < 1.0, f"1000 iterations in {best:.2f}s")
@@ -293,7 +294,8 @@ def test_criterion_09_trajectory_speed():
 def test_criterion_10_geometric_rate():
     start = time.perf_counter()
     d, m = 128, 32
-    traj = predict_trajectory(local_s0(), 2500, d, m, 0.0, LambdaSchedule(lambda0=10.0 * d / m))
+    traj = predict_trajectory(local_s0(), 2500, d, m, 0.0,
+                              RunConfig(lambda0=10.0 * d / m).lambda_schedule())
     err = traj.err_seq
     mask = (err >= 1e-12) & (err <= 1e-2)
     t = np.arange(err.size)[mask]

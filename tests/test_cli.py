@@ -530,6 +530,8 @@ class TestPredictCommand:
 
     @pytest.mark.parametrize("line, message", [
         ("policy = bogus", "policy must be one of"),
+        ("schedule = exponential", "schedule must be one of"),
+        ("convention = sideways", "convention must be one of"),
         ("d = abc", "config line 2: d: invalid literal"),
     ])
     def test_bad_config_value_rejected(self, tmp_path, capsys, line, message):

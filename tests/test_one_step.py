@@ -21,7 +21,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from proxtune.model import InitSpec, generate_ground_truth, init_iterates, sample_batch
+from proxtune.model import generate_ground_truth, init_iterates, sample_batch
 from proxtune.predict import det_map
 from proxtune.simulate import prox_linear_step
 from proxtune.state import StateVec, err_of, state_of
@@ -46,8 +46,8 @@ def one_step_draws(s, sigma, lam, n, seed):
     fixed iterate pair in state s, each on its own keyed batch."""
     gt_ss, mu_ss, nu_ss, batch_ss = np.random.SeedSequence(seed).spawn(4)
     gt = generate_ground_truth(D, gt_ss)
-    mu, _ = init_iterates(gt, InitSpec(s.alpha, s.L), mu_ss)
-    _, nu = init_iterates(gt, InitSpec(s.talpha, s.Lt), nu_ss)
+    mu, _ = init_iterates(gt, s, mu_ss)
+    _, nu = init_iterates(gt, s, nu_ss)
     out = np.empty((n, 5))
     for k, batch_seed in enumerate(batch_ss.spawn(n)):
         nxt = state_of(*prox_linear_step(mu, nu, sample_batch(gt, M, sigma, batch_seed), lam), gt)

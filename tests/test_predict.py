@@ -24,7 +24,6 @@ from proxtune.predict import (
     solve_eta,
     solve_r,
 )
-from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec, err_of
 from oracles import (
     compute_V,
@@ -38,6 +37,10 @@ from oracles import (
 )
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
+
+
+def constant(lam):
+    return RunConfig(lambda0=lam).lambda_schedule()
 
 
 def local_state():
@@ -480,7 +483,7 @@ class TestDetMap:
         # sigma = 0: the predicted error contracts strictly all the way to
         # numerical zero
         traj = predict_trajectory(local_state(), 600, 200, 32, 0.0,
-                                  LambdaSchedule(lambda0=200 / 32))
+                                  constant(200 / 32))
         err = traj.err_seq
         live = err[:-1] > 1e-14
         assert err[1:][live].shape[0] > 100
@@ -492,10 +495,10 @@ class TestDetMap:
             det_map(StateVec(0.0, 0.0, 1.0, 0.0), 200, 32, 0.0, 100.0)
         # m > d: predict_trajectory checks the problem det_map is given
         with pytest.raises(ValidationError):
-            predict_trajectory(TRUTH, 2, 200, 300, 0.0, LambdaSchedule(lambda0=100.0))
+            predict_trajectory(TRUTH, 2, 200, 300, 0.0, constant(100.0))
         with pytest.raises(PredictionError):
             predict_trajectory(StateVec(0.0, 0.0, 1.0, 0.0), 2, 200, 32, 0.0,
-                               LambdaSchedule(lambda0=100.0))
+                               constant(100.0))
 
     def test_map_quantities_nonnegative(self):
         s, d, m, sigma, lam = local_state(), 200, 32, 0.1, 100.0
@@ -530,29 +533,29 @@ class TestDetMap:
 class TestPredictTrajectory:
     def test_empty_horizon(self):
         s = local_state()
-        traj = predict_trajectory(s, 0, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(s, 0, 200, 32, 0.1, constant(100.0))
         assert traj.states.shape == (1, 4)
         assert tuple(traj.states[0]) == astuple(s)
         assert traj.err_seq[0] == pytest.approx(err_of(s), abs=1e-15)
 
     def test_err_seq_matches_states(self):
-        traj = predict_trajectory(local_state(), 40, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(local_state(), 40, 200, 32, 0.1, constant(100.0))
         for t, row in enumerate(traj.states):
             assert traj.err_seq[t] == pytest.approx(err_of(StateVec(*row)), abs=1e-15)
 
     def test_floor_order_anchor(self):
         # sigma=0.1, m=32, lam=100: floor within 5x of sigma^2 d/(lam m)
-        traj = predict_trajectory(local_state(), 600, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(local_state(), 600, 200, 32, 0.1, constant(100.0))
         anchor = 0.1 ** 2 * 200 / (100.0 * 32)
         floor = traj.err_seq.min()
         assert anchor / 5.0 <= floor <= anchor * 5.0
 
     def test_theory_flag_false_below_region(self):
-        traj = predict_trajectory(local_state(), 5, 200, 32, 0.1, LambdaSchedule(lambda0=1.0))
+        traj = predict_trajectory(local_state(), 5, 200, 32, 0.1, constant(1.0))
         assert not traj.theory_region.any()
         assert not traj.in_region
         certified = predict_trajectory(local_state(), 5, 200, 32, 0.1,
-                                       LambdaSchedule(lambda0=100.0))
+                                       constant(100.0))
         assert certified.in_region
 
     @settings(derandomize=True, max_examples=40, deadline=None)
@@ -562,21 +565,21 @@ class TestPredictTrajectory:
     def test_recorded_schedule_and_certificate(self, kind, lam0, t0, slope, convention, T, m):
         # the loop records the certificate at state t with lambda_t as it goes
         d = 200
-        sched = LambdaSchedule(kind=kind, lambda0=lam0, t0=t0, slope=slope,
-                               convention=convention)
+        sched = RunConfig(schedule=kind, lambda0=lam0, t0=t0, slope=slope,
+                          convention=convention).lambda_schedule()
         traj = predict_trajectory(local_state(), T, d, m, 0.1, sched)
         assert traj.theory_region.dtype == bool
         assert traj.theory_region.tolist() == [
-            in_theory_region(s.L * s.L, s.Lt * s.Lt, sched.value(t), m / d)
+            in_theory_region(s.L * s.L, s.Lt * s.Lt, sched(t), m / d)
             for t, s in enumerate(StateVec(*row) for row in traj.states)]
 
     def test_schedule_values_recorded(self):
         # step t maps with lambda_t: a delayed-linear schedule's states are
         # the constant schedule's through step t0 = 10 (state 11) and leave
         # them once lambda_11 = 51
-        sched = LambdaSchedule("delayed-linear", 50.0, t0=10)
+        sched = RunConfig(schedule="delayed-linear", lambda0=50.0, t0=10).lambda_schedule()
         traj = predict_trajectory(local_state(), 15, 200, 32, 0.01, sched)
-        const = predict_trajectory(local_state(), 15, 200, 32, 0.01, LambdaSchedule(lambda0=50.0))
+        const = predict_trajectory(local_state(), 15, 200, 32, 0.01, constant(50.0))
         assert np.array_equal(traj.states[:12], const.states[:12])
         assert not np.array_equal(traj.states[12], const.states[12])
         s, r = det_map(StateVec(*traj.states[11]), 200, 32, 0.01, 51.0)
@@ -618,8 +621,9 @@ class TestPredictTrajectory:
         assert np.all(traj.fp_residual <= 3e-14)
 
     @pytest.mark.parametrize("schedule", [
-        LambdaSchedule(lambda0=20.0),
-        LambdaSchedule("delayed-linear", 20.0, t0=100, slope=1.0, convention="absolute"),
+        constant(20.0),
+        RunConfig(schedule="delayed-linear", lambda0=20.0, t0=100, slope=1.0,
+                  convention="absolute").lambda_schedule(),
     ], ids=["constant", "delayed-linear-absolute"])
     def test_warm_trajectory_matches_cold_steps(self, schedule):
         # extrapolated starts and a reused grid against a midpoint start and
@@ -628,7 +632,7 @@ class TestPredictTrajectory:
         warm = predict_trajectory(local_state(), T, d, m, sigma, schedule)
         s = local_state()
         for t in range(T):
-            s, _ = det_map(s, d, m, sigma, schedule.value(t))
+            s, _ = det_map(s, d, m, sigma, schedule(t))
             for a, b in zip(warm.states[t + 1], astuple(s)):
                 assert abs(a - b) <= 1e-12 * abs(b), t
 
@@ -660,6 +664,6 @@ class TestPredictTrajectory:
             monkeypatch.setattr(ExpectationEngine, name, counted(name))
         d, m, sigma, T = 200, 16, 0.1, 1000
         predict_trajectory(local_state(), T, d, m, sigma,
-                           LambdaSchedule(lambda0=(1.0 + sigma ** 2) * d / m))
+                           constant((1.0 + sigma ** 2) * d / m))
         assert calls["context"] == 1
         assert calls["v_pair"] <= 1.2 * T

@@ -1,0 +1,19 @@
+"""Every ```python block in README.md runs as it is written."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+
+
+def test_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_readme_block_runs(block, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a block that writes files writes them here
+    exec(compile(block, str(README), "exec"), {"__name__": "readme"})

@@ -16,14 +16,8 @@ from proxtune.errors import (
     SingularSystemError,
     ValidationError,
 )
-from proxtune.model import (
-    InitSpec,
-    generate_ground_truth,
-    init_iterates,
-    sample_batch,
-)
+from proxtune.model import generate_ground_truth, init_iterates, sample_batch
 from proxtune.simulate import (
-    LambdaSchedule,
     prox_linear_step,
     quartiles,
     run_empirical,
@@ -72,42 +66,45 @@ def config(d, m, sigma=0.0, T=0, lam=100.0, alpha0=1.0, trials=1, seed=0):
                      trials=trials, seed=seed, parallelism=1)
 
 
-class TestLambdaSchedule:
+class TestSchedule:
     def test_constant(self):
-        sched = LambdaSchedule(lambda0=7.0)
-        assert sched.value(0) == 7.0
-        assert sched.value(10_000) == 7.0
+        sched = RunConfig(lambda0=7.0).lambda_schedule()
+        assert sched(0) == 7.0
+        assert sched(10_000) == 7.0
 
     def test_delayed_linear_offset(self):
-        sched = LambdaSchedule("delayed-linear", 100.0, t0=1500)
-        assert sched.value(0) == 100.0
-        assert sched.value(1500) == 100.0
-        assert sched.value(1501) == 101.0
-        assert sched.value(3000) == 1600.0
+        sched = RunConfig(schedule="delayed-linear", lambda0=100.0, t0=1500).lambda_schedule()
+        assert sched(0) == 100.0
+        assert sched(1500) == 100.0
+        assert sched(1501) == 101.0
+        assert sched(3000) == 1600.0
 
     def test_delayed_linear_absolute(self):
-        sched = LambdaSchedule("delayed-linear", 100.0, t0=1500, convention="absolute")
-        assert sched.value(1500) == 100.0
-        assert sched.value(1501) == 1601.0
+        cfg = RunConfig(schedule="delayed-linear", lambda0=100.0, t0=1500,
+                        convention="absolute")
+        assert cfg.lambda_at(1500) == 100.0
+        assert cfg.lambda_at(1501) == 1601.0
 
     def test_validation(self):
+        # the schedule and convention choices are _validate_config's
+        # (tests/test_cli.py::test_bad_config_value_rejected)
         with pytest.raises(ValidationError):
-            LambdaSchedule(lambda0=0.0)
+            RunConfig(lambda0=0.0).lambda_schedule()
         with pytest.raises(ValidationError):
-            LambdaSchedule("delayed-linear", 1.0, t0=-1)
+            RunConfig(schedule="delayed-linear", lambda0=1.0, t0=-1).lambda_schedule()
         with pytest.raises(ValidationError):
-            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=0.0)
+            RunConfig(schedule="delayed-linear", lambda0=1.0, t0=0, slope=0.0).lambda_schedule()
         with pytest.raises(ValidationError):
-            LambdaSchedule(kind="exponential")
+            RunConfig(lambda0=float("nan")).lambda_schedule()
         with pytest.raises(ValidationError):
-            LambdaSchedule(lambda0=float("nan"))
-        with pytest.raises(ValidationError):
-            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=float("nan"))
+            RunConfig(schedule="delayed-linear", lambda0=1.0, t0=0,
+                      slope=float("nan")).lambda_schedule()
         # an infinite lambda0 or slope is a bad setting too, not a numerical failure
         with pytest.raises(ValidationError):
-            LambdaSchedule(lambda0=float("inf"))
+            RunConfig(lambda0=float("inf")).lambda_schedule()
         with pytest.raises(ValidationError):
-            LambdaSchedule("delayed-linear", 1.0, t0=0, slope=float("inf"))
+            RunConfig(schedule="delayed-linear", lambda0=1.0, t0=0,
+                      slope=float("inf")).lambda_schedule()
 
 
 class TestProxLinearStep:
@@ -236,14 +233,14 @@ class TestProxLinearStep:
 class TestRunEmpirical:
     def test_empty_run(self):
         gt = generate_ground_truth(30, seed=21)
-        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=22)
+        mu0, nu0 = init_iterates(gt, RunConfig(alpha0=0.95).initial_state(), seed=22)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, T=0), np.random.SeedSequence(23))
         assert tr.states.shape == (1, 4)
         assert tr.err[0] == pytest.approx(err_of(StateVec(*tr.states[0])), abs=1e-15)
 
     def test_record_count_and_err_consistency(self):
         gt = generate_ground_truth(30, seed=24)
-        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=25)
+        mu0, nu0 = init_iterates(gt, RunConfig(alpha0=0.95).initial_state(), seed=25)
         tr = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.01, T=20),
                            np.random.SeedSequence(26))
         assert tr.states.shape == (21, 4)
@@ -252,7 +249,7 @@ class TestRunEmpirical:
 
     def test_seeded_determinism(self):
         gt = generate_ground_truth(30, seed=27)
-        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=28)
+        mu0, nu0 = init_iterates(gt, RunConfig(alpha0=0.95).initial_state(), seed=28)
         a = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
         b = run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=15), np.random.SeedSequence(29))
         assert np.array_equal(a.err, b.err)
@@ -268,7 +265,7 @@ class TestRunEmpirical:
 
         monkeypatch.setattr(simulate, "sample_batch", recording_sample_batch)
         gt = generate_ground_truth(30, seed=39)
-        mu0, nu0 = init_iterates(gt, InitSpec(0.95), seed=40)
+        mu0, nu0 = init_iterates(gt, RunConfig(alpha0=0.95).initial_state(), seed=40)
         run_ss = np.random.SeedSequence(41, spawn_key=(3, 2))
         run_empirical(mu0, nu0, gt, config(30, 5, sigma=0.1, T=7), run_ss)
         assert keys == [(41, run_ss.spawn_key + (t,)) for t in range(7)]

@@ -4,7 +4,6 @@ import pytest
 from proxtune.cli import RunConfig
 from proxtune.errors import NoFeasiblePointError, PredictionError, ValidationError
 from proxtune.predict import predict_trajectory
-from proxtune.simulate import LambdaSchedule
 from proxtune.state import StateVec
 from proxtune.tune import (
     build_report,
@@ -18,6 +17,10 @@ from proxtune.tune import (
 def s0():
     b = np.sqrt(1.0 - 0.99 ** 2)
     return StateVec(0.99, b, 0.99, b)
+
+
+def constant(lam):
+    return RunConfig(lambda0=lam).lambda_schedule()
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,7 @@ class TestSweep:
                          lambda_grid=(40.0,))
         results, failures = sweep(grid)
         assert not failures
-        direct = predict_trajectory(s0(), 50, 100, 16, 0.05, LambdaSchedule(lambda0=40.0))
+        direct = predict_trajectory(s0(), 50, 100, 16, 0.05, constant(40.0))
         assert np.array_equal(results[(16, 40.0)].err_seq, direct.err_seq)
 
     def test_coupled_rule_points(self):
@@ -104,15 +107,15 @@ class TestSweep:
 
 class TestIterationComplexity:
     def test_target_above_start(self):
-        traj = predict_trajectory(s0(), 10, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(s0(), 10, 200, 32, 0.1, constant(100.0))
         assert iteration_complexity(traj, 1.0) == 0
 
     def test_target_below_floor(self):
-        traj = predict_trajectory(s0(), 50, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(s0(), 50, 200, 32, 0.1, constant(100.0))
         assert iteration_complexity(traj, 1e-12) is None
 
     def test_rejects_bad_target(self):
-        traj = predict_trajectory(s0(), 1, 200, 32, 0.1, LambdaSchedule(lambda0=100.0))
+        traj = predict_trajectory(s0(), 1, 200, 32, 0.1, constant(100.0))
         with pytest.raises(ValidationError):
             iteration_complexity(traj, 0.0)
 
@@ -120,7 +123,7 @@ class TestIterationComplexity:
         # noiseless, lam = C d/m: linear convergence makes tau(target)
         # affine in log(1/target)
         traj = predict_trajectory(s0(), 3000, 128, 32, 0.0,
-                                  LambdaSchedule(lambda0=10.0 * 128 / 32))
+                                  constant(10.0 * 128 / 32))
         targets = [10.0 ** -k for k in range(4, 13)]
         taus = [iteration_complexity(traj, t) for t in targets]
         assert all(tau is not None for tau in taus)
