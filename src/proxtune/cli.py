@@ -86,7 +86,7 @@ class RunConfig:
     parallelism: int = _setting(
         0, "trial workers, at most the CPU count (default 0 = all cores)")
     target_err: float = 1e-8
-    policy: str = _setting("min-iterations-to-target", choices=POLICIES)
+    policy: str = _setting("min-iterations-to-target", choices=tuple(POLICIES))
     budget: int | None = _setting(None, "iteration budget for the floor policy")
     m_grid: tuple[int, ...] = _setting((), "comma-separated batch sizes for tune")
     lambda_grid: tuple[float, ...] = _setting(
@@ -159,8 +159,9 @@ class RunConfig:
             raise InfeasibleInitializationError("squared distance must be >= 0")
         if not 0 < norm < math.inf:
             raise InfeasibleInitializationError("target norm must be positive and finite")
-        if math.isinf(norm * norm):
-            raise NumericalInputError(f"squared target norm overflows at norm={norm:g}")
+        if not 0.0 < norm * norm < math.inf:
+            way = "overflows" if norm > 1.0 else "underflows to 0"
+            raise NumericalInputError(f"squared target norm {way} at norm={norm:g}")
         if dist_sq is None:
             a0 = float(self.alpha0)
             why = f"|alpha0|={abs(a0):g} exceeds the target norm {norm:g}"
@@ -170,8 +171,8 @@ class RunConfig:
             why = f"distance {dist_sq:g} unreachable at norm {norm:g}"
         if not abs(a0) <= norm * (1.0 + 1e-12):
             raise InfeasibleInitializationError(why)
-        # |a0| may pass norm by 1e-12, and a0 ** 2 then overflow at norm ~ 1.34e154
-        b0 = math.sqrt(max(0.0, norm ** 2 - min(abs(a0), norm) ** 2))
+        # scaled by norm, so no square over- or underflows; |a0| may pass norm by 1e-12
+        b0 = norm * math.sqrt(max(0.0, 1.0 - (min(abs(a0), norm) / norm) ** 2))
         return StateVec(a0, b0, a0, b0)
 
 
@@ -212,7 +213,7 @@ def _validate_config(config):
     if config.budget is not None and config.budget < 0:
         raise ValidationError("budget must be nonnegative")
     if (config.mode == "tune" and config.budget is None
-            and config.policy == "min-floor-subject-to-iteration-budget"):
+            and POLICIES[config.policy].needs_budget):
         raise ValidationError(f"policy {config.policy!r} requires an iteration budget")
     if config.seed < 0:
         raise ValidationError("seed must be nonnegative")
@@ -379,12 +380,12 @@ def cmd_tune(config):
     if not results:
         raise NonConvergenceError("every grid point failed to predict")
 
-    report = build_report(results, config.target_err)
+    rows = build_report(results, config.target_err)
     _emit(config, "tune", ["m", "lambda", "tau", "floor", "samples", "theory_region"],
-          report.rows, target_err=_cell(config.target_err), policy=config.policy,
+          rows, target_err=_cell(config.target_err), policy=config.policy,
           budget=config.budget)
-    rec = recommend(report, config.policy, budget=config.budget)
-    print(f"recommendation: m={rec.m} lambda={rec.lam:g} ({rec.rationale})")
+    row, rationale = recommend(rows, config.target_err, config.policy, budget=config.budget)
+    print(f"recommendation: m={row.m} lambda={row.lam:g} ({rationale})")
 
 
 # each subcommand once, in --help order: the function main runs, its help line

@@ -6,7 +6,7 @@ per point, and recommends a point under a stated policy.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -19,12 +19,6 @@ from .errors import (
 )
 from .model import check_problem
 from .predict import predict_trajectory
-
-POLICIES = (
-    "min-samples-to-target",
-    "min-iterations-to-target",
-    "min-floor-subject-to-iteration-budget",
-)
 
 
 def points(config):
@@ -85,14 +79,9 @@ class TuneRow(NamedTuple):
     theory_region: bool
 
 
-@dataclass(frozen=True)
-class TuneReport:
-    rows: tuple
-    target_err: float
-
-
 def build_report(results, target_err):
-    """Assemble a report from a sweep's trajectories.
+    """The tune table of a sweep's trajectories: one TuneRow per grid point,
+    in (m, lambda) order.
 
     floor is the minimum predicted error over the horizon (not the final
     value: late schedule decay can make the tail non-monotone); tau is the
@@ -101,59 +90,54 @@ def build_report(results, target_err):
     rows = []
     for (m, lam), traj in sorted(results.items()):
         tau = iteration_complexity(traj, target_err)
-        rows.append(TuneRow(
-            m=int(m),
-            lam=float(lam),
-            tau=tau,
-            floor=float(traj.err_seq.min()),
-            samples=None if tau is None else int(m) * tau,
-            theory_region=traj.in_region,
-        ))
-    return TuneReport(rows=tuple(rows), target_err=float(target_err))
+        rows.append(TuneRow(m=int(m), lam=float(lam), tau=tau,
+                            floor=float(traj.err_seq.min()),
+                            samples=None if tau is None else int(m) * tau,
+                            theory_region=traj.in_region))
+    return tuple(rows)
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    m: int
-    lam: float
-    rationale: str
+class Policy(NamedTuple):
+    key: str  # the TuneRow field the policy minimises
+    rationale: str  # what it picks, given the target and the budget
+    needs_budget: bool  # a budget is required, and caps tau
 
 
-def recommend(report, policy, budget=None):
-    """Pick a grid point under the given policy; ties break toward smaller
-    m, then smaller lambda. Pure function of the report."""
+POLICIES = {
+    "min-samples-to-target": Policy(
+        "samples", "fewest total samples m*tau to reach {target:g}", False),
+    "min-iterations-to-target": Policy(
+        "tau", "fewest iterations to reach {target:g}", False),
+    "min-floor-subject-to-iteration-budget": Policy(
+        "floor", "smallest floor among points reaching {target:g} "
+                 "within {budget} iterations", True),
+}
+
+
+def recommend(rows, target_err, policy, budget=None):
+    """Pick one of build_report's rows, at target_err, under the given
+    policy; ties break toward smaller m, then smaller lambda. Returns the
+    row and the rationale string; a pure function of its arguments."""
     if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}; choose from {POLICIES}")
-    if not report.rows:
+        raise ValidationError(f"unknown policy {policy!r}; choose from {tuple(POLICIES)}")
+    if not rows:
         raise ValidationError("empty report")
-
-    reached = [row for row in report.rows if row.tau is not None]
-    if policy == "min-floor-subject-to-iteration-budget":
-        if budget is None:
-            raise ValidationError("this policy requires an iteration budget")
-        feasible = [row for row in reached if row.tau <= budget]
-        key = lambda row: (row.floor, row.m, row.lam)
-        what = f"smallest floor among points reaching {report.target_err:g} within {budget} iterations"
-    elif policy == "min-samples-to-target":
-        feasible = reached
-        key = lambda row: (row.samples, row.m, row.lam)
-        what = f"fewest total samples m*tau to reach {report.target_err:g}"
-    else:
-        feasible = reached
-        key = lambda row: (row.tau, row.m, row.lam)
-        what = f"fewest iterations to reach {report.target_err:g}"
-
+    key, rationale, needs_budget = POLICIES[policy]
+    if needs_budget and budget is None:
+        raise ValidationError("this policy requires an iteration budget")
+    feasible = [row for row in rows
+                if row.tau is not None and (not needs_budget or row.tau <= budget)]
     if not feasible:
-        best = min(report.rows, key=lambda row: (row.floor, row.m, row.lam))
+        best = min(rows, key=lambda row: (row.floor, row.m, row.lam))
         raise NoFeasiblePointError(
             f"no grid point satisfies policy {policy!r}; best floor "
             f"{best.floor:.3e} at (m={best.m}, lambda={best.lam:g})",
             best_floor=best.floor,
             best_point=(best.m, best.lam),
         )
-    pick = min(feasible, key=key)
-    rationale = (
-        f"{what}: (m={pick.m}, lambda={pick.lam:g}) with tau={pick.tau}, "
-        f"floor={pick.floor:.3e}, samples={pick.samples}"
+    pick = min(feasible, key=lambda row: (getattr(row, key), row.m, row.lam))
+    return pick, (
+        f"{rationale.format(target=target_err, budget=budget)}: (m={pick.m}, "
+        f"lambda={pick.lam:g}) with tau={pick.tau}, floor={pick.floor:.3e}, "
+        f"samples={pick.samples}"
     )
-    return Recommendation(m=pick.m, lam=pick.lam, rationale=rationale)

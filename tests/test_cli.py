@@ -272,6 +272,9 @@ class TestSimulateCommand:
      "squared lengths L^2 Lt^2 underflow to 0"),
     (["predict", "--alpha0", "0.5", "--init-norm", "1e200"],
      "squared target norm overflows"),
+    (["simulate", "--init-norm", "1e-200", "--init-dist", "1", "--d", "20", "--m", "4",
+      "--trials", "1", "--iters", "3", "--parallelism", "1"],
+     "squared target norm underflows to 0 at norm=1e-200"),
     (["tune", "--sigma", "1e200", "--m-grid", "4", "--iters", "3"],
      "coupled rule lambda = (1 + sigma^2) d / m overflows"),
     (["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
@@ -285,7 +288,7 @@ class TestSimulateCommand:
     (["predict", "--lambda", "5e154", "--iters", "3"],
      "step 0: V3/V4 weight denominators (lambda + V1)^2, (lambda + V2)^2, "
      "(lambda + V (1/L^2 + 1/Lt^2))^2 overflow at lambda=5e+154"),
-], ids=["predict-overflow", "predict-underflow", "init-overflow",
+], ids=["predict-overflow", "predict-underflow", "init-overflow", "init-underflow",
         "tune-overflow", "simulate-overflow", "last-state-overflow", "grid-span-underflow",
         "weight-denominator-overflow"])
 def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
@@ -436,7 +439,7 @@ def _argvs(draw):
         if lams:
             values["lambda-grid"] = ",".join(map(repr, lams))
         values["target-err"] = draw(_drawn(_log_uniform(1e-8, 1.0)))
-        values["policy"] = draw(st.sampled_from(POLICIES))
+        values["policy"] = draw(st.sampled_from(tuple(POLICIES)))
         values["budget"] = draw(st.integers(0, 15))
     texts = [(f"--{flag}", repr(value) if isinstance(value, float) else str(value))
              for flag, value in values.items()]
@@ -660,6 +663,39 @@ class TestTuneCommand:
         _, columns, rows = read_table(str(tmp_path / "run.tune.json"))
         assert col(columns, rows, "tau")[0] is None
         assert col(columns, rows, "samples")[0] is None
+
+
+_POLICY_GRID = ["tune", "--d", "50", "--sigma", "0.1", "--m-grid", "4,8,16",
+                "--lambda-grid", "10,20,40", "--iters", "60"]
+
+
+@pytest.mark.parametrize("policy, feasible, infeasible, recommendation, no_feasible", [
+    ("min-samples-to-target", ["--target-err", "0.02"], ["--target-err", "1e-3"],
+     "recommendation: m=4 lambda=10 (fewest total samples m*tau to reach 0.02: "
+     "(m=4, lambda=10) with tau=29, floor=1.098e-02, samples=116)",
+     "no feasible point: no grid point satisfies policy 'min-samples-to-target'; "
+     "best floor 2.433e-03 at (m=16, lambda=10)"),
+    ("min-iterations-to-target", ["--target-err", "0.02"], ["--target-err", "1e-3"],
+     "recommendation: m=16 lambda=10 (fewest iterations to reach 0.02: "
+     "(m=16, lambda=10) with tau=10, floor=2.433e-03, samples=160)",
+     "no feasible point: no grid point satisfies policy 'min-iterations-to-target'; "
+     "best floor 2.433e-03 at (m=16, lambda=10)"),
+    ("min-floor-subject-to-iteration-budget", ["--target-err", "0.02", "--budget", "12"],
+     ["--target-err", "0.02", "--budget", "5"],
+     "recommendation: m=16 lambda=10 (smallest floor among points reaching 0.02 within "
+     "12 iterations: (m=16, lambda=10) with tau=10, floor=2.433e-03, samples=160)",
+     "no feasible point: no grid point satisfies policy "
+     "'min-floor-subject-to-iteration-budget'; best floor 2.433e-03 at (m=16, lambda=10)"),
+], ids=["min-samples", "min-iterations", "min-floor-budget"])
+def test_recommendation_wording(tmp_path, capsys, policy, feasible, infeasible,
+                                recommendation, no_feasible):
+    # the exact lines each policy prints when a point satisfies it, and when none does
+    assert run_cli(tmp_path, *_POLICY_GRID, "--policy", policy, *feasible) == EXIT_OK
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("recommendation:")] == [
+        recommendation]
+    assert run_cli(tmp_path, *_POLICY_GRID, "--policy", policy, *infeasible) == EXIT_NO_FEASIBLE
+    assert capsys.readouterr().err == no_feasible + "\n"
 
 
 _SMALL = ["--d", "20", "--m", "4", "--iters", "3", "--trials", "2", "--parallelism", "1"]

@@ -208,11 +208,12 @@ def setting(moderate):
 @given(st.none() | setting(st.floats(-3.0, 3.0)), st.none() | setting(st.floats(0.0, 5.0)),
        setting(st.floats(0.0, 3.0)))
 @example(math.nextafter(ROOT_MAX, math.inf), None, ROOT_MAX)  # a0 ** 2 overflows
+@example(0.0, None, 1e-160)  # norm ** 2 is subnormal, and b0 ** 2 would round off
+@example(None, 1.0, 1e-200)  # norm ** 2 underflows to 0: no state is at that norm
 def test_initial_state_is_feasible_or_typed(alpha0, dist_sq, norm):
-    # a0^2 + b0^2 = norm^2 to 3e-12 relative: |a0| may pass norm by 1e-12
-    # (b0 = 0 then), and the rest rounds by a few eps; below the normal range
-    # each of the six squares rounds by up to 5e-324 instead (so 1e-322). The
-    # distance adds the rounding of a0 = (1 + norm^2 - init_dist) / 2,
+    # hypot(a0, b0) = norm to 1e-12 relative, at every norm: |a0| may pass
+    # norm by 1e-12 (b0 = 0 then), and the rest rounds by a few eps (the
+    # 1e-15). The distance adds the rounding of a0 = (1 + norm^2 - init_dist) / 2,
     # relative to its terms
     try:
         s0 = initial_state(alpha0, norm, dist_sq)
@@ -221,9 +222,9 @@ def test_initial_state_is_feasible_or_typed(alpha0, dist_sq, norm):
     a0, b0 = s0.alpha, s0.beta
     assert (s0.talpha, s0.tbeta) == (a0, b0)
     assert b0 >= 0
-    scale = max(1.0, norm)  # keeps every square inside the float range
-    a, b, n = a0 / scale, b0 / scale, norm / scale
-    assert abs(a * a + b * b - n * n) <= 3e-12 * n * n + 1e-322
+    assert abs(math.hypot(a0, b0) - norm) <= (1e-12 + 1e-15) * norm
     if dist_sq is not None:
+        scale = max(1.0, norm)  # keeps every square inside the float range
+        b, n = b0 / scale, norm / scale
         gap = ((a0 - 1.0) / scale) ** 2 + b * b - dist_sq / scale ** 2
         assert abs(gap) <= 4e-12 * (1.0 + n * n + dist_sq / scale ** 2)

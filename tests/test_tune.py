@@ -100,8 +100,8 @@ class TestSweep:
         assert all(a < b for a, b in zip(taus, taus[1:]))
 
     def test_lambda_grid_only_large_lambda_reaches_tight_target(self, lambda_grid_results):
-        report = build_report(lambda_grid_results, target_err=1e-3)
-        reached = {row.lam for row in report.rows if row.tau is not None}
+        rows = build_report(lambda_grid_results, target_err=1e-3)
+        reached = {row.lam for row in rows if row.tau is not None}
         assert reached == {100.0, 200.0}
 
 
@@ -139,45 +139,44 @@ class TestIterationComplexity:
 class TestRecommend:
     def test_single_row(self, lambda_grid_results):
         sub = {(32, 100.0): lambda_grid_results[(32, 100.0)]}
-        report = build_report(sub, target_err=1e-3)
-        rec = recommend(report, "min-iterations-to-target")
-        assert (rec.m, rec.lam) == (32, 100.0)
+        rows = build_report(sub, target_err=1e-3)
+        row, _ = recommend(rows, 1e-3, "min-iterations-to-target")
+        assert (row.m, row.lam) == (32, 100.0)
 
     def test_min_iterations_picks_largest_m(self, coupled_rule_results):
-        report = build_report(coupled_rule_results, target_err=1e-8)
-        rec = recommend(report, "min-iterations-to-target")
-        assert rec.m == 32
+        rows = build_report(coupled_rule_results, target_err=1e-8)
+        row, _ = recommend(rows, 1e-8, "min-iterations-to-target")
+        assert row.m == 32
 
     def test_min_floor_with_budget_picks_largest_lambda(self, lambda_grid_results):
-        report = build_report(lambda_grid_results, target_err=1e-3)
-        rec = recommend(report, "min-floor-subject-to-iteration-budget", budget=3000)
-        assert rec.lam == 200.0
+        rows = build_report(lambda_grid_results, target_err=1e-3)
+        row, _ = recommend(rows, 1e-3, "min-floor-subject-to-iteration-budget", budget=3000)
+        assert row.lam == 200.0
 
     def test_min_samples(self, coupled_rule_results):
-        report = build_report(coupled_rule_results, target_err=1e-8)
-        rec = recommend(report, "min-samples-to-target")
-        by_samples = min((row for row in report.rows),
-                         key=lambda row: (row.samples, row.m, row.lam))
-        assert (rec.m, rec.lam) == (by_samples.m, by_samples.lam)
+        rows = build_report(coupled_rule_results, target_err=1e-8)
+        row, _ = recommend(rows, 1e-8, "min-samples-to-target")
+        by_samples = min(rows, key=lambda row: (row.samples, row.m, row.lam))
+        assert (row.m, row.lam) == (by_samples.m, by_samples.lam)
 
     def test_no_feasible_point(self, lambda_grid_results):
-        report = build_report(lambda_grid_results, target_err=1e-30)
+        rows = build_report(lambda_grid_results, target_err=1e-30)
         with pytest.raises(NoFeasiblePointError) as err:
-            recommend(report, "min-iterations-to-target")
-        assert err.value.best_floor == min(r.floor for r in report.rows)
+            recommend(rows, 1e-30, "min-iterations-to-target")
+        assert err.value.best_floor == min(r.floor for r in rows)
         assert err.value.best_point is not None
 
     def test_pure_function_of_report(self, lambda_grid_results):
-        a = recommend(build_report(lambda_grid_results, 1e-3), "min-iterations-to-target")
-        b = recommend(build_report(lambda_grid_results, 1e-3), "min-iterations-to-target")
+        a = recommend(build_report(lambda_grid_results, 1e-3), 1e-3, "min-iterations-to-target")
+        b = recommend(build_report(lambda_grid_results, 1e-3), 1e-3, "min-iterations-to-target")
         assert a == b
 
     def test_policy_validation(self, lambda_grid_results):
-        report = build_report(lambda_grid_results, target_err=1e-3)
+        rows = build_report(lambda_grid_results, target_err=1e-3)
         with pytest.raises(ValidationError):
-            recommend(report, "coolest-point")
+            recommend(rows, 1e-3, "coolest-point")
         with pytest.raises(ValidationError):
-            recommend(report, "min-floor-subject-to-iteration-budget")
+            recommend(rows, 1e-3, "min-floor-subject-to-iteration-budget")
 
 
 class TestTheorySummary:
