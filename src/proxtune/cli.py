@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import get_args, get_origin
 
 import numpy as np
@@ -400,6 +401,7 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # argument parsing
 
+@lru_cache(maxsize=None)  # it depends only on RunConfig's fields and COMMANDS
 def _build_parser():
     # unset flags stay out of the namespace, so an explicit none overrides
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)

@@ -29,10 +29,11 @@ The grid is one object per trajectory, rebound in place to each step's
 (L, Lt). ``v_pair`` gives the fixed-point solver's pair (V1, V2) from the
 moment factors and pair sums at (r1, r2), which it leaves on the grid;
 ``finish`` then completes every expectation of a map step at that point
-from them, without building the factors or the pair sums again. Each kind
-of sum is one matrix-vector product: at a few hundred nodes a numpy call
-costs more in overhead than in arithmetic. For the same reason the
-kernels write into the grid's rows, not into new arrays.
+from them, without building the factors or the pair sums again. Both take
+one (r1, r2) per point of one grid or of a block of the grids of N points
+in lockstep (``stack``). Each kind of sum is one stacked matrix-vector
+product: at a few hundred nodes a numpy call costs more in overhead than in
+arithmetic. For the same reason the kernels write into the grid's rows.
 """
 
 import math
@@ -101,29 +102,36 @@ def bracket_span(L, Lt, r_lo, r_hi):
 
 
 class EngineContext:
-    """Integration grid of one trajectory: geometric panels spanning
-    [lo, hi] with nodes t and weights w, bound to one (L, Lt) at a time as
-    Lsq = L * L and Ltsq = Lt * Lt (``at`` rebinds it in place), and its
-    scratch rows. Every kernel call overwrites the rows (kernels return
-    Python floats, so no result aliases a row): the seven monomials (i1, i2
-    hold e1, e2 until they are inverted in place), damp, sqrt(e1 e2) and
-    damp * t, and the views (i1, i1 i2) -> (i1^2, i1^2 i2) and
-    (i2, i1 i2) -> (i2^2, i1 i2^2) that take the cubic monomials.
+    """Integration grid of one trajectory: geometric panels spanning [lo, hi]
+    with nodes t and weights w, bound to one (L, Lt) at a time as Lsq = L * L
+    and Ltsq = Lt * Lt (``at`` rebinds it in place); or a block (``stack``)
+    of N grids as rows of (N, n) t and w, zero-weight padded at t = 0, whose
+    points are the grids, made views of its rows (a grid's points is None).
+    Kernels overwrite the scratch rows (10, [N,] n) and return floats: the
+    monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 (i1, i2 hold e1, e2
+    until inverted in place; by_*/to_* take the cubic ones), damp, sqrt(e1 e2), damp t.
 
     The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2,
     damp and the pair sums inv @ damp (``sums``) that the last v_pair left
-    at its (r1, r2), so between the two no kernel call or rebind may run."""
+    at each point's (r1, r2), so between the two no kernel call or rebind may
+    run but a point's own v_pair on its row."""
 
-    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "mono", "inv", "i1", "i2", "i1i2",
-                 "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2", "sums")
+    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "points", "rows", "mono", "inv", "i1",
+                 "i2", "i1i2", "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2",
+                 "sums", "pair", "moments", "products")
 
-    def __init__(self, L, Lt, t, w, lo, hi):
-        self.at(L, Lt)
-        self.t, self.w, self.lo, self.hi = t, w, lo, hi
-        block = np.empty((10, t.size))
-        self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = block
+    def __init__(self, t, w, lo, hi, rows=None, sums=None):
+        self.t, self.w, self.lo, self.hi, self.points = t, w, lo, hi, None
+        self.rows = rows = np.empty((10, *t.shape)) if rows is None else rows
+        self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = rows
         self.mono, self.inv, self.by_i1, self.to_i1, self.by_i2, self.to_i2 = (
-            block[:7], block[:2], block[0:3:2], block[3:5], block[1:3], block[5:7])
+            rows[:7], rows[:2], rows[0:3:2], rows[3:5], rows[1:3], rows[5:7])
+        # each kind of sum is one (N, kinds, n) @ (N, n, 1) product into sums or moments
+        self.sums = np.empty((t.size // t.shape[-1], 2)) if sums is None else sums
+        self.moments = np.empty((len(self.sums), 7))
+        by_point = rows.reshape(10, len(self.sums), -1).transpose(1, 0, 2)
+        self.pair = by_point[:, :2], by_point[:, 7, :, None], self.sums[:, :, None]
+        self.products = by_point[:, :7], by_point[:, 9, :, None], self.moments[:, :, None]
 
     def at(self, L, Lt):
         """This grid, bound to (L, Lt)."""
@@ -134,6 +142,21 @@ class EngineContext:
         """Whether this grid serves a bracket of t-span [lo, hi]: it contains
         the span and overshoots neither end by more than SLACK^2."""
         return lo / SLACK ** 2 <= self.lo <= lo and hi <= self.hi <= hi * SLACK ** 2
+
+    @staticmethod
+    def stack(grids):
+        """One block over the one-point grids, each of which becomes a view
+        of its row, bound as it was; one grid is its own block."""
+        if len(grids) == 1:
+            return grids[0]
+        t, w = np.zeros((2, len(grids), max(g.t.size for g in grids)))
+        block = EngineContext(t, w, None, None)
+        for k, g in enumerate(grids):
+            n = g.t.size
+            t[k, :n], w[k, :n] = g.t, g.w
+            g.__init__(t[k, :n], w[k, :n], g.lo, g.hi, block.rows[:, k, :n], block.sums[k:k + 1])
+        block.points = tuple(grids)
+        return block
 
 
 class ExpectationEngine:
@@ -161,7 +184,7 @@ class ExpectationEngine:
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()
-        return EngineContext(L, Lt, t, w, lo, hi)
+        return EngineContext(t, w, lo, hi).at(L, Lt)
 
     def context_for(self, grid, L, Lt, r_lo, r_hi):
         """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
@@ -172,66 +195,73 @@ class ExpectationEngine:
             return grid.at(L, Lt)
         return self.context(L, Lt, r_lo, r_hi)
 
-    def v_pair(self, ctx, r1, r2):
-        """(V1, V2) = (E r1 r2 U2 / D, E r1 r2 U1 / D); the solver's pair.
-        Leaves the factors at (r1, r2) in ctx's rows for finish: the
-        reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv, the
-        damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp, inv @ damp in sums."""
-        t = ctx.t
+    def v_pair(self, ctx, rs):
+        """[(V1, V2)] = [(E r1 r2 U2 / D, E r1 r2 U1 / D)], the solver's pair at
+        each point's (r1, r2) in rs. Leaves the factors there in ctx's rows for
+        finish: the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv,
+        the damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp, inv @ damp in sums."""
+        t, points = ctx.t, ctx.points or (ctx,)
         e, e1, e2, damp, root = ctx.inv, ctx.i1, ctx.i2, ctx.damp, ctx.root
-        np.multiply(t, 2.0 * r1 * ctx.Lsq, out=e1)
-        np.multiply(t, 2.0 * r2 * ctx.Ltsq, out=e2)
-        e += 1.0
-        np.multiply(t, -r1 * r2, out=damp)
-        np.exp(damp, out=damp)
-        damp *= ctx.w
-        np.multiply(e1, e2, out=root)
-        damp /= np.sqrt(root, out=root)
-        np.divide(1.0, e, out=e)
-        s1, s2 = ctx.sums = (e @ damp).tolist()
-        coef = r1 * r2
-        return coef * ctx.Ltsq * s2, coef * ctx.Lsq * s1
+        if ctx.points is None:  # one point's coefficients broadcast as floats
+            ((r1, r2),) = rs
+            c1, c2, c3 = 2.0 * r1 * ctx.Lsq, 2.0 * r2 * ctx.Ltsq, -r1 * r2
+        else:  # a block's as (N, 1) columns
+            c1, c2, c3 = np.array([c for (r1, r2), p in zip(rs, points) for c in (
+                2.0 * r1 * p.Lsq, 2.0 * r2 * p.Ltsq, -r1 * r2)]).reshape(-1, 3).T[:, :, None]
+        np.multiply(t, c1, e1)  # outputs are positional: numpy parses no keywords
+        np.multiply(t, c2, e2)
+        np.add(e, 1.0, e)
+        np.multiply(t, c3, damp)
+        np.exp(damp, damp)
+        np.multiply(damp, ctx.w, damp)
+        np.multiply(e1, e2, root)
+        np.divide(damp, np.sqrt(root, root), damp)
+        np.reciprocal(e, e)
+        np.matmul(*ctx.pair)
+        return [(r1 * r2 * p.Ltsq * s2, r1 * r2 * p.Lsq * s1)
+                for (r1, r2), p, (s1, s2) in zip(rs, points, ctx.sums.tolist())]
 
     @staticmethod
-    def finish(ctx, r1, r2):
-        """(V, V1, V2, SecondOrderKernels) at (r1, r2): every expectation a
-        map step needs, completed from the factors that the v_pair at
-        (r1, r2) just left in ctx's rows (see EngineContext for the contract).
-        V1 and V2 are v_pair's expressions of its sums, so they equal its
-        values bit for bit. The seven monomials i1, i2, i1 i2, i1^2, i1^2 i2,
-        i2^2, i1 i2^2 of i_k = 1/e_k fill one block, summed against damp * t
-        in one product."""
-        damp = ctx.damp
-        np.multiply(ctx.i1, ctx.i2, out=ctx.i1i2)
-        np.multiply(ctx.by_i1, ctx.i1, out=ctx.to_i1)
-        np.multiply(ctx.by_i2, ctx.i2, out=ctx.to_i2)
-        s1, s2 = ctx.sums
-        np.multiply(damp, ctx.t, out=ctx.tdamp)
-        u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq = (ctx.mono @ ctx.tdamp).tolist()
-        Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
-        coef = r1 * r2
-        r1sq, r2sq = r1 * r1, r2 * r2
-        return (
-            coef * Lsq * Ltsq * float(ctx.i1i2 @ damp),
-            coef * Ltsq * s2, coef * Lsq * s1,
-            SecondOrderKernels(  # the fields in order
-                r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
-                r2sq * 3.0 * Ltsq * Ltsq * u2sq, r2sq * Lsq * Ltsq * u1u2,
-                r1sq * Lsq * u1, r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
-                r1sq * 3.0 * Lsq * Lsq * u1sq, r1sq * Lsq * Ltsq * u1u2),
-        )
+    def finish(ctx, rs):
+        """[(V, V1, V2, SecondOrderKernels)] at each point's (r1, r2) in rs:
+        every expectation a map step needs, completed from the factors that
+        the v_pair there just left in ctx's rows (see EngineContext for the
+        contract). V1 and V2 are v_pair's expressions of its sums, so they
+        equal its values bit for bit. The seven monomials i1, i2, i1 i2, i1^2,
+        i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k fill one block, summed against
+        damp * t in one product; V takes i1 i2 @ damp over each point's own
+        nodes."""
+        np.multiply(ctx.i1, ctx.i2, ctx.i1i2)
+        np.multiply(ctx.by_i1, ctx.i1, ctx.to_i1)
+        np.multiply(ctx.by_i2, ctx.i2, ctx.to_i2)
+        np.multiply(ctx.damp, ctx.t, ctx.tdamp)
+        np.matmul(*ctx.products)
+        out = []
+        for (r1, r2), p, (s1, s2), (u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq) in zip(
+                rs, ctx.points or (ctx,), ctx.sums.tolist(), ctx.moments.tolist()):
+            Lsq, Ltsq = p.Lsq, p.Ltsq
+            coef = r1 * r2
+            r1sq, r2sq = r1 * r1, r2 * r2
+            out.append((
+                coef * Lsq * Ltsq * float(p.i1i2 @ p.damp),
+                coef * Ltsq * s2, coef * Lsq * s1,
+                SecondOrderKernels(  # the fields in order
+                    r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
+                    r2sq * 3.0 * Ltsq * Ltsq * u2sq, r2sq * Lsq * Ltsq * u1u2,
+                    r1sq * Lsq * u1, r1sq * 3.0 * Lsq * Lsq * Ltsq * u1squ2,
+                    r1sq * 3.0 * Lsq * Lsq * u1sq, r1sq * Lsq * Ltsq * u1u2),
+            ))
+        return out
 
-    def first_order(self, ctx, r1, r2):
-        """(V, V1, V2) = E r1 r2 {U1 U2, U2, U1} / D: v_pair, then finish.
-        Kept only because the benchmark's tracer wraps it by name."""
-        self.v_pair(ctx, r1, r2)
-        return self.finish(ctx, r1, r2)[:3]
+    def first_order(self, ctx, rs):
+        """[(V, V1, V2)]: v_pair, then finish; kept for the benchmark's tracer."""
+        self.v_pair(ctx, rs)
+        return [x[:3] for x in self.finish(ctx, rs)]
 
-    def second_order(self, ctx, r1, r2):
-        """The SecondOrderKernels: v_pair, then finish. Kept only because
-        the benchmark's tracer wraps it by name."""
-        self.v_pair(ctx, r1, r2)
-        return self.finish(ctx, r1, r2)[3]
+    def second_order(self, ctx, rs):
+        """[SecondOrderKernels]: v_pair, then finish; kept for the tracer."""
+        self.v_pair(ctx, rs)
+        return [x[3] for x in self.finish(ctx, rs)]
 
 
 @lru_cache(maxsize=None)

@@ -12,14 +12,15 @@ predicted next state without touching any data:
    system,
 6. assemble beta' = sqrt(H^2 + eta^2) and tbeta' = sqrt(Ht^2 + teta^2).
 
-Iterating the map yields the predicted error sequence used for offline
-hyperparameter tuning. predict_trajectory checks (d, m, sigma) once, before
-its first step. Everything here is pure and deterministic; all
-expectations go through a shared, machine-precision expectation engine.
+Iterating the map (a sweep's points in lockstep) yields the predicted error
+sequences used for offline hyperparameter tuning. predict_trajectory checks
+(d, m, sigma) once, before the first step. Everything here is pure and
+deterministic; all expectations go through a shared expectation engine.
 A step's L^2 = L * L serves its kernels, steps 3-5 and its certificate.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from math import isfinite
 from operator import mul
@@ -34,7 +35,7 @@ from .errors import (
     ProxtuneError,
     ValidationError,
 )
-from .expect import get_engine
+from .expect import EngineContext, get_engine
 from .model import check_problem
 from .state import StateVec, err_of
 
@@ -53,8 +54,8 @@ class FixedPointR:
     """Solution (r1, r2) of the fixed point, its sweeps and relative defect
     max_i |g_i(r) - r_i| / r_i (the one the stopping test passed), the
     EngineContext it was solved on (valid at (r1, r2) until the next step
-    rebinds it), the expectations (V, V1, V2, SecondOrderKernels) and g(r)
-    there, as g = (g1, g2); a slotted record."""
+    rebinds it), the expectations (V, V1, V2, SecondOrderKernels; None in a
+    lockstep step) and g(r) there, as g = (g1, g2); a slotted record."""
 
     __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations", "g")
 
@@ -75,7 +76,21 @@ def in_theory_region(Lsq, Ltsq, lam, ratio):
     return (3.0 * x * x + 2.0 * x * y + 3.0 * y * y) / ratio <= 0.5
 
 
-def solve_r(L, Lt, lam, ratio, start=None, grid=None):
+def fixed_point_start(L, Lt, lam, ratio, start=None, grid=None):
+    """solve_r's grid (ExpectationEngine.context_for) and start, clamped into
+    the bracket, or 1.5*lam*ratio on both sides if None; only finiteness is
+    checked here (L, Lt, lam > 0 by bracket_span, ratio by check_problem)."""
+    if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
+        raise NumericalInputError("non-finite fixed-point parameters")
+    # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
+    r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
+    grid = get_engine().context_for(grid, L, Lt, r_lo, r_hi)
+    if start is None:
+        return grid, (1.5 * lam * ratio, 1.5 * lam * ratio)
+    return grid, (min(max(start[0], r_lo), r_hi), min(max(start[1], r_lo), r_hi))
+
+
+def solve_r(L, Lt, lam, ratio, start=None, grid=None, sweep=None):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
@@ -97,44 +112,32 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None):
     returned, with that defect as ``residual`` and its g(r) as ``g``; its
     expectations (V, V1, V2, SecondOrderKernels) are completed by finish
     from the kernel rows that the accepted sweep filled, so a step that
-    converges on its first sweep makes one pass over the grid.
-
-    grid is the previous step's grid, or None. It is rebound to (L, Lt)
-    when it covers the bracket (see ExpectationEngine.context_for), and a new
-    grid is built otherwise; either way the grid is returned as ``ctx``.
-    Positive L, Lt and lam are checked by the bracket (bracket_span), and
-    0 < ratio <= 1 by check_problem; only their finiteness is checked here.
+    converges on its first sweep makes one pass over the grid, returned as
+    ``ctx`` (see fixed_point_start). A lockstep step passes sweep, the
+    (V1, V2) its block's pass gave at the start on the grid that
+    fixed_point_start gave, and leaves the expectations (None) to its finish.
     """
-    if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
-        raise NumericalInputError("non-finite fixed-point parameters")
-    engine = get_engine()
-    v_pair = engine.v_pair
-    tol, max_iter = FP_TOL, FP_MAX_ITER
-
-    # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
-    r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
-    ctx = engine.context_for(grid, L, Lt, r_lo, r_hi)
-
-    if start is None:
-        r1 = r2 = 1.5 * lam * ratio
-    else:
-        r1 = min(max(start[0], r_lo), r_hi)
-        r2 = min(max(start[1], r_lo), r_hi)
-    residual = math.inf
-    for it in range(1, max_iter + 1):
-        v1, v2 = v_pair(ctx, r1, r2)
+    alone = sweep is None
+    if alone:
+        grid, start = fixed_point_start(L, Lt, lam, ratio, start, grid)
+        (sweep,) = get_engine().v_pair(grid, (start,))
+    (r1, r2), (v1, v2) = start, sweep
+    for it in range(1, FP_MAX_ITER + 1):
+        if it > 1:
+            ((v1, v2),) = get_engine().v_pair(grid, ((r1, r2),))
         g1 = ratio * (lam + v1)
         g2 = ratio * (lam + v2)
         residual = max(abs(g1 - r1) / r1, abs(g2 - r2) / r2)
-        if residual <= tol:
+        if residual <= FP_TOL:
             break
         r1, r2 = g1, g2
     else:
         raise NonConvergenceError(
-            f"(r1, r2) fixed point did not reach tol={tol:g} in {max_iter} iterations",
-            residual=residual, iterations=max_iter)
-    # no kernel call on ctx between the accepted v_pair and finish
-    return FixedPointR(r1, r2, it, residual, ctx, engine.finish(ctx, r1, r2), (g1, g2))
+            f"(r1, r2) fixed point did not reach tol={FP_TOL:g} in {FP_MAX_ITER} iterations",
+            residual=residual, iterations=FP_MAX_ITER)
+    # no kernel call on grid between the accepted v_pair and finish
+    expectations = get_engine().finish(grid, ((r1, r2),))[0] if alone else None
+    return FixedPointR(r1, r2, it, residual, grid, expectations, (g1, g2))
 
 
 def compute_parallel_H(s, V, V1, V2, lam, sq):
@@ -217,29 +220,70 @@ def solve_eta(d, m, V3, V4, kernels):
     return max(eta_sq, 0.0), max(teta_sq, 0.0)
 
 
-def det_map(s, d, m, sigma, lam, start=None, grid=None):
-    """One application of the deterministic state map (steps 1-6 above) to a
-    problem that predict_trajectory has checked. Returns the next state,
-    checked finite, and the solved FixedPointR; start warm-starts solve_r
-    and grid is the grid it may reuse (see there). L * L and Lt * Lt, the
-    grid's Lsq and Ltsq bit for bit, serve the check and steps 3-5. A
-    non-finite state has a non-finite length L or Lt, which solve_r rejects."""
-    L, Lt = s.L, s.Lt
-    if L <= 0 or Lt <= 0:
-        raise ValidationError("state must have positive lengths L, Lt")
-    sq = L * L, Lt * Lt, s.alpha * s.talpha
-    if sq[0] * sq[1] == 0.0:
-        raise NumericalInputError(f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
-    r = solve_r(L, Lt, lam, m / d, start=start, grid=grid)
-    V, V1, V2, kernels = r.expectations
-    V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels, sq)
-    eta_sq, teta_sq = solve_eta(d, m, V3, V4, kernels)
-    a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
-    b, tb = math.sqrt(h * h + eta_sq), math.sqrt(ht * ht + teta_sq)
-    if not (isfinite(a) and isfinite(b) and isfinite(ta) and isfinite(tb)):
-        raise NumericalInputError("predicted state (alpha, beta, talpha, tbeta) = "
-                                  f"({a:g}, {b:g}, {ta:g}, {tb:g}) is not finite")
-    return StateVec(a, b, ta, tb), r
+def det_map(runs, t, d, sigma, block):
+    """Step t (steps 1-6 above) of every _Run in runs that has not failed, in
+    lockstep: one v_pair over block (the runs' grids stacked) makes each
+    first sweep, each solve_r accepts it or sweeps its own row on, one finish
+    completes every run's expectations, and each run maps and records its
+    state or keeps its PredictionError. Returns the block."""
+    live, grids, starts = [], [], []
+    for run in runs:
+        if run.error is not None:
+            continue
+        lam, s, L, Lt = run.schedule(t), run.s, run.s.L, run.s.Lt
+        try:
+            if L <= 0 or Lt <= 0:
+                raise ValidationError("state must have positive lengths L, Lt")
+            sq = L * L, Lt * Lt, s.alpha * s.talpha
+            if sq[0] * sq[1] == 0.0:
+                raise NumericalInputError(
+                    f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
+            run.grid, start = fixed_point_start(L, Lt, lam, run.ratio, run.start, run.grid)
+        except (ProxtuneError, ArithmeticError) as exc:
+            run.fail(t, exc)
+            continue
+        live.append((run, s, L, Lt, lam, sq))
+        grids.append(run.grid)
+        starts.append(start)
+    if not live:
+        return block
+    if block is None or (block.points or (block,)) != tuple(grids):
+        block = EngineContext.stack(grids)
+    solved = []
+    for k, sweep in enumerate(get_engine().v_pair(block, starts)):
+        run, s, L, Lt, lam, sq = live[k]
+        try:
+            r = solve_r(L, Lt, lam, run.ratio, starts[k], run.grid, sweep)
+            starts[k] = r.r1, r.r2  # a failed run's row is finished at its start
+        except (ProxtuneError, ArithmeticError) as exc:
+            run.fail(t, exc)
+            r = None
+        solved.append(r)
+    for (run, s, L, Lt, lam, sq), r, (V, V1, V2, kernels) in zip(
+            live, solved, get_engine().finish(block, starts)):
+        try:
+            if r is None:
+                continue
+            V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, kernels, sq)
+            eta_sq, teta_sq = solve_eta(d, run.m, V3, V4, kernels)
+            a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
+            b, tb = math.sqrt(h * h + eta_sq), math.sqrt(ht * ht + teta_sq)
+            if not (isfinite(a) and isfinite(b) and isfinite(ta) and isfinite(tb)):
+                raise NumericalInputError("predicted state (alpha, beta, talpha, tbeta) = "
+                                          f"({a:g}, {b:g}, {ta:g}, {tb:g}) is not finite")
+            run.s = s = StateVec(a, b, ta, tb)
+            run.errs[t + 1] = err_of(s)
+        except (ProxtuneError, ArithmeticError) as exc:
+            run.fail(t, exc)
+            continue
+        run.flags[t] = in_theory_region(sq[0], sq[1], lam, run.ratio)
+        run.g1s.appendleft(r.g[0])
+        run.g2s.appendleft(r.g[1])
+        coefs = EXTRAPOLATION[len(run.g1s) - 1]
+        run.start = (sum(map(mul, coefs, run.g1s)), sum(map(mul, coefs, run.g2s)))
+        run.iterations[t], run.residuals[t] = r.iterations_used, r.residual
+        run.states[t + 1] = a, b, ta, tb
+    return block
 
 
 @dataclass(frozen=True)
@@ -264,56 +308,55 @@ class DetTrajectory:
         return bool(self.theory_region.all())
 
 
+class _Run:
+    """One point of a lockstep run: its problem, schedule, records, error,
+    and the state, start, grid and g(r) history its next step starts from."""
+
+    def __init__(self, s0, m, schedule, T, d):
+        self.m, self.ratio, self.schedule, self.s = m, m / d, schedule, s0
+        self.start = self.grid = self.error = None
+        self.g1s, self.g2s = deque(maxlen=6), deque(maxlen=6)
+        self.states, self.errs = np.empty((T + 1, 4)), np.empty(T + 1)
+        self.flags, self.iterations, self.residuals = (np.empty(T + 1, bool), np.empty(T, int),
+                                                       np.empty(T))
+        self.states[0] = s0.alpha, s0.beta, s0.talpha, s0.tbeta
+        try:
+            self.errs[0] = err_of(s0)
+        except NumericalInputError as exc:
+            self.fail(0, exc)
+
+    def fail(self, t, exc):
+        self.error = PredictionError(t, str(exc))
+        self.error.__cause__ = exc
+
+
 def predict_trajectory(s0, T, d, m, sigma, schedule):
     """Iterate the deterministic map T times from s0 with lambda_t =
     schedule(t), schedule any callable such as RunConfig.lambda_schedule(),
-    recording the predicted error sequence. No randomness is consumed. Step
-    t + 1's fixed point starts from 6 g_t - 15 g_(t-1) + 20 g_(t-2)
-    - 15 g_(t-3) + 6 g_(t-4) - g_(t-5), the quintic extrapolation of the last
-    six g_t = g(r_t) = ratio * (lam + V1, lam + V2), each step's
-    FixedPointR.g (the quartic to constant one while fewer exist, so step 1
-    starts from g_0), on step t's grid while that grid covers the bracket.
-    Step t's certificate reads that grid's Lsq and Ltsq, so only state T's
-    lengths are taken here."""
-    check_problem(d, m, sigma)
+    recording the predicted error sequence; a failing step raises its
+    PredictionError. No randomness is consumed. Step t + 1's fixed point
+    starts from 6 g_t - 15 g_(t-1) + 20 g_(t-2) - 15 g_(t-3) + 6 g_(t-4)
+    - g_(t-5), the quintic extrapolation of the last six g_t = g(r_t) =
+    ratio * (lam + V1, lam + V2), each step's FixedPointR.g (the quartic to
+    constant one while fewer exist, so step 1 starts from g_0), on step t's
+    grid while that grid covers the bracket. Step t's certificate reads the
+    squared lengths of its map step. With equal-length tuples s0, m and
+    schedule, the points advance in lockstep (det_map), and the result lists
+    each one's DetTrajectory (its own call's, bit for bit) or PredictionError."""
+    many = isinstance(m, tuple)
+    points = tuple(zip(s0, m, schedule, strict=True)) if many else ((s0, m, schedule),)
+    for _, m_k, _ in points:
+        check_problem(d, m_k, sigma)
     if T < 0:
         raise ValidationError("T must be nonnegative")
-    ratio = m / d
-    states = np.empty((T + 1, 4))
-    errs = np.empty(T + 1)
-    flags = np.empty(T + 1, dtype=bool)
-    iterations = np.empty(T, dtype=int)
-    residuals = np.empty(T)
-    s = s0
-    states[0] = s.alpha, s.beta, s.talpha, s.tbeta
-    try:
-        errs[0] = err_of(s)
-    except NumericalInputError as exc:
-        raise PredictionError(0, str(exc)) from exc
-    start = grid = None
-    g1s, g2s = [], []  # the last (up to) six g(r_t), newest first
+    runs, block = [_Run(*point, T, d) for point in points], None
     for t in range(T):
-        lam = schedule(t)
-        try:
-            s_next, r = det_map(s, d, m, sigma, lam, start, grid)
-            errs[t + 1] = err_of(s_next)
-        except (ProxtuneError, ArithmeticError) as exc:
-            raise PredictionError(t, str(exc)) from exc
-        flags[t] = in_theory_region(r.ctx.Lsq, r.ctx.Ltsq, lam, ratio)
-        s = s_next
-        g1s, g2s = [r.g[0], *g1s[:5]], [r.g[1], *g2s[:5]]
-        coefs = EXTRAPOLATION[len(g1s) - 1]
-        start = (sum(map(mul, coefs, g1s)), sum(map(mul, coefs, g2s)))
-        grid = r.ctx
-        iterations[t] = r.iterations_used
-        residuals[t] = r.residual
-        states[t + 1] = s.alpha, s.beta, s.talpha, s.tbeta
-    L, Lt = s.L, s.Lt
-    flags[T] = in_theory_region(L * L, Lt * Lt, schedule(T), ratio)
-    return DetTrajectory(
-        states=states,
-        err_seq=errs,
-        theory_region=flags,
-        fp_iterations=iterations,
-        fp_residual=residuals,
-    )
+        block = det_map(runs, t, d, sigma, block)
+    for run in (run for run in runs if run.error is None):
+        L, Lt = run.s.L, run.s.Lt
+        run.flags[T] = in_theory_region(L * L, Lt * Lt, run.schedule(T), run.ratio)
+    results = [run.error or DetTrajectory(run.states, run.errs, run.flags, run.iterations,
+                                          run.residuals) for run in runs]
+    if not many and runs[0].error:
+        raise runs[0].error
+    return results if many else results[0]

@@ -114,7 +114,7 @@ def run_empirical(mu0, nu0, gt, config, seed):
         s = state_of(mu, nu, gt)
         states[t] = s.alpha, s.beta, s.talpha, s.tbeta
         err[t] = err_of(s)
-        frob[t] = frob_err(mu, nu, gt)
+        frob[t] = frob_err(s)
 
     try:
         record(0)

@@ -57,7 +57,13 @@ def err_of(s):
     return _finite("err", err)
 
 
-def frob_err(mu, nu, gt):
-    """||mu nu^T - mu* nu*^T||_F^2 without forming d x d matrices, checked finite."""
-    return _finite("frob_err", float(mu @ mu) * float(nu @ nu)
-                   - 2.0 * float(mu @ gt.mu_star) * float(nu @ gt.nu_star) + 1.0)
+def frob_err(s):
+    """||mu nu^T - mu* nu*^T||_F^2 in state s, checked finite: for mu = alpha mu*
+    + beta u, nu = talpha nu* + tbeta v (u, v normal to mu*, nu*), the sum of squares
+    (alpha talpha - 1)^2 + alpha^2 tbeta^2 + talpha^2 beta^2 + beta^2 tbeta^2."""
+    try:
+        frob = ((s.alpha * s.talpha - 1.0) ** 2 + s.alpha ** 2 * s.tbeta ** 2
+                + s.talpha ** 2 * s.beta ** 2 + s.beta ** 2 * s.tbeta ** 2)
+    except OverflowError:
+        frob = math.inf
+    return _finite("frob_err", frob)

@@ -43,20 +43,19 @@ def points(config):
 
 def sweep(config):
     """One predicted trajectory per grid point of points(config), each the
-    run config at the point's m and lambda0, schedule shape included. A
-    point whose prediction fails is collected with its PredictionError; a
-    bad setting, shared by every point, raises before the first step.
+    run config at the point's m and lambda0, schedule shape included; the
+    points advance in lockstep, in one predict_trajectory call. A point
+    whose prediction fails is collected with its PredictionError; a bad
+    setting, shared by every point, raises before the first step.
     Returns (results, failures)."""
     s0 = config.initial_state()
     runs = {(m, lam): replace(config, lambda0=lam).lambda_schedule()
             for m, lam in points(config)}
+    outcomes = predict_trajectory((s0,) * len(runs), config.iters, config.d,
+                                  tuple(m for m, _ in runs), config.sigma, tuple(runs.values()))
     results, failures = {}, {}
-    for (m, lam), schedule in runs.items():
-        try:
-            results[(m, lam)] = predict_trajectory(
-                s0, config.iters, config.d, m, config.sigma, schedule)
-        except PredictionError as exc:
-            failures[(m, lam)] = exc
+    for point, outcome in zip(runs, outcomes):
+        (failures if isinstance(outcome, PredictionError) else results)[point] = outcome
     return results, failures
 
 

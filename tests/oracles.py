@@ -8,8 +8,9 @@ objective is what every step must not increase. The folded
 Gauss-Hermite rule is a second quadrature for the expectation engine where
 both converge (moderate r), and plain Monte Carlo is the oracle for every
 expectation. A point grid is the engine's grid built for the square bracket
-spanned by one (r1, r2), the reference a reused trajectory grid must match; ``kernels_at`` is how the
-tests take the expectations on a grid, and ``reference_kernels`` is
+spanned by one (r1, r2), the reference a reused trajectory grid must match; ``kernels_at`` and
+``pair_at`` are how the tests take the expectations on one point's grid,
+``map_once`` is how they take one map step, and ``reference_kernels`` is
 the engine's kernel pass written out one sum at a time, the reference the
 fused pass must match. ``reference_parallel``, ``reference_H`` and
 ``reference_V34`` write the map's scalar formulas out with nothing shared
@@ -29,9 +30,10 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
-from proxtune.errors import ValidationError
+from proxtune.errors import PredictionError, ValidationError
 from proxtune.expect import SecondOrderKernels, get_engine
-from proxtune.state import err_of
+from proxtune.predict import predict_trajectory
+from proxtune.state import StateVec, err_of
 
 MC_CHUNK = 1_000_000
 
@@ -148,10 +150,26 @@ def point_grid(engine, L, Lt, r1, r2):
 
 
 def kernels_at(engine, ctx, r1, r2):
-    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx: v_pair, then
-    finish, the package's one route to the expectations."""
-    engine.v_pair(ctx, r1, r2)
-    return engine.finish(ctx, r1, r2)
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on the one-point ctx:
+    v_pair, then finish, the package's one route to the expectations."""
+    engine.v_pair(ctx, ((r1, r2),))
+    return engine.finish(ctx, ((r1, r2),))[0]
+
+
+def pair_at(engine, ctx, r1, r2):
+    """v_pair's (V1, V2) at (r1, r2) on the one-point ctx."""
+    return engine.v_pair(ctx, ((r1, r2),))[0]
+
+
+def map_once(s, d, m, sigma, lam):
+    """The map's step from s at lambda, from a cold start: state 1 of a
+    one-step trajectory. A failing step raises the error its
+    PredictionError wraps."""
+    try:
+        traj = predict_trajectory(s, 1, d, m, sigma, lambda t: lam)
+    except PredictionError as exc:
+        raise exc.__cause__ from None
+    return StateVec(*traj.states[1].tolist())
 
 
 def compute_V(r, L, Lt):

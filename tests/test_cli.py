@@ -31,7 +31,9 @@ from proxtune.cli import (
     write_table,
 )
 from proxtune.errors import ValidationError
+from proxtune.state import StateVec
 from proxtune.tune import POLICIES
+from oracles import sandwich_check
 
 
 def run_cli(tmp_path, *args):
@@ -247,6 +249,22 @@ class TestSimulateCommand:
             for rc, rj in zip(rows_c, rows_j):
                 for vc, vj in zip(rc, rj):
                     assert vc == vj
+
+    def test_frob_err_is_never_negative(self, tmp_path):
+        # noiseless runs settle at err ~1e-31, where an expansion of the
+        # Frobenius error in the vectors reads rounding noise of either sign;
+        # the column must stay >= 0 and in the sandwich band wherever it applies
+        code = run_cli(tmp_path, "simulate", "--d", "50", "--m", "16", "--sigma", "0",
+                       "--lambda", "4", "--iters", "1500", "--trials", "2",
+                       "--parallelism", "1", "--seed", "1")
+        assert code == EXIT_OK
+        _, columns, rows = read_table(str(tmp_path / "run.trials.csv"))
+        assert len(rows) == 3002
+        frob = col(columns, rows, "frob_err")
+        assert min(frob) >= 0.0
+        states = [StateVec(*row[2:6]) for row in rows]
+        checks = [sandwich_check(s, f) for s, f in zip(states, frob)]
+        assert all(c.within_band for c in checks if c.applicable)
 
     def test_validation_exit_code(self, tmp_path):
         assert run_cli(tmp_path, "simulate", "--m", "0") == EXIT_VALIDATION
@@ -597,7 +615,7 @@ class TestCompareCommand:
             out = tmp_path / f"m{m}"
             code = main(["compare", "--d", "200", "--m", str(m), "--sigma",
                          "0.01", "--lambda", "100", "--iters", "800",
-                         "--trials", "25", "--seed", "5", "--parallelism", "1",
+                         "--trials", "25", "--seed", "5", "--parallelism", "0",
                          "--out", str(out)])
             assert code == EXIT_OK
             meta, columns, rows = read_table(str(out) + ".compare.csv")

@@ -14,6 +14,7 @@ from oracles import (
     kernels_at,
     legendre_rule,
     mc_expect2,
+    pair_at,
     point_grid,
     reference_kernels,
 )
@@ -267,11 +268,11 @@ class TestExpectationEngine:
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
             ctx = point_grid(engine, L, Lt, r1, r2)
-            pair = engine.v_pair(ctx, r1, r2)
-            V, V1, V2, kernels = engine.finish(ctx, r1, r2)
+            pair = pair_at(engine, ctx, r1, r2)
+            V, V1, V2, kernels = engine.finish(ctx, ((r1, r2),))[0]
             assert pair == (V1, V2)
-            assert engine.first_order(ctx, r1, r2) == (V, V1, V2)
-            assert engine.second_order(ctx, r1, r2) == kernels
+            assert engine.first_order(ctx, ((r1, r2),)) == [(V, V1, V2)]
+            assert engine.second_order(ctx, ((r1, r2),)) == [kernels]
 
     def test_results_survive_later_calls_on_the_grid(self):
         # kernels write into the grid's scratch rows, and context_for rebinds
@@ -280,17 +281,17 @@ class TestExpectationEngine:
         # the rows carry nothing between calls
         engine = get_engine()
         grid = engine.context(1.1, 0.9, 2.0, 4.0)
-        first, pair = kernels_at(engine, grid, 3.0, 2.5), engine.v_pair(grid, 3.0, 2.5)
+        first, pair = kernels_at(engine, grid, 3.0, 2.5), pair_at(engine, grid, 3.0, 2.5)
         assert all(type(x) is float for x in (*first[:3], *first[3], *pair))
         assert engine.context_for(grid, 1.2, 0.8, 2.0, 4.0) is grid
         assert (grid.Lsq, grid.Ltsq) == (1.2 * 1.2, 0.8 * 0.8)
         for r1, r2 in [(2.2, 3.7), (3.9, 2.1), (3.0, 2.5)]:
             kernels_at(engine, grid, r1, r2)
-            engine.v_pair(grid, r2, r1)
+            pair_at(engine, grid, r2, r1)
         assert kernels_at(engine, grid, 3.0, 2.5) != first
         assert engine.context_for(grid, 1.1, 0.9, 2.0, 4.0) is grid
         assert kernels_at(engine, grid, 3.0, 2.5) == first
-        assert engine.v_pair(grid, 3.0, 2.5) == pair == first[1:3]
+        assert pair_at(engine, grid, 3.0, 2.5) == pair == first[1:3]
         fresh = engine.context(1.1, 0.9, 2.0, 4.0)
         assert not np.shares_memory(fresh.mono, grid.mono)
         assert kernels_at(engine, fresh, 3.0, 2.5) == first
@@ -305,8 +306,8 @@ class TestExpectationEngine:
         r1, r2 = 10 ** lg1, 10 ** lg2
         ctx = point_grid(engine, L, Lt, r1, r2)
         r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
-        pair = engine.v_pair(ctx, r1, r2)
-        V, V1, V2, kernels = engine.finish(ctx, r1, r2)
+        pair = pair_at(engine, ctx, r1, r2)
+        V, V1, V2, kernels = engine.finish(ctx, ((r1, r2),))[0]
         ref = reference_kernels(ctx, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*ref[:3], *ref[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
@@ -325,8 +326,8 @@ class TestExpectationEngine:
         ctx = point_grid(engine, L, Lt, p1, p2)
         r1, r2 = p1 * 1.5 ** u1, p2 * 1.5 ** u2
         kernels_at(engine, ctx, r2, r1)  # leave other values in the rows
-        V1, V2 = engine.v_pair(ctx, r1, r2)
-        V, fV1, fV2, kernels = engine.finish(ctx, r1, r2)
+        V1, V2 = pair_at(engine, ctx, r1, r2)
+        V, fV1, fV2, kernels = engine.finish(ctx, ((r1, r2),))[0]
         fresh = kernels_at(engine, point_grid(engine, L, Lt, p1, p2), r1, r2)
         assert (fV1.hex(), fV2.hex()) == (V1.hex(), V2.hex())
         assert [x.hex() for x in (V, V1, V2, *kernels)] == [
@@ -367,7 +368,7 @@ class TestGridReuse:
         fresh = kernels_at(engine, point, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*fresh[:3], *fresh[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
-        for x, y in zip(engine.v_pair(reused, r1, r2), engine.v_pair(point, r1, r2)):
+        for x, y in zip(pair_at(engine, reused, r1, r2), pair_at(engine, point, r1, r2)):
             assert abs(x - y) <= 1e-13 * abs(y)
 
     @settings(derandomize=True, max_examples=100, deadline=None)

@@ -22,9 +22,9 @@ import numpy as np
 import pytest
 
 from proxtune.model import generate_ground_truth, init_iterates, sample_batch
-from proxtune.predict import det_map
 from proxtune.simulate import prox_linear_step
 from proxtune.state import StateVec, err_of, state_of
+from oracles import map_once
 
 D, M = 200, 32
 N_MEAN, N_SCALE = 1500, 1000
@@ -66,7 +66,7 @@ def mean_z(s, sigma, seed):
     lambda = (1 + sigma^2) d / m."""
     lam = (1.0 + sigma * sigma) * D / M
     x = one_step_draws(s, sigma, lam, N_MEAN, seed)
-    pred, _ = det_map(s, D, M, sigma, lam)
+    pred = map_once(s, D, M, sigma, lam)
     return (x.mean(0) - (*astuple(pred), err_of(pred))) / (x.std(0, ddof=1) / math.sqrt(N_MEAN))
 
 
@@ -81,7 +81,7 @@ def scaling_ratios(seed):
         eps = math.sqrt(level / ((a + c) ** 2 + b * b + e * e))
         s = StateVec(1.0 + a * eps, b * eps, 1.0 + c * eps, e * eps)
         err1 = one_step_draws(s, 0.0, D / M, N_SCALE, seed)[:, 4]
-        pred, _ = det_map(s, D, M, 0.0, D / M)
+        pred = map_once(s, D, M, 0.0, D / M)
         sd = err1.std(ddof=1)
         rows.append(np.array([sd, err1.mean() - err_of(pred), sd / math.sqrt(N_SCALE)]) / err_of(s))
     return np.array(rows)

@@ -18,7 +18,6 @@ from proxtune.predict import (
     FixedPointR,
     compute_parallel_H,
     compute_V34,
-    det_map,
     in_theory_region,
     predict_trajectory,
     solve_eta,
@@ -28,7 +27,9 @@ from proxtune.state import StateVec, err_of
 from oracles import (
     compute_V,
     kernels_at,
+    map_once,
     mc_expect2,
+    pair_at,
     point_grid,
     reference_H,
     reference_parallel,
@@ -136,7 +137,7 @@ class TestSolveR:
                  (2.0, 0.5, 50.0, 1.0, (60.0, 40.0)), (1.0, 1.0, 1.0, 0.16, None)]
         for L, Lt, lam, ratio, start in cases:
             r = solve_r(L, Lt, lam, ratio, start=start)
-            v1, v2 = engine.v_pair(r.ctx, r.r1, r.r2)
+            v1, v2 = pair_at(engine, r.ctx, r.r1, r.r2)
             defect = max(abs(ratio * (lam + v1) - r.r1) / r.r1,
                          abs(ratio * (lam + v2) - r.r2) / r.r2)
             assert r.residual == defect
@@ -183,8 +184,8 @@ class TestSolveR:
         up = 1.0 + 1e-3
         engine = get_engine()
         ctx = engine.context(L, Lt, min(r1, r2), up * max(r1, r2))
-        base = engine.v_pair(ctx, r1, r2)
-        for moved in (engine.v_pair(ctx, up * r1, r2), engine.v_pair(ctx, r1, up * r2)):
+        base = pair_at(engine, ctx, r1, r2)
+        for moved in (pair_at(engine, ctx, up * r1, r2), pair_at(engine, ctx, r1, up * r2)):
             for v_new, v_old in zip(moved, base):
                 assert v_new >= v_old * (1.0 - 1e-14)
 
@@ -454,7 +455,7 @@ class TestSolveEta:
 class TestDetMap:
     def test_truth_fixed_point(self):
         for d, m, lam in [(200, 32, 100.0), (500, 10, 300.0), (64, 64, 50.0)]:
-            out, _ = det_map(TRUTH, d, m, 0.0, lam)
+            out = map_once(TRUTH, d, m, 0.0, lam)
             for a, b in zip(astuple(out), astuple(TRUTH)):
                 assert abs(a - b) <= 1e-9
 
@@ -466,7 +467,7 @@ class TestDetMap:
         m = max(1, round(u * d))
         lam = max(1.0, (16.0 * d / m) ** 0.5) * 1.0001 * 10 ** lift
         assert in_theory_region(1.0, 1.0, lam, m / d)
-        out, _ = det_map(TRUTH, d, m, 0.0, lam)
+        out = map_once(TRUTH, d, m, 0.0, lam)
         for a, b in zip(astuple(out), astuple(TRUTH)):
             assert abs(a - b) <= 1e-9
 
@@ -474,7 +475,7 @@ class TestDetMap:
         s = StateVec(0.95, 0.2, 1.02, 0.15)
         devs = []
         for lam in (1e4, 1e6, 1e8):
-            out, _ = det_map(s, 200, 32, 0.05, lam)
+            out = map_once(s, 200, 32, 0.05, lam)
             devs.append(max(abs(a - b) for a, b in zip(astuple(out), astuple(s))))
         assert devs[1] <= devs[0] / 50.0
         assert devs[2] <= 1e-6
@@ -492,7 +493,7 @@ class TestDetMap:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            det_map(StateVec(0.0, 0.0, 1.0, 0.0), 200, 32, 0.0, 100.0)
+            map_once(StateVec(0.0, 0.0, 1.0, 0.0), 200, 32, 0.0, 100.0)
         # m > d: predict_trajectory checks the problem det_map is given
         with pytest.raises(ValidationError):
             predict_trajectory(TRUTH, 2, 200, 300, 0.0, constant(100.0))
@@ -521,10 +522,11 @@ class TestDetMap:
         jac = 3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4
         lam = max(1.0, L * L, Lt * Lt, (2.0 * jac * d / m) ** 0.5) * 1.0001 * 10 ** lift
         sq = (L * L, Lt * Lt, s.alpha * s.talpha)
-        V, V1, V2, k = solve_r(L, Lt, lam, m / d).expectations
+        r = solve_r(L, Lt, lam, m / d)
+        V, V1, V2, k = r.expectations
         eta_sq, teta_sq = solve_eta(d, m, *compute_V34(s, sigma, lam, V, V1, V2, k, sq), k)
         a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
-        out, r = det_map(s, d, m, sigma, lam)
+        out = map_once(s, d, m, sigma, lam)
         assert (r.ctx.Lsq, r.ctx.Ltsq) == (L * L, Lt * Lt)
         assert bits(astuple(out)) == bits(
             (a, math.sqrt(h * h + eta_sq), ta, math.sqrt(ht * ht + teta_sq)))
@@ -582,7 +584,7 @@ class TestPredictTrajectory:
         const = predict_trajectory(local_state(), 15, 200, 32, 0.01, constant(50.0))
         assert np.array_equal(traj.states[:12], const.states[:12])
         assert not np.array_equal(traj.states[12], const.states[12])
-        s, r = det_map(StateVec(*traj.states[11]), 200, 32, 0.01, 51.0)
+        s = map_once(StateVec(*traj.states[11]), 200, 32, 0.01, 51.0)
         assert abs(err_of(s) - traj.err_seq[12]) <= 1e-12 * traj.err_seq[12]
 
     def test_in_theory_region_helper(self):
@@ -632,7 +634,7 @@ class TestPredictTrajectory:
         warm = predict_trajectory(local_state(), T, d, m, sigma, schedule)
         s = local_state()
         for t in range(T):
-            s, _ = det_map(s, d, m, sigma, schedule(t))
+            s = map_once(s, d, m, sigma, schedule(t))
             for a, b in zip(warm.states[t + 1], astuple(s)):
                 assert abs(a - b) <= 1e-12 * abs(b), t
 

@@ -87,19 +87,21 @@ class TestErrOf:
 
 
 class TestFrobErr:
+    # frob_err takes the state of (mu, nu); each case extracts it with state_of
     def test_overflow_is_typed(self):
         gt = make_gt(10, 11)
         with pytest.raises(NumericalInputError, match="error metric frob_err = inf"):
-            frob_err(1e80 * gt.mu_star, 1e80 * gt.nu_star, gt)
+            frob_err(state_of(1e80 * gt.mu_star, 1e80 * gt.nu_star, gt))
 
     def test_zero_at_truth(self):
         gt = make_gt(10, 7)
-        assert frob_err(gt.mu_star, gt.nu_star, gt) == pytest.approx(0.0, abs=1e-12)
+        assert frob_err(state_of(gt.mu_star, gt.nu_star, gt)) == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_truth(self):
         gt = make_gt(10, 8)
         # ||2 mu* nu*^T - mu* nu*^T||_F^2 = ||mu* nu*^T||_F^2 = 1
-        assert frob_err(2.0 * gt.mu_star, gt.nu_star, gt) == pytest.approx(1.0, abs=1e-10)
+        s = state_of(2.0 * gt.mu_star, gt.nu_star, gt)
+        assert frob_err(s) == pytest.approx(1.0, abs=1e-10)
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(9)
@@ -108,16 +110,20 @@ class TestFrobErr:
             mu = rng.standard_normal(5)
             nu = rng.standard_normal(5)
             dense = np.linalg.norm(np.outer(mu, nu) - np.outer(gt.mu_star, gt.nu_star)) ** 2
-            assert frob_err(mu, nu, gt) == pytest.approx(dense, abs=1e-12, rel=1e-12)
+            assert frob_err(state_of(mu, nu, gt)) == pytest.approx(dense, abs=1e-12, rel=1e-12)
 
     def test_state_identity_matches_vectors(self):
+        # the state form against the expansion ||mu||^2 ||nu||^2 - 2 alpha talpha + 1
+        # of the vectors themselves
         rng = np.random.default_rng(11)
         gt = make_gt(40, 12)
         for _ in range(100):
             mu = rng.standard_normal(40)
             nu = rng.standard_normal(40)
             s = state_of(mu, nu, gt)
-            assert state_frob_err(s) == pytest.approx(frob_err(mu, nu, gt), rel=1e-10, abs=1e-10)
+            vectors = (mu @ mu) * (nu @ nu) - 2.0 * (mu @ gt.mu_star) * (nu @ gt.nu_star) + 1.0
+            assert frob_err(s) == state_frob_err(s)
+            assert frob_err(s) == pytest.approx(vectors, rel=1e-10, abs=1e-10)
 
 
 def random_state_in_hypotheses(rng):

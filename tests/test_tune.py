@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxtune.cli import RunConfig
 from proxtune.errors import NoFeasiblePointError, PredictionError, ValidationError
+from proxtune.expect import EngineContext
 from proxtune.predict import predict_trajectory
 from proxtune.state import StateVec
 from proxtune.tune import (
@@ -40,6 +45,81 @@ def lambda_grid_results():
     results, failures = sweep(grid)
     assert not failures
     return results
+
+
+TRAJECTORY_FIELDS = ("states", "err_seq", "theory_region", "fp_iterations", "fp_residual")
+
+
+def sweep_matches_points(config):
+    """sweep(config), after checking that each point's outcome is the one its
+    own predict_trajectory call gives: the same arrays bit for bit, or the
+    same PredictionError step, message and cause."""
+    results, failures = sweep(config)
+    assert len(results) + len(failures) == len(points(config))
+    for m, lam in points(config):
+        schedule = replace(config, lambda0=lam).lambda_schedule()
+        try:
+            alone = predict_trajectory(config.initial_state(), config.iters, config.d, m,
+                                       config.sigma, schedule)
+        except PredictionError as exc:
+            got = failures[(m, lam)]
+            assert (got.step, str(got), type(got.__cause__)) == (
+                exc.step, str(exc), type(exc.__cause__))
+        else:
+            got = results[(m, lam)]
+            for name in TRAJECTORY_FIELDS:
+                assert getattr(got, name).tobytes() == getattr(alone, name).tobytes(), name
+    return results, failures
+
+
+# lambda0 up to 1e154 and a slope of 1e153 overflow the V3/V4 weights at
+# steps that differ by lambda0; a small initial norm grows each grid
+@st.composite
+def lockstep_sweeps(draw):
+    m_grid = draw(st.lists(st.sampled_from([4, 8, 16, 32]), min_size=1, max_size=3,
+                           unique=True))
+    lambda_grid = draw(st.lists(
+        st.sampled_from([0.5, 5.0, 20.0, 100.0, 1e150, 5e153, 1e154]),
+        min_size=max(1, -(-2 // len(m_grid))), max_size=12 // len(m_grid), unique=True))
+    norm = draw(st.sampled_from([0.05, 1.0, 3.0]))
+    return RunConfig(mode="tune", d=draw(st.sampled_from([40, 100, 200])),
+                     sigma=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                     m_grid=tuple(m_grid), lambda_grid=tuple(lambda_grid),
+                     schedule=draw(st.sampled_from(["constant", "delayed-linear"])),
+                     t0=draw(st.integers(0, 5)), slope=draw(st.sampled_from([1.0, 1e153])),
+                     iters=draw(st.integers(0, 30)), init_norm=norm, alpha0=0.5 * norm)
+
+
+class TestLockstep:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(lockstep_sweeps())
+    def test_sweep_equals_each_points_own_trajectory(self, config):
+        sweep_matches_points(config)
+
+    def test_failing_points_keep_their_step_and_the_rest_run_on(self):
+        config = RunConfig(mode="tune", d=100, sigma=0.1, m_grid=(8, 32), iters=12,
+                           lambda_grid=(20.0, 5e153, 1e154), schedule="delayed-linear",
+                           t0=2, slope=1e153)
+        results, failures = sweep_matches_points(config)
+        assert sorted({exc.step for exc in failures.values()}) == [6, 11]
+        assert sorted(results) == [(8, 20.0), (32, 20.0)]
+
+    def test_rebuilt_grid_outgrows_the_block(self, monkeypatch):
+        # from norm 0.05 the lengths grow, so the rebuilt grids take more nodes
+        widths = []
+        stack = EngineContext.stack
+
+        def recorded(grids):
+            block = stack(grids)
+            widths.append(block.t.shape[-1])
+            return block
+
+        monkeypatch.setattr(EngineContext, "stack", staticmethod(recorded))
+        config = RunConfig(mode="tune", d=200, sigma=0.01, m_grid=(8, 32), iters=200,
+                           lambda_grid=(5.0, 100.0), init_norm=0.05, alpha0=0.025)
+        results, failures = sweep_matches_points(config)
+        assert len(results) == 4 and not failures
+        assert any(b > a for a, b in zip(widths, widths[1:]))
 
 
 class TestSweep:
