@@ -13,27 +13,28 @@ imports numpy.polynomial. Fixed Gauss-Hermite grids lose accuracy once r1, r2
 are small because the integrand develops features on the scale sqrt(r), far
 below the Gaussian scale.
 
-A grid (``EngineContext``) is valid at every (r1, r2) of a bracket whose
-t-span ``bracket_span`` it covers: one panel [0, lo], where lo is LEAD
-times the smallest moment-factor scale at the bracket's upper end, then
-panels whose edges lo * (hi/lo)^(k/n) grow geometrically, about
+A grid (``Grid``) is valid at (L, Lt) and every (r1, r2) of a bracket when
+it covers the t-span ``bracket_span`` gives them: one panel [0, lo], where
+lo is LEAD times the smallest moment-factor scale at the bracket's upper
+end, then panels whose edges lo * (hi/lo)^(k/n) grow geometrically, about
 panels_per_decade per decade, up to hi = TAIL / (r1 r2) at the bracket's
 lower end. A grid is built SLACK times wider than its bracket's span at
 each end, so it also covers every nearby bracket with at least
 panels_per_decade panels per decade, at any (L, Lt). One grid serves a
-trajectory while it covers the bracket: ``context_for`` rebinds the previous
-step's grid when it covers the new step's span and overshoots neither end
-by more than SLACK^2, and builds a new one otherwise.
+trajectory while it covers the bracket: ``context_for`` returns the previous
+step's grid when it covers the new step's span and overshoots neither end by
+more than SLACK^2, and builds a new one otherwise. A grid is panel data
+only: nodes, weights and its span.
 
-The grid is one object per trajectory, rebound in place to each step's
-(L, Lt). ``v_pair`` gives the fixed-point solver's pair (V1, V2) from the
-moment factors and pair sums at (r1, r2), which it leaves on the grid;
-``finish`` then completes every expectation of a map step at that point
-from them, without building the factors or the pair sums again. Both take
-one (r1, r2) per point of one grid or of a block of the grids of N points
-in lockstep (``stack``). Each kind of sum is one stacked matrix-vector
-product: at a few hundred nodes a numpy call costs more in overhead than in
-arithmetic. For the same reason the kernels write into the grid's rows.
+The kernels run on a ``Block``, the grids of N >= 1 points stacked as rows,
+which owns the scratch rows they write into. ``v_pair`` gives the
+fixed-point solver's pair (V1, V2) at each point's (r1, r2) and (L^2, Lt^2)
+and leaves the moment factors and pair sums in the block's rows; ``finish``
+then completes every expectation of a map step at those points from them,
+without building the factors or the pair sums again. Each kind of sum is one
+stacked matrix-vector product: at a few hundred nodes a numpy call costs more
+in overhead than in arithmetic, and for the same reason the kernels write
+into the block's rows rather than allocate.
 """
 
 import math
@@ -101,62 +102,66 @@ def bracket_span(L, Lt, r_lo, r_hi):
     return lo, hi
 
 
-class EngineContext:
-    """Integration grid of one trajectory: geometric panels spanning [lo, hi]
-    with nodes t and weights w, bound to one (L, Lt) at a time as Lsq = L * L
-    and Ltsq = Lt * Lt (``at`` rebinds it in place); or a block (``stack``)
-    of N grids as rows of (N, n) t and w, zero-weight padded at t = 0, whose
-    points are the grids, made views of its rows (a grid's points is None).
-    Kernels overwrite the scratch rows (10, [N,] n) and return floats: the
-    monomials i1, i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 (i1, i2 hold e1, e2
-    until inverted in place; by_*/to_* take the cubic ones), damp, sqrt(e1 e2), damp t.
+class Grid:
+    """Integration grid: geometric panels spanning [lo, hi], with nodes t
+    and weights w."""
 
-    The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2,
-    damp and the pair sums inv @ damp (``sums``) that the last v_pair left
-    at each point's (r1, r2), so between the two no kernel call or rebind may
-    run but a point's own v_pair on its row."""
+    __slots__ = ("t", "w", "lo", "hi")
 
-    __slots__ = ("Lsq", "Ltsq", "t", "w", "lo", "hi", "points", "rows", "mono", "inv", "i1",
-                 "i2", "i1i2", "damp", "root", "tdamp", "by_i1", "to_i1", "by_i2", "to_i2",
-                 "sums", "pair", "moments", "products")
-
-    def __init__(self, t, w, lo, hi, rows=None, sums=None):
-        self.t, self.w, self.lo, self.hi, self.points = t, w, lo, hi, None
-        self.rows = rows = np.empty((10, *t.shape)) if rows is None else rows
-        self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = rows
-        self.mono, self.inv, self.by_i1, self.to_i1, self.by_i2, self.to_i2 = (
-            rows[:7], rows[:2], rows[0:3:2], rows[3:5], rows[1:3], rows[5:7])
-        # each kind of sum is one (N, kinds, n) @ (N, n, 1) product into sums or moments
-        self.sums = np.empty((t.size // t.shape[-1], 2)) if sums is None else sums
-        self.moments = np.empty((len(self.sums), 7))
-        by_point = rows.reshape(10, len(self.sums), -1).transpose(1, 0, 2)
-        self.pair = by_point[:, :2], by_point[:, 7, :, None], self.sums[:, :, None]
-        self.products = by_point[:, :7], by_point[:, 9, :, None], self.moments[:, :, None]
-
-    def at(self, L, Lt):
-        """This grid, bound to (L, Lt)."""
-        self.Lsq, self.Ltsq = float(L * L), float(Lt * Lt)
-        return self
+    def __init__(self, t, w, lo, hi):
+        self.t, self.w, self.lo, self.hi = t, w, lo, hi
 
     def covers(self, lo, hi):
         """Whether this grid serves a bracket of t-span [lo, hi]: it contains
         the span and overshoots neither end by more than SLACK^2."""
         return lo / SLACK ** 2 <= self.lo <= lo and hi <= self.hi <= hi * SLACK ** 2
 
-    @staticmethod
-    def stack(grids):
-        """One block over the one-point grids, each of which becomes a view
-        of its row, bound as it was; one grid is its own block."""
-        if len(grids) == 1:
-            return grids[0]
-        t, w = np.zeros((2, len(grids), max(g.t.size for g in grids)))
-        block = EngineContext(t, w, None, None)
-        for k, g in enumerate(grids):
-            n = g.t.size
-            t[k, :n], w[k, :n] = g.t, g.w
-            g.__init__(t[k, :n], w[k, :n], g.lo, g.hi, block.rows[:, k, :n], block.sums[k:k + 1])
-        block.points = tuple(grids)
-        return block
+
+class Block:
+    """The grids of N >= 1 points as the rows of (N, n) t and w, zero-weight
+    padded at t = 0 to the longest grid, and the scratch rows the kernels
+    write into: (10, N, n) ``scratch`` holding the monomials i1, i2, i1 i2,
+    i1^2, i1^2 i2, i2^2, i1 i2^2 (i1, i2 hold e1, e2 until inverted in place
+    and i1 i2 the exponent -r1 r2 t until finish; by_*/to_* take the cubic
+    ones), damp, sqrt(e1 e2), damp t; the pair sums (N, 2) ``sums`` and the
+    moment sums (N, 7) ``moments``. ``rows[k]`` is point k's one-row block
+    over its own nodes, a view of these arrays.
+
+    The rows contract: ``ExpectationEngine.finish`` reads the factors i1, i2,
+    damp and the pair sums inv @ damp that the last v_pair left at each
+    point's (r1, r2), so between the two no kernel call may run on the block
+    but a point's own v_pair on its row."""
+
+    __slots__ = ("grids", "t", "w", "scratch", "sums", "moments", "rows", "i1", "i2", "i1i2",
+                 "damp", "root", "tdamp", "inv", "head", "by_i1", "to_i1", "by_i2", "to_i2",
+                 "pair", "products", "own")
+
+    def __init__(self, grids, arrays=None):
+        """The block over the tuple grids; arrays, (t, w, scratch, sums,
+        moments), makes it a view of another block's rows instead."""
+        if arrays is None:
+            N = len(grids)
+            t, w = np.zeros((2, N, max(g.t.size for g in grids)))
+            for k, g in enumerate(grids):
+                t[k, :g.t.size], w[k, :g.t.size] = g.t, g.w
+            arrays = t, w, np.empty((10, N, t.shape[1])), np.empty((N, 2)), np.empty((N, 7))
+        self.grids = grids
+        t, w, scratch, sums, moments = arrays
+        self.t, self.w, self.scratch, self.sums, self.moments = arrays
+        self.i1, self.i2, self.i1i2, *_, self.damp, self.root, self.tdamp = scratch
+        self.inv, self.head, self.by_i1, self.to_i1, self.by_i2, self.to_i2 = (
+            scratch[:2], scratch[:3], scratch[0:3:2], scratch[3:5], scratch[1:3], scratch[5:7])
+        # each kind of sum is one (N, kinds, n) @ (N, n, 1) product into sums or moments
+        by_point = scratch.transpose(1, 0, 2)
+        self.pair = by_point[:, :2], by_point[:, 7, :, None], sums[:, :, None]
+        self.products = by_point[:, :7], by_point[:, 9, :, None], moments[:, :, None]
+        # (i1 i2, damp) over each point's own nodes, for its V
+        self.own = [(self.i1i2[k, :g.t.size], self.damp[k, :g.t.size])
+                    for k, g in enumerate(grids)]
+        self.rows = (self,) if len(grids) == 1 else tuple(
+            Block((g,), (t[k:k + 1, :g.t.size], w[k:k + 1, :g.t.size],
+                         scratch[:, k:k + 1, :g.t.size], sums[k:k + 1], moments[k:k + 1]))
+            for k, g in enumerate(grids))
 
 
 class ExpectationEngine:
@@ -175,8 +180,8 @@ class ExpectationEngine:
         self.panels_per_decade = panels_per_decade
 
     def context(self, L, Lt, r_lo, r_hi):
-        """Build a grid valid for all r1, r2 in [r_lo, r_hi], SLACK times
-        wider than the bracket's t-span at each end."""
+        """Build a grid valid for all r1, r2 in [r_lo, r_hi] at (L, Lt),
+        SLACK times wider than the bracket's t-span at each end."""
         lo, hi = bracket_span(L, Lt, r_lo, r_hi)
         lo, hi = lo / SLACK, hi * SLACK
         n_panels = max(1, math.ceil(self.panels_per_decade * math.log10(hi / lo)))
@@ -184,66 +189,61 @@ class ExpectationEngine:
         widths = np.diff(edges)
         t = (edges[:-1, None] + widths[:, None] * self._x01[None, :]).ravel()
         w = (widths[:, None] * self._w01[None, :]).ravel()
-        return EngineContext(t, w, lo, hi).at(L, Lt)
+        return Grid(t, w, lo, hi)
 
     def context_for(self, grid, L, Lt, r_lo, r_hi):
         """A grid valid at (L, Lt) for all r1, r2 in [r_lo, r_hi]: grid (the
-        previous step's, or None) rebound to (L, Lt) when it covers the
-        bracket's t-span, otherwise a new one."""
+        previous step's, or None) when it covers the bracket's t-span,
+        otherwise a new one."""
         lo, hi = bracket_span(L, Lt, r_lo, r_hi)
         if grid is not None and grid.covers(lo, hi):
-            return grid.at(L, Lt)
+            return grid
         return self.context(L, Lt, r_lo, r_hi)
 
-    def v_pair(self, ctx, rs):
+    def v_pair(self, block, rs, sqs):
         """[(V1, V2)] = [(E r1 r2 U2 / D, E r1 r2 U1 / D)], the solver's pair at
-        each point's (r1, r2) in rs. Leaves the factors there in ctx's rows for
-        finish: the reciprocals (1/e1, 1/e2) of e_i = 1 + 2 r_i L_i^2 t in inv,
-        the damped weights w exp(-r1 r2 t) / sqrt(e1 e2) in damp, inv @ damp in sums."""
-        t, points = ctx.t, ctx.points or (ctx,)
-        e, e1, e2, damp, root = ctx.inv, ctx.i1, ctx.i2, ctx.damp, ctx.root
-        if ctx.points is None:  # one point's coefficients broadcast as floats
-            ((r1, r2),) = rs
-            c1, c2, c3 = 2.0 * r1 * ctx.Lsq, 2.0 * r2 * ctx.Ltsq, -r1 * r2
-        else:  # a block's as (N, 1) columns
-            c1, c2, c3 = np.array([c for (r1, r2), p in zip(rs, points) for c in (
-                2.0 * r1 * p.Lsq, 2.0 * r2 * p.Ltsq, -r1 * r2)]).reshape(-1, 3).T[:, :, None]
-        np.multiply(t, c1, e1)  # outputs are positional: numpy parses no keywords
-        np.multiply(t, c2, e2)
+        each point's (r1, r2) in rs and (L^2, Lt^2) in sqs. Leaves the factors
+        there in block's rows for finish: the reciprocals (1/e1, 1/e2) of
+        e_i = 1 + 2 r_i L_i^2 t in inv, the damped weights
+        w exp(-r1 r2 t) / sqrt(e1 e2) in damp, inv @ damp in sums."""
+        e, e1, e2, damp, root = block.inv, block.i1, block.i2, block.damp, block.root
+        coefs = np.array([(2.0 * r1 * Lsq, 2.0 * r2 * Ltsq, -r1 * r2)
+                          for (r1, r2), (Lsq, Ltsq) in zip(rs, sqs)])
+        # e1, e2 and the exponent as one product with (N, 1) coefficient columns
+        np.multiply(block.t, coefs.T[..., None], block.head)  # numpy parses no keywords
         np.add(e, 1.0, e)
-        np.multiply(t, c3, damp)
-        np.exp(damp, damp)
-        np.multiply(damp, ctx.w, damp)
+        np.exp(block.i1i2, damp)
+        np.multiply(damp, block.w, damp)
         np.multiply(e1, e2, root)
         np.divide(damp, np.sqrt(root, root), damp)
         np.reciprocal(e, e)
-        np.matmul(*ctx.pair)
-        return [(r1 * r2 * p.Ltsq * s2, r1 * r2 * p.Lsq * s1)
-                for (r1, r2), p, (s1, s2) in zip(rs, points, ctx.sums.tolist())]
+        np.matmul(*block.pair)
+        return [(r1 * r2 * Ltsq * s2, r1 * r2 * Lsq * s1)
+                for (r1, r2), (Lsq, Ltsq), (s1, s2) in zip(rs, sqs, block.sums.tolist())]
 
     @staticmethod
-    def finish(ctx, rs):
-        """[(V, V1, V2, SecondOrderKernels)] at each point's (r1, r2) in rs:
-        every expectation a map step needs, completed from the factors that
-        the v_pair there just left in ctx's rows (see EngineContext for the
-        contract). V1 and V2 are v_pair's expressions of its sums, so they
-        equal its values bit for bit. The seven monomials i1, i2, i1 i2, i1^2,
-        i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k fill one block, summed against
-        damp * t in one product; V takes i1 i2 @ damp over each point's own
-        nodes."""
-        np.multiply(ctx.i1, ctx.i2, ctx.i1i2)
-        np.multiply(ctx.by_i1, ctx.i1, ctx.to_i1)
-        np.multiply(ctx.by_i2, ctx.i2, ctx.to_i2)
-        np.multiply(ctx.damp, ctx.t, ctx.tdamp)
-        np.matmul(*ctx.products)
+    def finish(block, rs, sqs):
+        """[(V, V1, V2, SecondOrderKernels)] at each point's (r1, r2) in rs and
+        (L^2, Lt^2) in sqs: every expectation a map step needs, completed from
+        the factors that the v_pair there just left in block's rows (see
+        Block for the contract). V1 and V2 are v_pair's expressions of its
+        sums, so they equal its values bit for bit. The seven monomials i1,
+        i2, i1 i2, i1^2, i1^2 i2, i2^2, i1 i2^2 of i_k = 1/e_k fill one block,
+        summed against damp * t in one product; V takes i1 i2 @ damp over each
+        point's own nodes."""
+        np.multiply(block.i1, block.i2, block.i1i2)
+        np.multiply(block.by_i1, block.i1, block.to_i1)
+        np.multiply(block.by_i2, block.i2, block.to_i2)
+        np.multiply(block.damp, block.t, block.tdamp)
+        np.matmul(*block.products)
         out = []
-        for (r1, r2), p, (s1, s2), (u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq) in zip(
-                rs, ctx.points or (ctx,), ctx.sums.tolist(), ctx.moments.tolist()):
-            Lsq, Ltsq = p.Lsq, p.Ltsq
+        for (r1, r2), (Lsq, Ltsq), (i1i2, damp), (s1, s2), (
+                u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq) in zip(
+                rs, sqs, block.own, block.sums.tolist(), block.moments.tolist()):
             coef = r1 * r2
             r1sq, r2sq = r1 * r1, r2 * r2
             out.append((
-                coef * Lsq * Ltsq * float(p.i1i2 @ p.damp),
+                coef * Lsq * Ltsq * float(i1i2 @ damp),
                 coef * Ltsq * s2, coef * Lsq * s1,
                 SecondOrderKernels(  # the fields in order
                     r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,
@@ -253,15 +253,15 @@ class ExpectationEngine:
             ))
         return out
 
-    def first_order(self, ctx, rs):
+    def first_order(self, block, rs, sqs):
         """[(V, V1, V2)]: v_pair, then finish; kept for the benchmark's tracer."""
-        self.v_pair(ctx, rs)
-        return [x[:3] for x in self.finish(ctx, rs)]
+        self.v_pair(block, rs, sqs)
+        return [x[:3] for x in self.finish(block, rs, sqs)]
 
-    def second_order(self, ctx, rs):
+    def second_order(self, block, rs, sqs):
         """[SecondOrderKernels]: v_pair, then finish; kept for the tracer."""
-        self.v_pair(ctx, rs)
-        return [x[3] for x in self.finish(ctx, rs)]
+        self.v_pair(block, rs, sqs)
+        return [x[3] for x in self.finish(block, rs, sqs)]
 
 
 @lru_cache(maxsize=None)

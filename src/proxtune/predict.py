@@ -14,7 +14,8 @@ predicted next state without touching any data:
 
 Iterating the map (a sweep's points in lockstep) yields the predicted error
 sequences used for offline hyperparameter tuning. predict_trajectory checks
-(d, m, sigma) once, before the first step. Everything here is pure and
+(d, m, sigma), and that sigma^2 is finite, once, before the first step, so a
+setting its points share fails once. Everything here is pure and
 deterministic; all expectations go through a shared expectation engine.
 A step's L^2 = L * L serves its kernels, steps 3-5 and its certificate.
 """
@@ -35,7 +36,7 @@ from .errors import (
     ProxtuneError,
     ValidationError,
 )
-from .expect import EngineContext, get_engine
+from .expect import Block, get_engine
 from .model import check_problem
 from .state import StateVec, err_of
 
@@ -52,16 +53,14 @@ FP_MAX_ITER = 4000
 
 class FixedPointR:
     """Solution (r1, r2) of the fixed point, its sweeps and relative defect
-    max_i |g_i(r) - r_i| / r_i (the one the stopping test passed), the
-    EngineContext it was solved on (valid at (r1, r2) until the next step
-    rebinds it), the expectations (V, V1, V2, SecondOrderKernels; None in a
-    lockstep step) and g(r) there, as g = (g1, g2); a slotted record."""
+    max_i |g_i(r) - r_i| / r_i (the one the stopping test passed) and g(r)
+    there, as g = (g1, g2); a slotted record."""
 
-    __slots__ = ("r1", "r2", "iterations_used", "residual", "ctx", "expectations", "g")
+    __slots__ = ("r1", "r2", "iterations_used", "residual", "g")
 
-    def __init__(self, r1, r2, iterations_used, residual, ctx, expectations, g):
-        self.r1, self.r2, self.iterations_used, self.residual = r1, r2, iterations_used, residual
-        self.ctx, self.expectations, self.g = ctx, expectations, g
+    def __init__(self, r1, r2, iterations_used, residual, g):
+        self.r1, self.r2, self.iterations_used, self.residual, self.g = (
+            r1, r2, iterations_used, residual, g)
 
 
 def in_theory_region(Lsq, Ltsq, lam, ratio):
@@ -76,30 +75,16 @@ def in_theory_region(Lsq, Ltsq, lam, ratio):
     return (3.0 * x * x + 2.0 * x * y + 3.0 * y * y) / ratio <= 0.5
 
 
-def fixed_point_start(L, Lt, lam, ratio, start=None, grid=None):
-    """solve_r's grid (ExpectationEngine.context_for) and start, clamped into
-    the bracket, or 1.5*lam*ratio on both sides if None; only finiteness is
-    checked here (L, Lt, lam > 0 by bracket_span, ratio by check_problem)."""
-    if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
-        raise NumericalInputError("non-finite fixed-point parameters")
-    # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
-    r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
-    grid = get_engine().context_for(grid, L, Lt, r_lo, r_hi)
-    if start is None:
-        return grid, (1.5 * lam * ratio, 1.5 * lam * ratio)
-    return grid, (min(max(start[0], r_lo), r_hi), min(max(start[1], r_lo), r_hi))
-
-
-def solve_r(L, Lt, lam, ratio, start=None, grid=None, sweep=None):
+def solve_r(lam, ratio, start, sweep, row, sq):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
     ratio is the batch-to-dimension ratio m/d. g maps every r into the
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
-    and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), clamped into
-    that bracket, or at 1.5*lam*ratio when start is None (above the bracket
-    when lam > 2 max(L^2, Lt^2), so only that first point lies outside);
-    predict_trajectory passes the quintic extrapolation of the last six
+    and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), which det_map
+    clamps into that bracket, or sets to 1.5*lam*ratio on a run's first step
+    (above the bracket when lam > 2 max(L^2, Lt^2), so only that first point
+    lies outside); det_map passes the quintic extrapolation of the last six
     steps' g(r), which leaves about one sweep per step. g is isotone, since
     dV1/dr1 = E r2^2 U2^2 / D^2, dV1/dr2 = E r1^2 U1 U2 / D^2 and likewise
     for V2, so the iterates stay between those started from the bracket's
@@ -108,23 +93,17 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None, sweep=None):
     so the start's error decides the sweep count.
 
     Each sweep takes v_pair at the current point r and its relative defect
-    max_i |g_i(r) - r_i| / r_i. The first point whose defect is <= FP_TOL is
-    returned, with that defect as ``residual`` and its g(r) as ``g``; its
-    expectations (V, V1, V2, SecondOrderKernels) are completed by finish
-    from the kernel rows that the accepted sweep filled, so a step that
-    converges on its first sweep makes one pass over the grid, returned as
-    ``ctx`` (see fixed_point_start). A lockstep step passes sweep, the
-    (V1, V2) its block's pass gave at the start on the grid that
-    fixed_point_start gave, and leaves the expectations (None) to its finish.
+    max_i |g_i(r) - r_i| / r_i. The first sweep is sweep, the (V1, V2) at
+    start that the block's pass gave; every later one is v_pair on row, the
+    point's one-row view of the block, at sq = (L^2, Lt^2). The first point
+    whose defect is <= FP_TOL is returned, with that defect as ``residual``
+    and its g(r) as ``g``; its row then holds the factors finish completes
+    the step's expectations from.
     """
-    alone = sweep is None
-    if alone:
-        grid, start = fixed_point_start(L, Lt, lam, ratio, start, grid)
-        (sweep,) = get_engine().v_pair(grid, (start,))
     (r1, r2), (v1, v2) = start, sweep
     for it in range(1, FP_MAX_ITER + 1):
         if it > 1:
-            ((v1, v2),) = get_engine().v_pair(grid, ((r1, r2),))
+            ((v1, v2),) = get_engine().v_pair(row, ((r1, r2),), (sq,))
         g1 = ratio * (lam + v1)
         g2 = ratio * (lam + v2)
         residual = max(abs(g1 - r1) / r1, abs(g2 - r2) / r2)
@@ -135,9 +114,7 @@ def solve_r(L, Lt, lam, ratio, start=None, grid=None, sweep=None):
         raise NonConvergenceError(
             f"(r1, r2) fixed point did not reach tol={FP_TOL:g} in {FP_MAX_ITER} iterations",
             residual=residual, iterations=FP_MAX_ITER)
-    # no kernel call on grid between the accepted v_pair and finish
-    expectations = get_engine().finish(grid, ((r1, r2),))[0] if alone else None
-    return FixedPointR(r1, r2, it, residual, grid, expectations, (g1, g2))
+    return FixedPointR(r1, r2, it, residual, (g1, g2))
 
 
 def compute_parallel_H(s, V, V1, V2, lam, sq):
@@ -166,8 +143,6 @@ def compute_V34(s, sigma, lam, V, V1, V2, kernels, sq):
     The own term of V4 has denominator L^4 Lt^2, the form implied by
     swapping the two sides in V3.
     """
-    if math.isinf(sigma * sigma):
-        raise NumericalInputError(f"noise variance sigma^2 overflows at sigma={sigma:g}")
     Lsq, Ltsq, cross = sq
     lamsq = lam * lam
     LL, Lsq2, Ltsq2 = Lsq * Ltsq, Lsq ** 2, Ltsq ** 2
@@ -222,15 +197,17 @@ def solve_eta(d, m, V3, V4, kernels):
 
 def det_map(runs, t, d, sigma, block):
     """Step t (steps 1-6 above) of every _Run in runs that has not failed, in
-    lockstep: one v_pair over block (the runs' grids stacked) makes each
+    lockstep: each run's grid (context_for) and start, clamped into its
+    bracket, then one v_pair over block (the runs' grids stacked) makes each
     first sweep, each solve_r accepts it or sweeps its own row on, one finish
     completes every run's expectations, and each run maps and records its
     state or keeps its PredictionError. Returns the block."""
-    live, grids, starts = [], [], []
+    engine = get_engine()
+    live, grids, starts, sqs = [], [], [], []
     for run in runs:
         if run.error is not None:
             continue
-        lam, s, L, Lt = run.schedule(t), run.s, run.s.L, run.s.Lt
+        lam, ratio, s, L, Lt = run.schedule(t), run.ratio, run.s, run.s.L, run.s.Lt
         try:
             if L <= 0 or Lt <= 0:
                 raise ValidationError("state must have positive lengths L, Lt")
@@ -238,29 +215,36 @@ def det_map(runs, t, d, sigma, block):
             if sq[0] * sq[1] == 0.0:
                 raise NumericalInputError(
                     f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
-            run.grid, start = fixed_point_start(L, Lt, lam, run.ratio, run.start, run.grid)
+            # only finiteness is checked here (lam > 0 by bracket_span, ratio by check_problem)
+            if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
+                raise NumericalInputError("non-finite fixed-point parameters")
+            # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
+            r_lo, r_hi = lam * ratio, ratio * (lam + max(sq[0], sq[1]))
+            run.grid = engine.context_for(run.grid, L, Lt, r_lo, r_hi)
         except (ProxtuneError, ArithmeticError) as exc:
             run.fail(t, exc)
             continue
-        live.append((run, s, L, Lt, lam, sq))
+        live.append((run, s, lam, sq))
         grids.append(run.grid)
-        starts.append(start)
+        starts.append((1.5 * lam * ratio,) * 2 if run.start is None else (
+            min(max(run.start[0], r_lo), r_hi), min(max(run.start[1], r_lo), r_hi)))
+        sqs.append(sq[:2])
     if not live:
         return block
-    if block is None or (block.points or (block,)) != tuple(grids):
-        block = EngineContext.stack(grids)
+    if block is None or block.grids != tuple(grids):
+        block = Block(tuple(grids))
     solved = []
-    for k, sweep in enumerate(get_engine().v_pair(block, starts)):
-        run, s, L, Lt, lam, sq = live[k]
+    for k, sweep in enumerate(engine.v_pair(block, starts, sqs)):
+        run, s, lam, sq = live[k]
         try:
-            r = solve_r(L, Lt, lam, run.ratio, starts[k], run.grid, sweep)
+            r = solve_r(lam, run.ratio, starts[k], sweep, block.rows[k], sqs[k])
             starts[k] = r.r1, r.r2  # a failed run's row is finished at its start
         except (ProxtuneError, ArithmeticError) as exc:
             run.fail(t, exc)
             r = None
         solved.append(r)
-    for (run, s, L, Lt, lam, sq), r, (V, V1, V2, kernels) in zip(
-            live, solved, get_engine().finish(block, starts)):
+    for (run, s, lam, sq), r, (V, V1, V2, kernels) in zip(
+            live, solved, engine.finish(block, starts, sqs)):
         try:
             if r is None:
                 continue
@@ -347,6 +331,8 @@ def predict_trajectory(s0, T, d, m, sigma, schedule):
     points = tuple(zip(s0, m, schedule, strict=True)) if many else ((s0, m, schedule),)
     for _, m_k, _ in points:
         check_problem(d, m_k, sigma)
+    if math.isinf(sigma * sigma):
+        raise NumericalInputError(f"noise variance sigma^2 overflows at sigma={sigma:g}")
     if T < 0:
         raise ValidationError("T must be nonnegative")
     runs, block = [_Run(*point, T, d) for point in points], None

@@ -8,9 +8,11 @@ objective is what every step must not increase. The folded
 Gauss-Hermite rule is a second quadrature for the expectation engine where
 both converge (moderate r), and plain Monte Carlo is the oracle for every
 expectation. A point grid is the engine's grid built for the square bracket
-spanned by one (r1, r2), the reference a reused trajectory grid must match; ``kernels_at`` and
-``pair_at`` are how the tests take the expectations on one point's grid,
-``map_once`` is how they take one map step, and ``reference_kernels`` is
+spanned by one (r1, r2), the reference a reused trajectory grid must match,
+and a point block is the one-grid block over it; ``kernels_at`` and
+``pair_at`` are how the tests take the expectations on a block,
+``solve_at`` is det_map's fixed-point solve for one point, ``map_once`` is
+how they take one map step, and ``reference_kernels`` is
 the engine's kernel pass written out one sum at a time, the reference the
 fused pass must match. ``reference_parallel``, ``reference_H`` and
 ``reference_V34`` write the map's scalar formulas out with nothing shared
@@ -31,8 +33,8 @@ from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 
 from proxtune.errors import PredictionError, ValidationError
-from proxtune.expect import SecondOrderKernels, get_engine
-from proxtune.predict import predict_trajectory
+from proxtune.expect import Block, SecondOrderKernels, get_engine
+from proxtune.predict import predict_trajectory, solve_r
 from proxtune.state import StateVec, err_of
 
 MC_CHUNK = 1_000_000
@@ -149,16 +151,53 @@ def point_grid(engine, L, Lt, r1, r2):
     return engine.context(L, Lt, min(r1, r2), max(r1, r2))
 
 
-def kernels_at(engine, ctx, r1, r2):
-    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on the one-point ctx:
-    v_pair, then finish, the package's one route to the expectations."""
-    engine.v_pair(ctx, ((r1, r2),))
-    return engine.finish(ctx, ((r1, r2),))[0]
+def point_block(engine, L, Lt, r1, r2):
+    """The one-grid block over point_grid."""
+    return Block((point_grid(engine, L, Lt, r1, r2),))
 
 
-def pair_at(engine, ctx, r1, r2):
-    """v_pair's (V1, V2) at (r1, r2) on the one-point ctx."""
-    return engine.v_pair(ctx, ((r1, r2),))[0]
+def kernels_at(engine, block, L, Lt, r1, r2):
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) and (L, Lt) on the
+    one-point block: v_pair, then finish, the package's one route to the
+    expectations."""
+    rs, sqs = ((r1, r2),), ((L * L, Lt * Lt),)
+    engine.v_pair(block, rs, sqs)
+    return engine.finish(block, rs, sqs)[0]
+
+
+def pair_at(engine, block, L, Lt, r1, r2):
+    """v_pair's (V1, V2) at (r1, r2) and (L, Lt) on the one-point block."""
+    return engine.v_pair(block, ((r1, r2),), ((L * L, Lt * Lt),))[0]
+
+
+class Solved(NamedTuple):
+    """solve_r's FixedPointR fields, the block it swept and the
+    expectations finish completed there."""
+
+    r1: float
+    r2: float
+    iterations_used: int
+    residual: float
+    g: tuple
+    block: Block
+    expectations: tuple
+
+
+def solve_at(L, Lt, lam, ratio, start=None):
+    """The (r1, r2) fixed point the way det_map solves it for one point: on
+    the bracket's grid, from start clamped into the bracket (1.5 lam ratio
+    when None), the one-grid block's v_pair at the start as the first sweep,
+    solve_r, then finish."""
+    engine = get_engine()
+    sq = L * L, Lt * Lt
+    r_lo, r_hi = lam * ratio, ratio * (lam + max(sq))
+    block = Block((engine.context(L, Lt, r_lo, r_hi),))
+    start = (1.5 * lam * ratio,) * 2 if start is None else (
+        min(max(start[0], r_lo), r_hi), min(max(start[1], r_lo), r_hi))
+    (sweep,) = engine.v_pair(block, (start,), (sq,))
+    r = solve_r(lam, ratio, start, sweep, block, sq)
+    (expectations,) = engine.finish(block, ((r.r1, r.r2),), (sq,))
+    return Solved(r.r1, r.r2, r.iterations_used, r.residual, r.g, block, expectations)
 
 
 def map_once(s, d, m, sigma, lam):
@@ -174,22 +213,22 @@ def map_once(s, d, m, sigma, lam):
 
 def compute_V(r, L, Lt):
     """The first-order expectations (V, V1, V2) at a solved fixed point,
-    on a point grid."""
+    on a point block."""
     engine = get_engine()
-    return kernels_at(engine, point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)[:3]
+    return kernels_at(engine, point_block(engine, L, Lt, r.r1, r.r2), L, Lt, r.r1, r.r2)[:3]
 
 
-def reference_kernels(ctx, r1, r2):
-    """(V, V1, V2, SecondOrderKernels) at (r1, r2) on ctx, each sum taken
-    as its own dot product over separately built moment factors."""
-    e1 = 1.0 + (2.0 * r1 * ctx.Lsq) * ctx.t
-    e2 = 1.0 + (2.0 * r2 * ctx.Ltsq) * ctx.t
-    damp = ctx.w * np.exp((-r1 * r2) * ctx.t) / np.sqrt(e1 * e2)
-    tdamp = damp * ctx.t
+def reference_kernels(grid, L, Lt, r1, r2):
+    """(V, V1, V2, SecondOrderKernels) at (r1, r2) and (L, Lt) on grid, each
+    sum taken as its own dot product over separately built moment factors."""
+    Lsq, Ltsq = L * L, Lt * Lt
+    e1 = 1.0 + (2.0 * r1 * Lsq) * grid.t
+    e2 = 1.0 + (2.0 * r2 * Ltsq) * grid.t
+    damp = grid.w * np.exp((-r1 * r2) * grid.t) / np.sqrt(e1 * e2)
+    tdamp = damp * grid.t
     i1 = 1.0 / e1
     i2 = 1.0 / e2
     i1i2 = i1 * i2
-    Lsq, Ltsq = ctx.Lsq, ctx.Ltsq
     coef = r1 * r2
     r1sq, r2sq = r1 * r1, r2 * r2
     return (

@@ -13,12 +13,12 @@ import pytest
 from proxtune.cli import RunConfig
 from proxtune.expect import get_engine
 from proxtune.model import generate_ground_truth, sample_batch
-from proxtune.predict import predict_trajectory, solve_r
+from proxtune.predict import predict_trajectory
 from proxtune.simulate import prox_linear_step, run_trials
 from proxtune.state import StateVec
 from proxtune.tune import iteration_complexity
-from oracles import (dense_oracle, kernels_at, map_once, point_grid, sandwich_check,
-                     state_frob_err)
+from oracles import (dense_oracle, kernels_at, map_once, point_block, sandwich_check,
+                     solve_at, state_frob_err)
 
 TRUTH = StateVec(1.0, 0.0, 1.0, 0.0)
 
@@ -62,7 +62,7 @@ def test_criterion_02_fixed_point_bracket():
         m = int(rng.integers(1, d + 1))
         L, Lt = rng.uniform(0.2, 3.0, size=2)
         lam = max(1.0, L * L, Lt * Lt) * 10 ** rng.uniform(0.0, 2.0)
-        r = solve_r(L, Lt, lam, m / d)
+        r = solve_at(L, Lt, lam, m / d)
         lo, hi = lam * m / d, 2.0 * lam * m / d
         slack = 1e-9 * hi
         if not (lo - slack <= r.r1 <= hi + slack and lo - slack <= r.r2 <= hi + slack):
@@ -136,7 +136,7 @@ def test_criterion_03_quadrature_vs_monte_carlo():
     for point in range(50):
         L, Lt = rng.uniform(0.3, 2.5, size=2)
         r1, r2 = 10 ** rng.uniform(-1.0, 1.6, size=2)
-        V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
+        V, V1, V2, k = kernels_at(engine, point_block(engine, L, Lt, r1, r2), L, Lt, r1, r2)
         quad = np.array([V, V1, V2, *k])
         mc, se = _mc_kernel_suite(r1, r2, L, Lt, 10 ** 7, seed=1000 + point)
         z = np.abs(quad - mc) / np.where(se > 0, se, np.inf)

@@ -295,6 +295,8 @@ class TestSimulateCommand:
      "squared target norm underflows to 0 at norm=1e-200"),
     (["tune", "--sigma", "1e200", "--m-grid", "4", "--iters", "3"],
      "coupled rule lambda = (1 + sigma^2) d / m overflows"),
+    (["tune", "--sigma", "1e200", "--m-grid", "4,8", "--lambda-grid", "10,20", "--iters", "3"],
+     "noise variance sigma^2 overflows"),
     (["simulate", "--sigma", "1e200", "--d", "20", "--m", "4", "--trials", "1",
       "--iters", "3", "--parallelism", "1"],
      "normal-equation residual is not finite"),
@@ -307,8 +309,8 @@ class TestSimulateCommand:
      "step 0: V3/V4 weight denominators (lambda + V1)^2, (lambda + V2)^2, "
      "(lambda + V (1/L^2 + 1/Lt^2))^2 overflow at lambda=5e+154"),
 ], ids=["predict-overflow", "predict-underflow", "init-overflow", "init-underflow",
-        "tune-overflow", "simulate-overflow", "last-state-overflow", "grid-span-underflow",
-        "weight-denominator-overflow"])
+        "tune-overflow", "tune-grid-overflow", "simulate-overflow", "last-state-overflow",
+        "grid-span-underflow", "weight-denominator-overflow"])
 def test_numerical_failure_exit_code(tmp_path, capsys, argv, names):
     assert run_cli(tmp_path, *argv) == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -606,6 +608,7 @@ class TestCompareCommand:
         assert max(abs_gap) <= 1e-9
         assert float(meta["max_rel_gap_prefloor"]) == 0.0
 
+    @pytest.mark.slow
     def test_gap_shrinks_with_batch_size(self, tmp_path):
         # larger batches concentrate harder around the prediction: over a
         # horizon that reaches both floors, the absolute deviation column

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proxtune.errors import ValidationError
-from proxtune.expect import LEGENDRE_16, ExpectationEngine, bracket_span, get_engine, panel_edges
-from proxtune.predict import solve_r
+from proxtune.expect import (LEGENDRE_16, Block, ExpectationEngine, bracket_span, get_engine,
+                             panel_edges)
 from oracles import (
     QuadratureRule,
     gauss_expect2,
@@ -15,8 +15,10 @@ from oracles import (
     legendre_rule,
     mc_expect2,
     pair_at,
+    point_block,
     point_grid,
     reference_kernels,
+    solve_at,
 )
 
 
@@ -51,7 +53,7 @@ def rational_family(r1, r2):
 
 
 def engine_values(engine, r1, r2, L, Lt):
-    V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
+    V, V1, V2, k = kernels_at(engine, point_block(engine, L, Lt, r1, r2), L, Lt, r1, r2)
     return {"V": V, "V1": V1, "V2": V2, **k._asdict()}
 
 
@@ -194,7 +196,8 @@ class TestExpectationEngine:
                 row = []
                 prev = None
                 for r2 in grid:
-                    V, _, _, _ = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
+                    V, _, _, _ = kernels_at(engine, point_block(engine, L, Lt, r1, r2),
+                                            L, Lt, r1, r2)
                     row.append(V)
                     if prev is not None:
                         assert V >= prev - 1e-14
@@ -210,7 +213,7 @@ class TestExpectationEngine:
         for _ in range(50):
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
-            V, V1, V2, k = kernels_at(engine, point_grid(engine, L, Lt, r1, r2), r1, r2)
+            V, V1, V2, k = kernels_at(engine, point_block(engine, L, Lt, r1, r2), L, Lt, r1, r2)
             assert 0.0 <= V <= L ** 2 * Lt ** 2 * (1 + 1e-12)
             assert 0.0 <= V1 <= Lt ** 2 * (1 + 1e-12)
             assert 0.0 <= V2 <= L ** 2 * (1 + 1e-12)
@@ -253,10 +256,9 @@ class TestExpectationEngine:
             lam = max(1.0, L * L, Lt * Lt) * 10 ** rng.uniform(0.0, 2.5)
             cases.append((L, Lt, lam, int(rng.integers(1, d + 1)) / d))
         for L, Lt, lam, ratio in cases:
-            r = solve_r(L, Lt, lam, ratio)
-            point = point_grid(engine, L, Lt, r.r1, r.r2)
-            a = kernels_at(engine, r.ctx, r.r1, r.r2)
-            b = kernels_at(engine, point, r.r1, r.r2)
+            r = solve_at(L, Lt, lam, ratio)
+            a = kernels_at(engine, r.block, L, Lt, r.r1, r.r2)
+            b = kernels_at(engine, point_block(engine, L, Lt, r.r1, r.r2), L, Lt, r.r1, r.r2)
             for x, y in zip((*a[:3], *a[3]), (*b[:3], *b[3])):
                 assert abs(x - y) <= 1e-13 * abs(y), (L, Lt, lam, ratio)
 
@@ -267,34 +269,45 @@ class TestExpectationEngine:
         for _ in range(50):
             L, Lt = rng.uniform(0.2, 3.0, size=2)
             r1, r2 = 10 ** rng.uniform(-1.5, 2.0, size=2)
-            ctx = point_grid(engine, L, Lt, r1, r2)
-            pair = pair_at(engine, ctx, r1, r2)
-            V, V1, V2, kernels = engine.finish(ctx, ((r1, r2),))[0]
+            block, rs, sqs = point_block(engine, L, Lt, r1, r2), ((r1, r2),), ((L * L, Lt * Lt),)
+            pair = pair_at(engine, block, L, Lt, r1, r2)
+            V, V1, V2, kernels = engine.finish(block, rs, sqs)[0]
             assert pair == (V1, V2)
-            assert engine.first_order(ctx, ((r1, r2),)) == [(V, V1, V2)]
-            assert engine.second_order(ctx, ((r1, r2),)) == [kernels]
+            assert engine.first_order(block, rs, sqs) == [(V, V1, V2)]
+            assert engine.second_order(block, rs, sqs) == [kernels]
 
     def test_results_survive_later_calls_on_the_grid(self):
-        # kernels write into the grid's scratch rows, and context_for rebinds
-        # that one grid in place; results are floats that later calls leave
-        # alone, a rebind to another (L, Lt) and back changes nothing, and
-        # the rows carry nothing between calls
+        # kernels write into the block's scratch rows and take (L^2, Lt^2)
+        # per call, so one grid serves any (L, Lt); results are floats that
+        # later calls leave alone, calls at another (L, Lt) and back change
+        # nothing, and the rows carry nothing between calls
         engine = get_engine()
         grid = engine.context(1.1, 0.9, 2.0, 4.0)
-        first, pair = kernels_at(engine, grid, 3.0, 2.5), pair_at(engine, grid, 3.0, 2.5)
+        block = Block((grid,))
+        first = kernels_at(engine, block, 1.1, 0.9, 3.0, 2.5)
+        pair = pair_at(engine, block, 1.1, 0.9, 3.0, 2.5)
         assert all(type(x) is float for x in (*first[:3], *first[3], *pair))
         assert engine.context_for(grid, 1.2, 0.8, 2.0, 4.0) is grid
-        assert (grid.Lsq, grid.Ltsq) == (1.2 * 1.2, 0.8 * 0.8)
         for r1, r2 in [(2.2, 3.7), (3.9, 2.1), (3.0, 2.5)]:
-            kernels_at(engine, grid, r1, r2)
-            pair_at(engine, grid, r2, r1)
-        assert kernels_at(engine, grid, 3.0, 2.5) != first
-        assert engine.context_for(grid, 1.1, 0.9, 2.0, 4.0) is grid
-        assert kernels_at(engine, grid, 3.0, 2.5) == first
-        assert pair_at(engine, grid, 3.0, 2.5) == pair == first[1:3]
-        fresh = engine.context(1.1, 0.9, 2.0, 4.0)
-        assert not np.shares_memory(fresh.mono, grid.mono)
-        assert kernels_at(engine, fresh, 3.0, 2.5) == first
+            kernels_at(engine, block, 1.2, 0.8, r1, r2)
+            pair_at(engine, block, 1.2, 0.8, r2, r1)
+        assert kernels_at(engine, block, 1.2, 0.8, 3.0, 2.5) != first
+        assert kernels_at(engine, block, 1.1, 0.9, 3.0, 2.5) == first
+        assert pair_at(engine, block, 1.1, 0.9, 3.0, 2.5) == pair == first[1:3]
+        fresh = Block((grid,))
+        assert not np.shares_memory(fresh.scratch, block.scratch)
+        assert kernels_at(engine, fresh, 1.1, 0.9, 3.0, 2.5) == first
+        # the grid is the first row of a wider block; a point re-swept on its
+        # own row leaves its factors in the block, and finish gives bit for
+        # bit what each grid's own block gives
+        other = engine.context(0.7, 1.6, 0.5, 9.0)
+        assert other.t.size > grid.t.size
+        rs, sqs = ((3.0, 2.5), (4.0, 0.6)), ((1.1 * 1.1, 0.9 * 0.9), (0.7 * 0.7, 1.6 * 1.6))
+        wide = Block((grid, other))
+        engine.v_pair(wide, ((3.0, 2.5), (1.0, 1.0)), sqs)
+        pair_at(engine, wide.rows[1], 0.7, 1.6, 4.0, 0.6)
+        assert engine.finish(wide, rs, sqs) == [
+            first, kernels_at(engine, Block((other,)), 0.7, 1.6, 4.0, 0.6)]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(-1.5, 2.5),
@@ -304,11 +317,12 @@ class TestExpectationEngine:
         # points on and off the (r1, r2) a point grid was built for
         engine = get_engine()
         r1, r2 = 10 ** lg1, 10 ** lg2
-        ctx = point_grid(engine, L, Lt, r1, r2)
+        grid = point_grid(engine, L, Lt, r1, r2)
+        block = Block((grid,))
         r1, r2 = r1 * 1.5 ** u1, r2 * 1.5 ** u2
-        pair = pair_at(engine, ctx, r1, r2)
-        V, V1, V2, kernels = engine.finish(ctx, ((r1, r2),))[0]
-        ref = reference_kernels(ctx, r1, r2)
+        pair = pair_at(engine, block, L, Lt, r1, r2)
+        V, V1, V2, kernels = engine.finish(block, ((r1, r2),), ((L * L, Lt * Lt),))[0]
+        ref = reference_kernels(grid, L, Lt, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*ref[:3], *ref[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
         assert pair == (V1, V2)
@@ -323,18 +337,18 @@ class TestExpectationEngine:
         # points on (u = 0) and off the (r1, r2) the grid was built for
         engine = get_engine()
         p1, p2 = 10 ** lg1, 10 ** lg2
-        ctx = point_grid(engine, L, Lt, p1, p2)
+        block = point_block(engine, L, Lt, p1, p2)
         r1, r2 = p1 * 1.5 ** u1, p2 * 1.5 ** u2
-        kernels_at(engine, ctx, r2, r1)  # leave other values in the rows
-        V1, V2 = pair_at(engine, ctx, r1, r2)
-        V, fV1, fV2, kernels = engine.finish(ctx, ((r1, r2),))[0]
-        fresh = kernels_at(engine, point_grid(engine, L, Lt, p1, p2), r1, r2)
+        kernels_at(engine, block, L, Lt, r2, r1)  # leave other values in the rows
+        V1, V2 = pair_at(engine, block, L, Lt, r1, r2)
+        V, fV1, fV2, kernels = engine.finish(block, ((r1, r2),), ((L * L, Lt * Lt),))[0]
+        fresh = kernels_at(engine, point_block(engine, L, Lt, p1, p2), L, Lt, r1, r2)
         assert (fV1.hex(), fV2.hex()) == (V1.hex(), V2.hex())
         assert [x.hex() for x in (V, V1, V2, *kernels)] == [
             x.hex() for x in (*fresh[:3], *fresh[3])]
         # solve_r's g is g(r) of the (V1, V2) finish gives at its point, bit for bit
         lam, ratio = max(1.0, L * L, Lt * Lt) * 10 ** (lg1 + 1.5), 10 ** (lg2 - 2.5)
-        r = solve_r(L, Lt, lam, ratio)
+        r = solve_at(L, Lt, lam, ratio)
         _, V1, V2, _ = r.expectations
         assert [g.hex() for g in r.g] == [
             (ratio * (lam + V1)).hex(), (ratio * (lam + V2)).hex()]
@@ -360,15 +374,15 @@ class TestGridReuse:
         r_lo, r_hi = _bracket(L, Lt, lam, ratio)
         L2, Lt2, r_lo, r_hi = L * fL, Lt * fLt, r_lo * f_lo, r_hi * f_hi
         assume(r_lo <= r_hi and grid.covers(*bracket_span(L2, Lt2, r_lo, r_hi)))
-        reused = engine.context_for(grid, L2, Lt2, r_lo, r_hi)
-        assert reused.t is grid.t and (reused.Lsq, reused.Ltsq) == (L2 * L2, Lt2 * Lt2)
+        assert engine.context_for(grid, L2, Lt2, r_lo, r_hi) is grid
         r1, r2 = r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo)
-        V, V1, V2, kernels = kernels_at(engine, reused, r1, r2)
-        point = point_grid(engine, L2, Lt2, r1, r2)
-        fresh = kernels_at(engine, point, r1, r2)
+        reused, point = Block((grid,)), point_block(engine, L2, Lt2, r1, r2)
+        V, V1, V2, kernels = kernels_at(engine, reused, L2, Lt2, r1, r2)
+        fresh = kernels_at(engine, point, L2, Lt2, r1, r2)
         for x, y in zip((V, V1, V2, *kernels), (*fresh[:3], *fresh[3])):
             assert abs(x - y) <= 1e-13 * abs(y)
-        for x, y in zip(pair_at(engine, reused, r1, r2), pair_at(engine, point, r1, r2)):
+        for x, y in zip(pair_at(engine, reused, L2, Lt2, r1, r2),
+                        pair_at(engine, point, L2, Lt2, r1, r2)):
             assert abs(x - y) <= 1e-13 * abs(y)
 
     @settings(derandomize=True, max_examples=100, deadline=None)

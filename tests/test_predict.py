@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from proxtune import predict
 from proxtune.errors import NonConvergenceError, PredictionError, ValidationError
 from proxtune.cli import RunConfig
-from proxtune.expect import ExpectationEngine, get_engine
+from proxtune.expect import Block, ExpectationEngine, get_engine
 from proxtune.expect import SecondOrderKernels
 from proxtune.predict import (
     EXTRAPOLATION,
@@ -21,7 +21,6 @@ from proxtune.predict import (
     in_theory_region,
     predict_trajectory,
     solve_eta,
-    solve_r,
 )
 from proxtune.state import StateVec, err_of
 from oracles import (
@@ -30,10 +29,11 @@ from oracles import (
     map_once,
     mc_expect2,
     pair_at,
-    point_grid,
+    point_block,
     reference_H,
     reference_parallel,
     reference_V34,
+    solve_at,
     squared_lengths,
 )
 
@@ -50,19 +50,19 @@ def local_state():
 
 
 def point_kernels(r, L, Lt):
-    """The SecondOrderKernels at a solved fixed point, on a point grid."""
+    """The SecondOrderKernels at a solved fixed point, on a point block."""
     engine = get_engine()
-    return kernels_at(engine, point_grid(engine, L, Lt, r.r1, r.r2), r.r1, r.r2)[3]
+    return kernels_at(engine, point_block(engine, L, Lt, r.r1, r.r2), L, Lt, r.r1, r.r2)[3]
 
 
 class TestSolveR:
     def test_symmetry(self):
-        r = solve_r(1.0, 1.0, 100.0, 0.16)
+        r = solve_at(1.0, 1.0, 100.0, 0.16)
         assert r.r1 == r.r2
 
     def test_bracket_at_reference_point(self):
         # d=200, m=32, lam=100: bracket [lam m/d, 2 lam m/d] = [16, 32]
-        r = solve_r(1.0, 1.0, 100.0, 32 / 200)
+        r = solve_at(1.0, 1.0, 100.0, 32 / 200)
         assert 16.0 <= r.r1 <= 32.0
         assert 16.0 <= r.r2 <= 32.0
         assert r.residual <= 1e-12
@@ -70,7 +70,7 @@ class TestSolveR:
 
     def test_self_consistency_with_V(self):
         lam, ratio = 100.0, 32 / 200
-        r = solve_r(1.0, 1.0, lam, ratio)
+        r = solve_at(1.0, 1.0, lam, ratio)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         assert lam + V1 == pytest.approx(r.r1 / ratio, rel=1e-12)
         assert lam + V2 == pytest.approx(r.r2 / ratio, rel=1e-12)
@@ -78,7 +78,7 @@ class TestSolveR:
     def test_fixed_point_satisfies_mc_equations(self):
         # plug the solved point into Monte-Carlo versions of both equations
         lam, ratio = 100.0, 32 / 200
-        r = solve_r(1.0, 1.0, lam, ratio)
+        r = solve_at(1.0, 1.0, lam, ratio)
         f1 = lambda g1, g2: r.r1 * r.r2 * g2 / (r.r1 * r.r2 + r.r1 * g1 + r.r2 * g2)
         f2 = lambda g1, g2: r.r1 * r.r2 * g1 / (r.r1 * r.r2 + r.r1 * g1 + r.r2 * g2)
         e1, se1 = mc_expect2(f1, 1.0, 1.0, 10 ** 7, seed=40)
@@ -87,21 +87,21 @@ class TestSolveR:
         assert abs(lam + e2 - r.r2 / ratio) <= 3.0 * se2
 
     def test_non_contractive_status_reported(self):
-        r = solve_r(1.0, 1.0, 1.0, 0.16)
+        r = solve_at(1.0, 1.0, 1.0, 0.16)
         assert not in_theory_region(1.0, 1.0, 1.0, 0.16)
         assert r.residual <= 1e-12
 
     def test_asymmetric_lengths(self):
-        r = solve_r(1.4, 0.6, 50.0, 0.1)
+        r = solve_at(1.4, 0.6, 50.0, 0.1)
         assert r.r1 != r.r2
         assert 5.0 <= min(r.r1, r.r2) and max(r.r1, r.r2) <= 10.0
 
     def test_validation(self):
         # the bracket's check: L, Lt and lam * ratio must be positive
         with pytest.raises(ValidationError):
-            solve_r(0.0, 1.0, 10.0, 0.1)
+            solve_at(0.0, 1.0, 10.0, 0.1)
         with pytest.raises(ValidationError):
-            solve_r(1.0, 1.0, -1.0, 0.1)
+            solve_at(1.0, 1.0, -1.0, 0.1)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.0, 1.5),
@@ -114,17 +114,17 @@ class TestSolveR:
         assert in_theory_region(L * L, Lt * Lt, lam, ratio)
         r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
         start = (r_lo + u1 * (r_hi - r_lo), r_lo + u2 * (r_hi - r_lo))
-        cold = solve_r(L, Lt, lam, ratio)
-        warm = solve_r(L, Lt, lam, ratio, start=start)
+        cold = solve_at(L, Lt, lam, ratio)
+        warm = solve_at(L, Lt, lam, ratio, start=start)
         assert warm.residual <= 1e-12
         assert warm.r1 == pytest.approx(cold.r1, rel=1e-11)
         assert warm.r2 == pytest.approx(cold.r2, rel=1e-11)
 
     def test_start_outside_bracket_is_clamped(self):
-        cold = solve_r(1.0, 1.0, 100.0, 0.16)
-        assert solve_r(1.0, 1.0, 100.0, 0.16, start=(cold.r1, cold.r2)).iterations_used == 1
+        cold = solve_at(1.0, 1.0, 100.0, 0.16)
+        assert solve_at(1.0, 1.0, 100.0, 0.16, start=(cold.r1, cold.r2)).iterations_used == 1
         for start in [(0.0, 0.0), (1e9, 1e9), (1.0, 1e6)]:
-            warm = solve_r(1.0, 1.0, 100.0, 0.16, start=start)
+            warm = solve_at(1.0, 1.0, 100.0, 0.16, start=start)
             assert warm.residual <= 1e-12
             assert warm.r1 == pytest.approx(cold.r1, rel=1e-11)
             assert warm.r2 == pytest.approx(cold.r2, rel=1e-11)
@@ -136,8 +136,8 @@ class TestSolveR:
         cases = [(1.0, 1.0, 100.0, 0.16, None), (0.7, 1.3, 20.0, 0.04, (0.9, 0.7)),
                  (2.0, 0.5, 50.0, 1.0, (60.0, 40.0)), (1.0, 1.0, 1.0, 0.16, None)]
         for L, Lt, lam, ratio, start in cases:
-            r = solve_r(L, Lt, lam, ratio, start=start)
-            v1, v2 = pair_at(engine, r.ctx, r.r1, r.r2)
+            r = solve_at(L, Lt, lam, ratio, start=start)
+            v1, v2 = pair_at(engine, r.block, L, Lt, r.r1, r.r2)
             defect = max(abs(ratio * (lam + v1) - r.r1) / r.r1,
                          abs(ratio * (lam + v2) - r.r2) / r.r2)
             assert r.residual == defect
@@ -155,11 +155,11 @@ class TestSolveR:
     def test_slow_asymmetric_fixed_points_converge(self, L, Lt, lam, ratio, start):
         # far-apart L, Lt and lam far below max(L^2, Lt^2): plain iteration needs
         # ~700-800 sweeps here, within FP_MAX_ITER
-        r = solve_r(L, Lt, lam, ratio, start=start)
+        r = solve_at(L, Lt, lam, ratio, start=start)
         assert r.residual <= predict.FP_TOL
         r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
         assert r_lo <= r.r1 <= r_hi and r_lo <= r.r2 <= r_hi
-        cold = solve_r(L, Lt, lam, ratio)
+        cold = solve_at(L, Lt, lam, ratio)
         assert r.r1 == pytest.approx(cold.r1, rel=1e-11)
         assert r.r2 == pytest.approx(cold.r2, rel=1e-11)
 
@@ -171,7 +171,7 @@ class TestSolveR:
     ], ids=["cold-1039", "warm-2049"])
     def test_slowest_asymmetric_fixed_points_converge(self, L, Lt, lam, ratio, start):
         # plain iteration needs 1,039 and 2,049 sweeps here, within FP_MAX_ITER
-        r = solve_r(L, Lt, lam, ratio, start=start)
+        r = solve_at(L, Lt, lam, ratio, start=start)
         assert r.residual <= predict.FP_TOL
         assert r.iterations_used > 1000
 
@@ -183,16 +183,17 @@ class TestSolveR:
         L, Lt, r1, r2 = 10 ** log_L, 10 ** log_Lt, 10 ** log_r1, 10 ** log_r2
         up = 1.0 + 1e-3
         engine = get_engine()
-        ctx = engine.context(L, Lt, min(r1, r2), up * max(r1, r2))
-        base = pair_at(engine, ctx, r1, r2)
-        for moved in (pair_at(engine, ctx, up * r1, r2), pair_at(engine, ctx, r1, up * r2)):
+        block = Block((engine.context(L, Lt, min(r1, r2), up * max(r1, r2)),))
+        base = pair_at(engine, block, L, Lt, r1, r2)
+        for moved in (pair_at(engine, block, L, Lt, up * r1, r2),
+                      pair_at(engine, block, L, Lt, r1, up * r2)):
             for v_new, v_old in zip(moved, base):
                 assert v_new >= v_old * (1.0 - 1e-14)
 
     def test_max_iter_exhaustion(self, monkeypatch):
         monkeypatch.setattr(predict, "FP_MAX_ITER", 2)
         with pytest.raises(NonConvergenceError) as err:
-            solve_r(1.0, 1.0, 100.0, 0.16)
+            solve_at(1.0, 1.0, 100.0, 0.16)
         assert err.value.iterations == 2
         assert err.value.residual is not None
 
@@ -201,14 +202,14 @@ class TestComputeV:
     def test_large_r_limits(self):
         # r -> inf: V -> L^2 Lt^2, V1 -> Lt^2, V2 -> L^2
         for L, Lt in [(1.0, 1.0), (1.3, 0.8)]:
-            r = FixedPointR(1e9, 1e9, 0, 0.0, None, None, None)
+            r = FixedPointR(1e9, 1e9, 0, 0.0, None)
             V, V1, V2 = compute_V(r, L, Lt)
             assert V == pytest.approx(L ** 2 * Lt ** 2, rel=1e-6)
             assert V1 == pytest.approx(Lt ** 2, rel=1e-6)
             assert V2 == pytest.approx(L ** 2, rel=1e-6)
 
     def test_against_mc(self):
-        r = FixedPointR(16.0, 16.0, 0, 0.0, None, None, None)
+        r = FixedPointR(16.0, 16.0, 0, 0.0, None)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         fam = {
             "V": (lambda g1, g2: 256.0 * g1 * g2 / (256.0 + 16.0 * g1 + 16.0 * g2), V),
@@ -287,7 +288,7 @@ class TestParallelAndH:
             s = StateVec(rng.uniform(0.5, 1.2), rng.uniform(0.0, 0.3),
                          rng.uniform(0.5, 1.2), rng.uniform(0.0, 0.3))
             lam = 10 ** rng.uniform(0, 2)
-            r = solve_r(s.L, s.Lt, lam, 0.16)
+            r = solve_at(s.L, s.Lt, lam, 0.16)
             V, V1, V2 = compute_V(r, s.L, s.Lt)
             lib = compute_parallel(s, V, V1, V2, lam)
             ref = theta_route(s, V, V1, V2, lam)
@@ -298,7 +299,7 @@ class TestParallelAndH:
         # coupled-rule configuration: d=200, m=16, lam=(1+s^2)d/m, sigma=1e-5
         s = local_state()
         lam = (1.0 + 1e-10) * 200 / 16
-        r = solve_r(s.L, s.Lt, lam, 16 / 200)
+        r = solve_at(s.L, s.Lt, lam, 16 / 200)
         D = lambda g1, g2: r.r1 * r.r2 + r.r1 * g1 + r.r2 * g2
         V_mc, se_v = mc_expect2(lambda g1, g2: r.r1 * r.r2 * g1 * g2 / D(g1, g2),
                                 s.L, s.Lt, 10 ** 6, seed=44)
@@ -321,7 +322,7 @@ class TestParallelAndH:
             alpha, talpha = rng.uniform(0.9, 1.05, size=2)
             s = StateVec(alpha, beta, talpha, tbeta)
             lam = rng.uniform(200.0, 2000.0)
-            r = solve_r(s.L, s.Lt, lam, 0.16)
+            r = solve_at(s.L, s.Lt, lam, 0.16)
             V, V1, V2 = compute_V(r, s.L, s.Lt)
             h, ht = compute_H(s, V, V1, V2, lam)
             assert abs(h) <= s.beta
@@ -340,7 +341,7 @@ class TestComputeV34:
         assert bits(compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))) == bits(expected)
 
     def test_structural_zeros_at_truth_noiseless(self):
-        r = solve_r(1.0, 1.0, 100.0, 0.16)
+        r = solve_at(1.0, 1.0, 100.0, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         V3, V4 = compute_V34(TRUTH, 0.0, 100.0, V, V1, V2, point_kernels(r, 1.0, 1.0),
                              squared_lengths(TRUTH))
@@ -350,7 +351,7 @@ class TestComputeV34:
     def test_noise_term_isolated_at_truth(self):
         # at the truth state only the sigma^2 term survives
         sigma, lam = 0.3, 100.0
-        r = solve_r(1.0, 1.0, lam, 0.16)
+        r = solve_at(1.0, 1.0, lam, 0.16)
         V, V1, V2 = compute_V(r, 1.0, 1.0)
         k = point_kernels(r, 1.0, 1.0)
         V3, V4 = compute_V34(TRUTH, sigma, lam, V, V1, V2, k, squared_lengths(TRUTH))
@@ -360,7 +361,7 @@ class TestComputeV34:
     def test_against_mc_at_high_noise_config(self):
         sigma, lam, d, m = 0.1, 100.0, 200, 32
         s = local_state()
-        r = solve_r(s.L, s.Lt, lam, m / d)
+        r = solve_at(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, point_kernels(r, s.L, s.Lt),
                              squared_lengths(s))
@@ -406,7 +407,7 @@ class TestComputeV34:
         # swapped), not the printed Lt^2 L^3; the two differ unless L = 1
         s = StateVec(1.1, 0.2, 0.8, 0.25)
         sigma, lam = 0.1, 50.0
-        r = solve_r(s.L, s.Lt, lam, 0.16)
+        r = solve_at(s.L, s.Lt, lam, 0.16)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
         _, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))
@@ -425,13 +426,13 @@ class TestComputeV34:
 
 class TestSolveEta:
     def test_zero_sources_give_zero(self):
-        r = solve_r(1.0, 1.0, 100.0, 0.16)
+        r = solve_at(1.0, 1.0, 100.0, 0.16)
         eta_sq, teta_sq = solve_eta(200, 32, 0.0, 0.0, point_kernels(r, 1.0, 1.0))
         assert eta_sq == 0.0
         assert teta_sq == 0.0
 
     def test_symmetric_case(self):
-        r = solve_r(1.0, 1.0, 80.0, 0.1)
+        r = solve_at(1.0, 1.0, 80.0, 0.1)
         eta_sq, teta_sq = solve_eta(200, 20, 0.004, 0.004, point_kernels(r, 1.0, 1.0))
         assert eta_sq == pytest.approx(teta_sq, rel=1e-12)
         assert eta_sq > 0.0
@@ -440,7 +441,7 @@ class TestSolveEta:
         d, m = 200, 32
         s = local_state()
         lam = 100.0
-        r = solve_r(s.L, s.Lt, lam, m / d)
+        r = solve_at(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
         V3, V4 = compute_V34(s, 0.1, lam, V, V1, V2, k, squared_lengths(s))
@@ -503,7 +504,7 @@ class TestDetMap:
 
     def test_map_quantities_nonnegative(self):
         s, d, m, sigma, lam = local_state(), 200, 32, 0.1, 100.0
-        r = solve_r(s.L, s.Lt, lam, m / d)
+        r = solve_at(s.L, s.Lt, lam, m / d)
         V, V1, V2 = compute_V(r, s.L, s.Lt)
         k = point_kernels(r, s.L, s.Lt)
         V3, V4 = compute_V34(s, sigma, lam, V, V1, V2, k, squared_lengths(s))
@@ -515,19 +516,18 @@ class TestDetMap:
     @given(_state, st.integers(2, 1000), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
            st.floats(0.0, 2.0))
     def test_map_step_takes_one_squared_length_per_side(self, s, d, u, sigma, lift):
-        # det_map against its parts fed L * L and Lt * Lt, the values the grid
-        # binds for the kernels, bit for bit: steps 3-5 see the kernels' L^2
+        # det_map against its parts fed L * L and Lt * Lt, the values it
+        # passes the kernels, bit for bit: steps 3-5 see the kernels' L^2
         m = max(1, round(u * d))
         L, Lt = s.L, s.Lt
         jac = 3.0 * L ** 4 + 2.0 * (L * Lt) ** 2 + 3.0 * Lt ** 4
         lam = max(1.0, L * L, Lt * Lt, (2.0 * jac * d / m) ** 0.5) * 1.0001 * 10 ** lift
         sq = (L * L, Lt * Lt, s.alpha * s.talpha)
-        r = solve_r(L, Lt, lam, m / d)
+        r = solve_at(L, Lt, lam, m / d)
         V, V1, V2, k = r.expectations
         eta_sq, teta_sq = solve_eta(d, m, *compute_V34(s, sigma, lam, V, V1, V2, k, sq), k)
         a, ta, h, ht = compute_parallel_H(s, V, V1, V2, lam, sq)
         out = map_once(s, d, m, sigma, lam)
-        assert (r.ctx.Lsq, r.ctx.Ltsq) == (L * L, Lt * Lt)
         assert bits(astuple(out)) == bits(
             (a, math.sqrt(h * h + eta_sq), ta, math.sqrt(ht * ht + teta_sq)))
 

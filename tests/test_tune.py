@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from proxtune.cli import RunConfig
 from proxtune.errors import NoFeasiblePointError, PredictionError, ValidationError
-from proxtune.expect import EngineContext
+from proxtune import predict
+from proxtune.expect import Block, ExpectationEngine, Grid
 from proxtune.predict import predict_trajectory
 from proxtune.state import StateVec
 from proxtune.tune import (
@@ -107,19 +108,53 @@ class TestLockstep:
     def test_rebuilt_grid_outgrows_the_block(self, monkeypatch):
         # from norm 0.05 the lengths grow, so the rebuilt grids take more nodes
         widths = []
-        stack = EngineContext.stack
 
         def recorded(grids):
-            block = stack(grids)
+            block = Block(grids)
             widths.append(block.t.shape[-1])
             return block
 
-        monkeypatch.setattr(EngineContext, "stack", staticmethod(recorded))
+        monkeypatch.setattr(predict, "Block", recorded)
         config = RunConfig(mode="tune", d=200, sigma=0.01, m_grid=(8, 32), iters=200,
                            lambda_grid=(5.0, 100.0), init_norm=0.05, alpha0=0.025)
         results, failures = sweep_matches_points(config)
         assert len(results) == 4 and not failures
         assert any(b > a for a, b in zip(widths, widths[1:]))
+
+    def test_sweep_scratch_rows_are_its_blocks(self, monkeypatch):
+        # the grids a sweep builds hold only their nodes and weights; the
+        # scratch rows every kernel call writes are its blocks', one
+        # (10, N, n) array per block, of which each point's one-row block
+        # views the columns of its own nodes
+        grids, blocks = [], []
+        context = ExpectationEngine.context
+
+        def built(engine, *args):
+            grids.append(context(engine, *args))
+            return grids[-1]
+
+        def recorded(point_grids):
+            blocks.append(Block(point_grids))
+            return blocks[-1]
+
+        monkeypatch.setattr(ExpectationEngine, "context", built)
+        monkeypatch.setattr(predict, "Block", recorded)
+        config = RunConfig(mode="tune", d=200, sigma=0.01, m_grid=(8, 32), iters=200,
+                           lambda_grid=(5.0, 100.0), init_norm=0.05, alpha0=0.025)
+        results, failures = sweep(config)
+        assert len(results) == 4 and not failures and len(blocks) > 1
+        for grid in grids:
+            held = [getattr(grid, name) for name in Grid.__slots__]
+            arrays = [x for x in held if isinstance(x, np.ndarray)]
+            assert len(arrays) == 2 and arrays[0] is grid.t and arrays[1] is grid.w
+        for block in blocks:
+            assert set(block.grids) <= set(grids)
+            width = max(grid.t.size for grid in block.grids)
+            assert block.scratch.shape == (10, len(block.grids), width)
+            for grid, row in zip(block.grids, block.rows):
+                assert row.scratch.shape == (10, 1, grid.t.size)
+                assert np.shares_memory(row.scratch, block.scratch)
+            assert not any(np.shares_memory(grid.t, block.scratch) for grid in grids)
 
 
 class TestSweep:
