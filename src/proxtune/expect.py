@@ -134,7 +134,7 @@ class Block:
 
     __slots__ = ("grids", "t", "w", "scratch", "sums", "moments", "rows", "i1", "i2", "i1i2",
                  "damp", "root", "tdamp", "inv", "head", "by_i1", "to_i1", "by_i2", "to_i2",
-                 "pair", "products", "own")
+                 "pair", "products")
 
     def __init__(self, grids, arrays=None):
         """The block over the tuple grids; arrays, (t, w, scratch, sums,
@@ -155,9 +155,6 @@ class Block:
         by_point = scratch.transpose(1, 0, 2)
         self.pair = by_point[:, :2], by_point[:, 7, :, None], sums[:, :, None]
         self.products = by_point[:, :7], by_point[:, 9, :, None], moments[:, :, None]
-        # (i1 i2, damp) over each point's own nodes, for its V
-        self.own = [(self.i1i2[k, :g.t.size], self.damp[k, :g.t.size])
-                    for k, g in enumerate(grids)]
         self.rows = (self,) if len(grids) == 1 else tuple(
             Block((g,), (t[k:k + 1, :g.t.size], w[k:k + 1, :g.t.size],
                          scratch[:, k:k + 1, :g.t.size], sums[k:k + 1], moments[k:k + 1]))
@@ -237,13 +234,13 @@ class ExpectationEngine:
         np.multiply(block.damp, block.t, block.tdamp)
         np.matmul(*block.products)
         out = []
-        for (r1, r2), (Lsq, Ltsq), (i1i2, damp), (s1, s2), (
+        for (r1, r2), (Lsq, Ltsq), row, (s1, s2), (
                 u1, u2, u1u2, u1sq, u1squ2, u2sq, u1u2sq) in zip(
-                rs, sqs, block.own, block.sums.tolist(), block.moments.tolist()):
+                rs, sqs, block.rows, block.sums.tolist(), block.moments.tolist()):
             coef = r1 * r2
             r1sq, r2sq = r1 * r1, r2 * r2
             out.append((
-                coef * Lsq * Ltsq * float(i1i2 @ damp),
+                coef * Lsq * Ltsq * float(row.i1i2[0] @ row.damp[0]),
                 coef * Ltsq * s2, coef * Lsq * s1,
                 SecondOrderKernels(  # the fields in order
                     r2sq * Ltsq * u2, r2sq * 3.0 * Lsq * Ltsq * Ltsq * u1u2sq,

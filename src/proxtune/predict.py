@@ -75,17 +75,33 @@ def in_theory_region(Lsq, Ltsq, lam, ratio):
     return (3.0 * x * x + 2.0 * x * y + 3.0 * y * y) / ratio <= 0.5
 
 
+def fixed_point_start(L, Lt, lam, ratio, start, grid):
+    """solve_r's grid (ExpectationEngine.context_for over grid, the previous
+    step's or None) and start, clamped into the bracket, or 1.5*lam*ratio on
+    both sides if None; only finiteness is checked here (L, Lt, lam > 0 by
+    bracket_span, ratio by check_problem)."""
+    if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
+        raise NumericalInputError("non-finite fixed-point parameters")
+    # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
+    r_lo, r_hi = lam * ratio, ratio * (lam + max(L * L, Lt * Lt))
+    grid = get_engine().context_for(grid, L, Lt, r_lo, r_hi)
+    if start is None:
+        return grid, (1.5 * lam * ratio,) * 2
+    return grid, (min(max(start[0], r_lo), r_hi), min(max(start[1], r_lo), r_hi))
+
+
 def solve_r(lam, ratio, start, sweep, row, sq):
     """Solve the (r1, r2) fixed point by iterating r <- g(r) with
     g(r) = ratio * (lam + V1(r), lam + V2(r)).
 
     ratio is the batch-to-dimension ratio m/d. g maps every r into the
     bracket [lam*ratio, ratio*(lam + max(L^2, Lt^2))], because 0 <= V1 <= Lt^2
-    and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), which det_map
-    clamps into that bracket, or sets to 1.5*lam*ratio on a run's first step
-    (above the bracket when lam > 2 max(L^2, Lt^2), so only that first point
-    lies outside); det_map passes the quintic extrapolation of the last six
-    steps' g(r), which leaves about one sweep per step. g is isotone, since
+    and 0 <= V2 <= L^2. Iteration starts at start = (r1, r2), which
+    fixed_point_start clamps into that bracket, or sets to 1.5*lam*ratio on
+    a run's first step (above the bracket when lam > 2 max(L^2, Lt^2), so
+    only that first point lies outside); det_map passes the quintic
+    extrapolation of the last six steps' g(r), which leaves about one sweep
+    per step. g is isotone, since
     dV1/dr1 = E r2^2 U2^2 / D^2, dV1/dr2 = E r1^2 U1 U2 / D^2 and likewise
     for V2, so the iterates stay between those started from the bracket's
     two corners and need no averaging with the previous point. Inside the
@@ -197,11 +213,11 @@ def solve_eta(d, m, V3, V4, kernels):
 
 def det_map(runs, t, d, sigma, block):
     """Step t (steps 1-6 above) of every _Run in runs that has not failed, in
-    lockstep: each run's grid (context_for) and start, clamped into its
-    bracket, then one v_pair over block (the runs' grids stacked) makes each
-    first sweep, each solve_r accepts it or sweeps its own row on, one finish
-    completes every run's expectations, and each run maps and records its
-    state or keeps its PredictionError. Returns the block."""
+    lockstep: each run's grid and start (fixed_point_start), then one v_pair
+    over block (the runs' grids stacked) makes each first sweep, each solve_r
+    accepts it or sweeps its own row on, one finish completes every run's
+    expectations, and each run maps and records its state or keeps its
+    PredictionError. Returns the block."""
     engine = get_engine()
     live, grids, starts, sqs = [], [], [], []
     for run in runs:
@@ -215,19 +231,13 @@ def det_map(runs, t, d, sigma, block):
             if sq[0] * sq[1] == 0.0:
                 raise NumericalInputError(
                     f"squared lengths L^2 Lt^2 underflow to 0 at L={L:g}, Lt={Lt:g}")
-            # only finiteness is checked here (lam > 0 by bracket_span, ratio by check_problem)
-            if not (isfinite(L) and isfinite(Lt) and isfinite(lam) and isfinite(ratio)):
-                raise NumericalInputError("non-finite fixed-point parameters")
-            # every g(r), so every iterate after the first, is inside [r_lo, r_hi]
-            r_lo, r_hi = lam * ratio, ratio * (lam + max(sq[0], sq[1]))
-            run.grid = engine.context_for(run.grid, L, Lt, r_lo, r_hi)
+            run.grid, start = fixed_point_start(L, Lt, lam, ratio, run.start, run.grid)
         except (ProxtuneError, ArithmeticError) as exc:
             run.fail(t, exc)
             continue
         live.append((run, s, lam, sq))
         grids.append(run.grid)
-        starts.append((1.5 * lam * ratio,) * 2 if run.start is None else (
-            min(max(run.start[0], r_lo), r_hi), min(max(run.start[1], r_lo), r_hi)))
+        starts.append(start)
         sqs.append(sq[:2])
     if not live:
         return block

@@ -34,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from proxtune.errors import PredictionError, ValidationError
 from proxtune.expect import Block, SecondOrderKernels, get_engine
-from proxtune.predict import predict_trajectory, solve_r
+from proxtune.predict import fixed_point_start, predict_trajectory, solve_r
 from proxtune.state import StateVec, err_of
 
 MC_CHUNK = 1_000_000
@@ -184,16 +184,14 @@ class Solved(NamedTuple):
 
 
 def solve_at(L, Lt, lam, ratio, start=None):
-    """The (r1, r2) fixed point the way det_map solves it for one point: on
-    the bracket's grid, from start clamped into the bracket (1.5 lam ratio
-    when None), the one-grid block's v_pair at the start as the first sweep,
-    solve_r, then finish."""
+    """The (r1, r2) fixed point the way det_map solves it for one point: the
+    grid and start fixed_point_start gives (a new grid over the bracket, the
+    start clamped into it), the one-grid block's v_pair at the start as the
+    first sweep, solve_r, then finish."""
     engine = get_engine()
     sq = L * L, Lt * Lt
-    r_lo, r_hi = lam * ratio, ratio * (lam + max(sq))
-    block = Block((engine.context(L, Lt, r_lo, r_hi),))
-    start = (1.5 * lam * ratio,) * 2 if start is None else (
-        min(max(start[0], r_lo), r_hi), min(max(start[1], r_lo), r_hi))
+    grid, start = fixed_point_start(L, Lt, lam, ratio, start, None)
+    block = Block((grid,))
     (sweep,) = engine.v_pair(block, (start,), (sq,))
     r = solve_r(lam, ratio, start, sweep, block, sq)
     (expectations,) = engine.finish(block, ((r.r1, r.r2),), (sq,))
